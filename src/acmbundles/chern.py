@@ -1,7 +1,11 @@
 """Exact Chern-class and Riemann-Roch arithmetic on smooth hypersurfaces in P^4.
 
-Everything is computed with exact rationals (``fractions.Fraction``) over
-Python's arbitrary-precision integers; no floating point anywhere.  A rank-k
+Everything is exact and integer: each formula builds one integer numerator
+over a fixed common denominator (24 for chi and the general genus, 2 for the
+quartic genus, 2 and 6 for twisting), and ``fractions.Fraction`` appears only
+at the API boundary; no floating point anywhere.  Values that must be
+integers pass through an exact ``divmod`` that raises :class:`NonIntegral`
+on a remainder, so a coefficient typo still fails loudly.  A rank-k
 vector bundle on a degree-r hypersurface X is reduced to the integer
 quadruple (k; c1, c2, c3) via the usual degree identifications: c1(E) is
 c1 times the hyperplane class, c2(E) has degree c2, and c3(E) is c3 points.
@@ -123,6 +127,14 @@ def _theta(r: int) -> int:
     return (r - 5) ** 2 + (r * r - 5 * r + 10)
 
 
+def _divide_exact(numerator: int, denominator: int, context: str) -> int:
+    # the integer guard: numerator / denominator, which must be exact
+    quotient, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise NonIntegral(Fraction(numerator, denominator), context)
+    return quotient
+
+
 def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Rational:
     """Euler characteristic of O_X(a) on the degree-r hypersurface X:
 
@@ -134,11 +146,10 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Rational:
     fraction so callers can push it through :func:`require_integer`.
     """
     r = ctx.r
-    return (
-        Fraction(r, 6) * a**3
-        + Fraction(r * (5 - r), 4) * a**2
-        + Fraction(r * _theta(r), 12) * a
-        + Fraction(r * (5 - r) * (r * r - 5 * r + 10), 24)
+    return Fraction(
+        4 * r * a**3 + 6 * r * (5 - r) * a * a + 2 * r * _theta(r) * a
+        + r * (5 - r) * (r * r - 5 * r + 10),
+        24,
     )
 
 
@@ -151,14 +162,11 @@ def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
     """
     r = ctx.r
     k, c1, c2, c3 = inv.quadruple()
-    return (
-        Fraction(r, 6) * c1**3
-        - Fraction(1, 2) * c1 * c2
-        + Fraction(1, 2) * c3
-        + Fraction(r * (5 - r), 4) * c1**2
-        - Fraction(5 - r, 2) * c2
-        + Fraction(r * _theta(r), 12) * c1
-        + Fraction(r * k * (5 - r) * (r * r - 5 * r + 10), 24)
+    return Fraction(
+        4 * r * c1**3 - 12 * c1 * c2 + 12 * c3 + 6 * r * (5 - r) * c1 * c1
+        - 12 * (5 - r) * c2 + 2 * r * _theta(r) * c1
+        + r * k * (5 - r) * (r * r - 5 * r + 10),
+        24,
     )
 
 
@@ -170,20 +178,19 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     c3 -> c3 + (k-2) n (c2 + (k-1) n r c1 / 2 + r n^2 k (k-1) / 6)
 
     Both fractional-looking terms are integral for every integer input; the
-    conversion stays in as a guard against coefficient typos.
+    exact division by 2 and by 6 stays in as a guard against coefficient
+    typos.
     """
     r = ctx.r
     k, c1, c2, c3 = inv.quadruple()
-    new_c2 = c2 + r * n * (k - 1) * (c1 + Fraction(n * k, 2))
-    new_c3 = c3 + (k - 2) * n * (
-        c2 + Fraction((k - 1) * n * r * c1, 2) + Fraction(r * n * n * k * (k - 1), 6)
+    new_c2 = _divide_exact(2 * c2 + r * n * (k - 1) * (2 * c1 + n * k), 2, "twisted c2")
+    new_c3 = _divide_exact(
+        6 * c3
+        + (k - 2) * n * (6 * c2 + 3 * (k - 1) * n * r * c1 + r * n * n * k * (k - 1)),
+        6,
+        "twisted c3",
     )
-    return BundleInvariants(
-        k,
-        c1 + k * n,
-        require_integer(new_c2, "twisted c2"),
-        require_integer(new_c3, "twisted c3"),
-    )
+    return BundleInvariants(k, c1 + k * n, new_c2, new_c3)
 
 
 def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
@@ -199,18 +206,13 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
         raise DomainError(f"genus needs a bundle of rank >= 2, got rank {inv.k}")
     r = ctx.r
     c1, c2, c3 = inv.c1, inv.c2, inv.c3
-    return (
-        -Fraction(5, 2) * c2
-        + Fraction(1, 2) * c1 * c2
-        + Fraction(1, 2) * c3
-        + Fraction(25 * r, 12)
-        + Fraction(r, 2) * c2
-        - Fraction(35 * r * r, 24)
-        + Fraction(5 * r**3, 12)
-        - Fraction(r**4, 24)
+    return Fraction(
+        -60 * c2 + 12 * c1 * c2 + 12 * c3 + 50 * r + 12 * r * c2
+        - 35 * r * r + 10 * r**3 - r**4,
+        24,
     )
 
 
 def genus_r4(inv: BundleInvariants) -> Rational:
     """Quartic-hypersurface genus: g = 1 + (c1 c2 - c2 + c3) / 2."""
-    return 1 + Fraction(inv.c1 * inv.c2 - inv.c2 + inv.c3, 2)
+    return Fraction(inv.c1 * inv.c2 - inv.c2 + inv.c3 + 2, 2)

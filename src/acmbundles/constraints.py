@@ -6,16 +6,13 @@ Admissibility means passing every bound; it does not imply a bundle exists.
 
 from __future__ import annotations
 
-import math
-import warnings
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .chern import (
     CurveInvariants,
     DomainError,
     HypersurfaceContext,
-    require_integer,
+    _divide_exact,
 )
 
 __all__ = [
@@ -94,25 +91,27 @@ def c2_upper_general(ctx: HypersurfaceContext, k: int, c1: int) -> int:
 
     c2 <= (r/2) c1^2 - (r(r-2)/2) c1 + (r(r-1)(r-2)/6) k
 
-    The right side is an integer for every integer (r, k, c1).  Should it
-    ever come out fractional, the floor is still the true integer bound, so
-    the value is floored and a RuntimeWarning recorded instead of erroring.
+    The right side is an integer for every integer (r, k, c1): r c1 (c1-r+2)
+    and r (r-1) (r-2) are always even and divisible by 6 respectively.  The
+    exact division stays in as a guard against coefficient typos.
     """
     r = ctx.r
-    exact = (
-        Fraction(r, 2) * c1 * c1
-        - Fraction(r * (r - 2), 2) * c1
-        + Fraction(r * (r - 1) * (r - 2), 6) * k
+    return _divide_exact(
+        3 * r * c1 * c1 - 3 * r * (r - 2) * c1 + r * (r - 1) * (r - 2) * k,
+        6,
+        "c2 upper bound",
     )
-    bound = math.floor(exact)
-    if bound != exact:
-        warnings.warn(
-            f"c2 upper bound {exact} is fractional at r={r}, k={k}, c1={c1}; "
-            f"flooring to {bound}",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return bound
+
+
+def _acm_affine(k: int, c1: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    # (slope, intercept) in c2 of the forced c3 and of the genus at one
+    # (k, c1).  Both slopes are c1 - 1.  The only division, by 3, gives c3 at
+    # c2 = 0; its numerator is even, so that quotient is even and the genus
+    # intercept 1 + c3/2 (the quartic genus form) needs no second division.
+    c3_zero = _divide_exact(
+        -4 * c1**3 + 6 * c1 * c1 - 14 * c1 + 6 * k, 3, "quartic ACM c3"
+    )
+    return (c1 - 1, c3_zero), (c1 - 1, c3_zero // 2 + 1)
 
 
 def c3_from_acm(k: int, c1: int, c2: int) -> int:
@@ -120,33 +119,23 @@ def c3_from_acm(k: int, c1: int, c2: int) -> int:
 
     c3 = -(4/3) c1^3 + 2 c1^2 - (14/3) c1 + (c1 - 1) c2 + 2k
 
-    Integral for every integer input; the runtime check doubles as a
+    Integral for every integer input; the exact division by 3 doubles as a
     transcription-error detector for the rational coefficients.
     """
-    value = (
-        -Fraction(4, 3) * c1**3
-        + 2 * c1 * c1
-        - Fraction(14, 3) * c1
-        + (c1 - 1) * c2
-        + 2 * k
-    )
-    return require_integer(value, "quartic ACM c3")
+    (slope, intercept), _ = _acm_affine(k, c1)
+    return slope * c2 + intercept
 
 
 def genus_from_acm(k: int, c1: int, c2: int) -> int:
     """Genus of the dependency-locus curve of a quartic ACM bundle:
 
     g = -(2/3) c1^3 + c1^2 - (7/3) c1 + 1 + (c1 - 1) c2 + k
+
+    It shares the division by 3 of :func:`c3_from_acm`, whose guard reports
+    a failure under the context "quartic ACM c3".
     """
-    value = (
-        -Fraction(2, 3) * c1**3
-        + c1 * c1
-        - Fraction(7, 3) * c1
-        + 1
-        + (c1 - 1) * c2
-        + k
-    )
-    return require_integer(value, "quartic ACM genus")
+    _, (slope, intercept) = _acm_affine(k, c1)
+    return slope * c2 + intercept
 
 
 def c2_interval_r4(k: int, c1: int) -> C2Interval:
@@ -229,9 +218,9 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     rows = []
     for c1 in range(lo, hi + 1):
         interval = c2_interval_r4(k, c1)
+        (s3, t3), (sg, tg) = _acm_affine(k, c1)
         entries = tuple(
-            RowEntry(c2, c3_from_acm(k, c1, c2), genus_from_acm(k, c1, c2))
-            for c2 in interval.values()
+            RowEntry(c2, s3 * c2 + t3, sg * c2 + tg) for c2 in interval.values()
         )
         tags = list(interval.lower_tags)
         tags += [tag for tag in interval.upper_tags if tag not in tags]

@@ -129,7 +129,14 @@ def load_catalog(path: str | Path) -> Catalog:
     ``#`` and blank lines are skipped.  UTF-8 only.
     """
     entries = []
-    text = Path(path).read_text(encoding="utf-8")
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as splitlines() does below: the text before the bad
+        # byte is valid, and a sentinel marks whether it ends mid-line
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CatalogParseError(f"{path}: line {lineno}: not valid UTF-8") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

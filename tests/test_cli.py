@@ -172,6 +172,15 @@ class TestExtensions:
         assert (code, out) == (1, "")
         assert "line 2" in err
 
+    def test_non_utf8_catalog_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "catalog.txt"
+        path.write_bytes(b"4 1 3 1 no\n4 2 8 1 \xff generic\n")
+        code, out, err = run_cli(
+            capsys, "extensions", "--r", "4", "--catalog", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error: {path}: line 2: not valid UTF-8"]
+
 
 class TestDecompose:
     def test_no_decomposition_message(self, capsys):

@@ -1,6 +1,7 @@
 """Catalog data, extension arithmetic against a ring oracle, decomposability
 search, the coverage report, and the catalog override file format."""
 
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -299,4 +300,19 @@ class TestCatalogFile:
         path = tmp_path / "catalog.txt"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(CatalogParseError, match=f"line {lineno}"):
+            load_catalog(path)
+
+    @pytest.mark.parametrize(
+        "content, lineno",
+        [
+            (b"\xff 1 3 1 no\n", 1),
+            (b"4 1 3 1 no\n4 2 8 1 \xff generic\n", 2),
+            (b"# caf\xc3\xa9\r\n\r\n4 1 3 1 no\n\xc3", 4),
+        ],
+    )
+    def test_non_utf8_bytes_carry_line_numbers(self, tmp_path, content, lineno):
+        path = tmp_path / "catalog.txt"
+        path.write_bytes(content)
+        message = f"{path}: line {lineno}: not valid UTF-8"
+        with pytest.raises(CatalogParseError, match=re.escape(message)):
             load_catalog(path)
