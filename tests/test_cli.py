@@ -9,11 +9,34 @@ from acmbundles import cli, constraints
 
 GOLDEN = Path(__file__).parent / "golden"
 
+# one golden file per README invocation and format: tests/golden/NAME.EXT
+GOLDEN_CASES = {
+    "chi_line": ["chi", "--r", "4", "--line", "-a", "1"],
+    "chi_bundle": ["chi", "--r", "4", "--bundle", "4,1,6,4"],
+    "twist": ["twist", "--r", "4", "--bundle", "3,1,5,2", "-n", "1"],
+    "genus": ["genus", "--r", "4", "--bundle", "4,6,64,84"],
+    "enumerate_k3": ["enumerate", "--k", "3"],
+    "extensions_r4_star": ["extensions", "--r", "4", "--pool", "star"],
+    "decompose_r4": ["decompose", "--r", "4", "--target", "4,5,46,52"],
+    "coverage_k4": ["coverage", "--k", "4"],
+    "selfcheck": ["selfcheck"],
+}
+GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_EXTENSIONS))
+@pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
+def test_golden_output(capsys, name, fmt):
+    code, out, err = run_cli(capsys, *GOLDEN_CASES[name], "--format", fmt)
+    assert (code, err) == (0, "")
+    golden = GOLDEN / f"{name}.{GOLDEN_EXTENSIONS[fmt]}"
+    assert out == golden.read_text(encoding="utf-8")
 
 
 class TestChi:
