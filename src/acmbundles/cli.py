@@ -47,25 +47,19 @@ def _quadruple(text: str) -> tuple[int, int, int, int]:
     return (k, c1, c2, c3)
 
 
-def _canonical_json(document) -> str:
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buffer.getvalue()
-
-
-def _document(command: str, inputs: dict, results: list) -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "command": command,
-        "inputs": inputs,
-        "results": results,
-    }
+def _emit(args, command: str, inputs: dict, *, results, table, header: list[str],
+          rows, code: int = 0) -> tuple[str, int]:
+    """Render the one format ``--format`` selects; ``results``, ``table`` and
+    ``rows`` are zero-argument callables, and only the selected one runs."""
+    if args.format == "json":
+        document = {"schema_version": SCHEMA_VERSION, "command": command,
+                    "inputs": inputs, "results": results()}
+        return json.dumps(document, indent=2, sort_keys=True) + "\n", code
+    if args.format == "csv":
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerows([header, *rows()])
+        return buffer.getvalue(), code
+    return table(), code
 
 
 def _columns(rows: list[list[str]]) -> str:
@@ -81,35 +75,38 @@ def _bundle_dict(inv: BundleInvariants) -> dict:
     return {"k": inv.k, "c1": inv.c1, "c2": inv.c2, "c3": inv.c3}
 
 
-def _rational_dict(value) -> dict:
-    return {
-        "numerator": value.numerator,
-        "denominator": value.denominator,
-        "value": str(value),
-    }
+def _emit_rational(args, command: str, inputs: dict, value,
+                   header: list[str], row: list) -> tuple[str, int]:
+    return _emit(
+        args, command, inputs,
+        results=lambda: [{"numerator": value.numerator,
+                          "denominator": value.denominator, "value": str(value)}],
+        table=lambda: f"{value}\n",
+        header=header,
+        rows=lambda: [[*row, str(value)]],
+    )
 
 
-def _witness_dict(witness: extensions.ExtensionWitness) -> dict:
-    return {
-        "left": {"c1": witness.left.c1, "c2": witness.left.c2},
-        "right": {"c1": witness.right.c1, "c2": witness.right.c2},
-        "result": _bundle_dict(witness.result),
-    }
+def _pair_dict(w: extensions.ExtensionWitness) -> dict:
+    return {"left": {"c1": w.left.c1, "c2": w.left.c2},
+            "right": {"c1": w.right.c1, "c2": w.right.c2}}
+
+
+def _emit_witnesses(args, command: str, inputs: dict, witnesses,
+                    table) -> tuple[str, int]:
+    return _emit(
+        args, command, inputs,
+        results=lambda: [{**_pair_dict(w), "result": _bundle_dict(w.result)}
+                         for w in witnesses],
+        table=table,
+        header=["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"],
+        rows=lambda: [[w.left.c1, w.left.c2, w.right.c1, w.right.c2,
+                       *w.result.quadruple()] for w in witnesses],
+    )
 
 
 def _load_source(args) -> extensions.Catalog | None:
-    if getattr(args, "catalog", None) is None:
-        return None
-    return extensions.load_catalog(args.catalog)
-
-
-def _emit(args, command: str, inputs: dict, results: list,
-          table_text: str, csv_header: list[str], csv_rows: list[list]) -> str:
-    if args.format == "json":
-        return _canonical_json(_document(command, inputs, results))
-    if args.format == "csv":
-        return _csv_text(csv_header, csv_rows)
-    return table_text
+    return None if args.catalog is None else extensions.load_catalog(args.catalog)
 
 
 def cmd_chi(args) -> tuple[str, int]:
@@ -119,45 +116,40 @@ def cmd_chi(args) -> tuple[str, int]:
     if args.line:
         if args.a is None:
             raise UsageError("--line needs a twist: -a N")
-        value = chi_line_bundle(ctx, args.a)
-        inputs = {"r": args.r, "mode": "line", "a": args.a}
-        csv_header = ["r", "a", "chi"]
-        csv_rows = [[args.r, args.a, str(value)]]
-    elif args.bundle is not None:
+        return _emit_rational(args, "chi", {"r": args.r, "mode": "line", "a": args.a},
+                              chi_line_bundle(ctx, args.a),
+                              ["r", "a", "chi"], [args.r, args.a])
+    if args.bundle is not None:
         if args.a is not None:
             raise UsageError("-a only applies to --line mode")
         inv = BundleInvariants(*args.bundle)
-        value = chi_bundle(ctx, inv)
         inputs = {"r": args.r, "mode": "bundle", "bundle": _bundle_dict(inv)}
-        csv_header = ["r", "k", "c1", "c2", "c3", "chi"]
-        csv_rows = [[args.r, *inv.quadruple(), str(value)]]
-    else:
-        raise UsageError("chi needs either --line with -a, or --bundle k,c1,c2,c3")
-    text = _emit(args, "chi", inputs, [_rational_dict(value)],
-                 f"{value}\n", csv_header, csv_rows)
-    return text, 0
+        return _emit_rational(args, "chi", inputs, chi_bundle(ctx, inv),
+                              ["r", "k", "c1", "c2", "c3", "chi"],
+                              [args.r, *inv.quadruple()])
+    raise UsageError("chi needs either --line with -a, or --bundle k,c1,c2,c3")
 
 
 def cmd_twist(args) -> tuple[str, int]:
     ctx = HypersurfaceContext(args.r)
     inv = BundleInvariants(*args.bundle)
     result = twist(ctx, inv, args.n)
-    inputs = {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n}
-    table = f"{result.k},{result.c1},{result.c2},{result.c3}\n"
-    text = _emit(args, "twist", inputs, [_bundle_dict(result)], table,
-                 ["k", "c1", "c2", "c3"], [list(result.quadruple())])
-    return text, 0
+    return _emit(
+        args, "twist", {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n},
+        results=lambda: [_bundle_dict(result)],
+        table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
+        header=["k", "c1", "c2", "c3"],
+        rows=lambda: [result.quadruple()],
+    )
 
 
 def cmd_genus(args) -> tuple[str, int]:
     ctx = HypersurfaceContext(args.r)
     inv = BundleInvariants(*args.bundle)
-    value = genus_general(ctx, inv)
-    inputs = {"r": args.r, "bundle": _bundle_dict(inv)}
-    text = _emit(args, "genus", inputs, [_rational_dict(value)], f"{value}\n",
-                 ["r", "k", "c1", "c2", "c3", "genus"],
-                 [[args.r, *inv.quadruple(), str(value)]])
-    return text, 0
+    return _emit_rational(args, "genus", {"r": args.r, "bundle": _bundle_dict(inv)},
+                          genus_general(ctx, inv),
+                          ["r", "k", "c1", "c2", "c3", "genus"],
+                          [args.r, *inv.quadruple()])
 
 
 def _linear_in_c2(fn, k: int, c1: int) -> str:
@@ -168,78 +160,50 @@ def _linear_in_c2(fn, k: int, c1: int) -> str:
     if slope == 0:
         return str(intercept)
     head = "c2" if slope == 1 else f"{slope}c2"
-    if intercept > 0:
-        return f"{head}+{intercept}"
-    if intercept < 0:
-        return f"{head}-{-intercept}"
-    return head
+    return f"{head}{intercept:+d}" if intercept else head
+
+
+def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
+    head = [str(row.k), str(row.c1)]
+    if row.is_empty:
+        return head + ["(empty)", "-", "-"]
+    if len(row.entries) == 1:
+        entry = row.entries[0]
+        return head + [str(entry.c2), str(entry.c3), str(entry.genus)]
+    return head + [f"[{row.interval.lower},{row.interval.upper}]",
+                   _linear_in_c2(constraints.c3_from_acm, row.k, row.c1),
+                   _linear_in_c2(constraints.genus_from_acm, row.k, row.c1)]
 
 
 def cmd_enumerate(args) -> tuple[str, int]:
     rows = constraints.enumerate_acm_r4(args.k)
-    table_rows = [["k", "c1", "c2", "c3", "g"]]
-    csv_rows = []
-    results = []
-    for row in rows:
-        if row.is_empty:
-            cells = [str(row.k), str(row.c1), "(empty)", "-", "-"]
-        elif len(row.entries) == 1:
-            entry = row.entries[0]
-            cells = [str(row.k), str(row.c1), str(entry.c2),
-                     str(entry.c3), str(entry.genus)]
-        else:
-            cells = [
-                str(row.k),
-                str(row.c1),
-                f"[{row.interval.lower},{row.interval.upper}]",
-                _linear_in_c2(constraints.c3_from_acm, row.k, row.c1),
-                _linear_in_c2(constraints.genus_from_acm, row.k, row.c1),
-            ]
-        table_rows.append(cells)
-        for entry in row.entries:
-            csv_rows.append([row.k, row.c1, entry.c2, entry.c3, entry.genus])
-        results.append({
-            "k": row.k,
-            "c1": row.c1,
-            "lower": row.interval.lower,
-            "upper": row.interval.upper,
-            "empty": row.is_empty,
-            "c2_values": row.c2_values,
-            "entries": [
-                {"c2": e.c2, "c3": e.c3, "genus": e.genus} for e in row.entries
-            ],
-            "provenance": list(row.provenance),
-        })
-    text = _emit(args, "enumerate", {"k": args.k}, results,
-                 _columns(table_rows), ["k", "c1", "c2", "c3", "g"], csv_rows)
-    return text, 0
-
-
-_WITNESS_CSV_HEADER = [
-    "left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3",
-]
-
-
-def _witness_csv_row(witness: extensions.ExtensionWitness) -> list:
-    return [
-        witness.left.c1, witness.left.c2, witness.right.c1, witness.right.c2,
-        *witness.result.quadruple(),
-    ]
+    header = ["k", "c1", "c2", "c3", "g"]
+    return _emit(
+        args, "enumerate", {"k": args.k},
+        results=lambda: [
+            {"k": row.k, "c1": row.c1, "lower": row.interval.lower,
+             "upper": row.interval.upper, "empty": row.is_empty,
+             "c2_values": row.c2_values, "provenance": list(row.provenance),
+             "entries": [{"c2": e.c2, "c3": e.c3, "genus": e.genus}
+                         for e in row.entries]}
+            for row in rows
+        ],
+        table=lambda: _columns([header, *map(_enumerate_cells, rows)]),
+        header=header,
+        rows=lambda: [[row.k, row.c1, e.c2, e.c3, e.genus]
+                      for row in rows for e in row.entries],
+    )
 
 
 def cmd_extensions(args) -> tuple[str, int]:
-    source = _load_source(args)
-    witnesses = extensions.extension_quadruples(
-        args.r, require_star=(args.pool == extensions.POOL_STAR), source=source
+    witnesses = extensions.extension_quadruples(args.r, args.pool,
+                                                source=_load_source(args))
+    return _emit_witnesses(
+        args, "extensions", {"r": args.r, "pool": args.pool, "catalog": args.catalog},
+        witnesses,
+        lambda: _columns([["left", "right", "result"], *(
+            [str(w.left), str(w.right), str(w.result)] for w in witnesses)]),
     )
-    table_rows = [["left", "right", "result"]]
-    for witness in witnesses:
-        table_rows.append([str(witness.left), str(witness.right), str(witness.result)])
-    inputs = {"r": args.r, "pool": args.pool, "catalog": args.catalog}
-    text = _emit(args, "extensions", inputs,
-                 [_witness_dict(w) for w in witnesses], _columns(table_rows),
-                 _WITNESS_CSV_HEADER, [_witness_csv_row(w) for w in witnesses])
-    return text, 0
 
 
 def cmd_decompose(args) -> tuple[str, int]:
@@ -248,171 +212,120 @@ def cmd_decompose(args) -> tuple[str, int]:
     witnesses = extensions.decompose(args.r, target, args.pool, source=source)
     if not witnesses and args.expect_witness:
         raise DomainError(f"no decomposition of {target} over the {args.pool} pool")
-    if witnesses:
-        table = "".join(f"{w.left}+{w.right} -> {w.result}\n" for w in witnesses)
-    else:
-        table = "no decomposition\n"
-    inputs = {
-        "r": args.r,
-        "target": _bundle_dict(target),
-        "pool": args.pool,
-        "expect_witness": args.expect_witness,
-        "catalog": args.catalog,
-    }
-    text = _emit(args, "decompose", inputs,
-                 [_witness_dict(w) for w in witnesses], table,
-                 _WITNESS_CSV_HEADER, [_witness_csv_row(w) for w in witnesses])
-    return text, 0
+    inputs = {"r": args.r, "target": _bundle_dict(target), "pool": args.pool,
+              "expect_witness": args.expect_witness, "catalog": args.catalog}
+    return _emit_witnesses(
+        args, "decompose", inputs, witnesses,
+        lambda: "".join(f"{w} -> {w.result}\n" for w in witnesses)
+        or "no decomposition\n",
+    )
 
 
 def cmd_coverage(args) -> tuple[str, int]:
-    source = _load_source(args)
-    report = extensions.coverage_report(args.k, source=source)
-    table_rows = [["k", "c1", "c2", "c3", "g", "status", "origin"]]
-    csv_rows = []
-    results = []
-    for item in report.items:
-        inv = item.invariants
-        table_rows.append([
-            str(inv.k), str(inv.c1), str(inv.c2), str(inv.c3), str(item.genus),
-            item.status, item.origin or "-",
-        ])
-        csv_rows.append([*inv.quadruple(), item.genus, item.status, item.origin])
-        results.append({
-            "k": inv.k,
-            "c1": inv.c1,
-            "c2": inv.c2,
-            "c3": inv.c3,
-            "genus": item.genus,
-            "status": item.status,
-            "origin": item.origin,
-            "witnesses": [
-                {
-                    "left": {"c1": w.left.c1, "c2": w.left.c2},
-                    "right": {"c1": w.right.c1, "c2": w.right.c2},
-                }
-                for w in item.witnesses
-            ],
-        })
-    inputs = {"k": args.k, "catalog": args.catalog}
-    text = _emit(args, "coverage", inputs, results, _columns(table_rows),
-                 ["k", "c1", "c2", "c3", "g", "status", "origin"], csv_rows)
-    return text, 0
+    items = extensions.coverage_report(args.k, source=_load_source(args)).items
+    header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
+    return _emit(
+        args, "coverage", {"k": args.k, "catalog": args.catalog},
+        results=lambda: [
+            {**_bundle_dict(item.invariants), "genus": item.genus,
+             "status": item.status, "origin": item.origin,
+             "witnesses": [_pair_dict(w) for w in item.witnesses]}
+            for item in items
+        ],
+        table=lambda: _columns([header, *(
+            [*map(str, item.invariants.quadruple()), str(item.genus), item.status,
+             item.origin or "-"] for item in items)]),
+        header=header,
+        rows=lambda: [[*item.invariants.quadruple(), item.genus, item.status,
+                       item.origin] for item in items],
+    )
+
+
+def _selfcheck_table(results: list[selfcheck.CheckResult]) -> str:
+    failed = sum(not r.passed for r in results)
+    lines = [f"PASS {r.name} ({r.detail})" if r.passed else f"FAIL {r.name}: {r.detail}"
+             for r in results]
+    lines.append(f"{len(results)} checks: {len(results) - failed} passed, {failed} failed")
+    return "\n".join(lines) + "\n"
 
 
 def cmd_selfcheck(args) -> tuple[str, int]:
     results = selfcheck.run_all()
-    failed = [r for r in results if not r.passed]
-    lines = []
-    for r in results:
-        if r.passed:
-            lines.append(f"PASS {r.name} ({r.detail})")
-        else:
-            lines.append(f"FAIL {r.name}: {r.detail}")
-    lines.append(f"{len(results)} checks: {len(results) - len(failed)} passed, "
-                 f"{len(failed)} failed")
-    table = "\n".join(lines) + "\n"
-    json_results = [
-        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results
-    ]
-    csv_rows = [
-        [r.name, "true" if r.passed else "false", r.detail] for r in results
-    ]
-    text = _emit(args, "selfcheck", {}, json_results, table,
-                 ["name", "passed", "detail"], csv_rows)
-    return text, 1 if failed else 0
+    return _emit(
+        args, "selfcheck", {},
+        results=lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                         for r in results],
+        table=lambda: _selfcheck_table(results),
+        header=["name", "passed", "detail"],
+        rows=lambda: [[r.name, "true" if r.passed else "false", r.detail]
+                      for r in results],
+        code=0 if all(r.passed for r in results) else 1,
+    )
+
+
+def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
+    return names, options
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="acmbundles",
-        description=(
-            "Exact Chern-class calculus and the admissible-invariant tables "
-            "for ACM bundles on low-degree hypersurfaces in P^4."
-        ),
-    )
+    parser = argparse.ArgumentParser(prog="acmbundles", description=(
+        "Exact Chern-class calculus and the admissible-invariant tables "
+        "for ACM bundles on low-degree hypersurfaces in P^4."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str, handler, *flags, r: bool = True,
+                catalog: bool = False) -> None:
+        p = sub.add_parser(name, help=help)
+        if r:
+            p.add_argument("--r", type=int, required=True, help="hypersurface degree")
+        for names, options in flags:
+            p.add_argument(*names, **options)
         p.add_argument("--format", choices=FORMATS, default="table",
                        help="output format (default: table)")
-        p.add_argument("--catalog", metavar="FILE", default=None,
-                       help="rank-two catalog override file")
+        if catalog:
+            p.add_argument("--catalog", metavar="FILE", default=None,
+                           help="rank-two catalog override file")
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("chi", help="Euler characteristic of a line bundle or quadruple")
-    p.add_argument("--r", type=int, required=True, help="hypersurface degree")
-    p.add_argument("--line", action="store_true", help="line-bundle mode: evaluate O(a)")
-    p.add_argument("-a", type=int, default=None, help="twist for --line mode")
-    p.add_argument("--bundle", type=_quadruple, default=None, metavar="K,C1,C2,C3")
-    common(p)
-    p.set_defaults(handler=cmd_chi)
+    bundle = _flag("--bundle", type=_quadruple, required=True, metavar="K,C1,C2,C3")
+    pool = _flag("--pool", choices=(extensions.POOL_STAR, extensions.POOL_NORMALIZED),
+                 default=extensions.POOL_STAR, help="catalog pool (default: star)")
 
-    p = sub.add_parser("twist", help="invariants of E(n)")
-    p.add_argument("--r", type=int, required=True, help="hypersurface degree")
-    p.add_argument("--bundle", type=_quadruple, required=True, metavar="K,C1,C2,C3")
-    p.add_argument("-n", type=int, required=True, help="twist amount")
-    common(p)
-    p.set_defaults(handler=cmd_twist)
-
-    p = sub.add_parser("genus", help="genus of the dependency-locus curve")
-    p.add_argument("--r", type=int, required=True, help="hypersurface degree")
-    p.add_argument("--bundle", type=_quadruple, required=True, metavar="K,C1,C2,C3")
-    common(p)
-    p.set_defaults(handler=cmd_genus)
-
-    p = sub.add_parser("enumerate", help="admissible invariants table for rank k")
-    p.add_argument("--k", type=int, required=True, help="rank (refined for 3 and 4)")
-    common(p)
-    p.set_defaults(handler=cmd_enumerate)
-
-    p = sub.add_parser("extensions", help="rank-four extensions of catalog pairs")
-    p.add_argument("--r", type=int, required=True, help="hypersurface degree")
-    p.add_argument("--pool", choices=(extensions.POOL_STAR, extensions.POOL_NORMALIZED),
-                   default=extensions.POOL_STAR,
-                   help="catalog pool (default: star)")
-    common(p)
-    p.set_defaults(handler=cmd_extensions)
-
-    p = sub.add_parser("decompose", help="find catalog pairs realizing a quadruple")
-    p.add_argument("--r", type=int, required=True, help="hypersurface degree")
-    p.add_argument("--target", type=_quadruple, required=True, metavar="K,C1,C2,C3")
-    p.add_argument("--pool", choices=(extensions.POOL_STAR, extensions.POOL_NORMALIZED),
-                   default=extensions.POOL_STAR,
-                   help="catalog pool (default: star)")
-    p.add_argument("--expect-witness", action="store_true",
-                   help="exit 1 if no decomposition exists")
-    common(p)
-    p.set_defaults(handler=cmd_decompose)
-
-    p = sub.add_parser("coverage", help="realized/open labels for the rank-k table")
-    p.add_argument("--k", type=int, required=True, help="rank (3 or 4)")
-    common(p)
-    p.set_defaults(handler=cmd_coverage)
-
-    p = sub.add_parser("selfcheck", help="run the cross-module invariant suite")
-    common(p)
-    p.set_defaults(handler=cmd_selfcheck)
-
+    command("chi", "Euler characteristic of a line bundle or quadruple", cmd_chi,
+            _flag("--line", action="store_true", help="line-bundle mode: evaluate O(a)"),
+            _flag("-a", type=int, default=None, help="twist for --line mode"),
+            _flag("--bundle", type=_quadruple, default=None, metavar="K,C1,C2,C3"))
+    command("twist", "invariants of E(n)", cmd_twist,
+            bundle, _flag("-n", type=int, required=True, help="twist amount"))
+    command("genus", "genus of the dependency-locus curve", cmd_genus, bundle)
+    command("enumerate", "admissible invariants table for rank k", cmd_enumerate,
+            _flag("--k", type=int, required=True, help="rank (refined for 3 and 4)"),
+            r=False)
+    command("extensions", "rank-four extensions of catalog pairs", cmd_extensions,
+            pool, catalog=True)
+    command("decompose", "find catalog pairs realizing a quadruple", cmd_decompose,
+            _flag("--target", type=_quadruple, required=True, metavar="K,C1,C2,C3"),
+            pool,
+            _flag("--expect-witness", action="store_true",
+                  help="exit 1 if no decomposition exists"),
+            catalog=True)
+    command("coverage", "realized/open labels for the rank-k table", cmd_coverage,
+            _flag("--k", type=int, required=True, help="rank (3 or 4)"),
+            r=False, catalog=True)
+    command("selfcheck", "run the cross-module invariant suite", cmd_selfcheck, r=False)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         text, code = args.handler(args)
-    except UsageError as exc:
+    except (UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     sys.stdout.write(text)
     return code
 

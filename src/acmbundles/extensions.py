@@ -126,9 +126,11 @@ def load_catalog(path: str | Path) -> Catalog:
 
     One entry per line, whitespace separated: ``r c1 c2 star gg`` with
     star in {0, 1} and gg in {always, generic, no}.  Lines starting with
-    ``#`` and blank lines are skipped.  UTF-8 only.
+    ``#`` and blank lines are skipped.  UTF-8 only.  A class (r, c1, c2)
+    may appear only once.
     """
     entries = []
+    first_lines: dict[tuple[int, int, int], int] = {}
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -164,6 +166,12 @@ def load_catalog(path: str | Path) -> Catalog:
                 f"{path}: line {lineno}: gg must be one of always/generic/no, "
                 f"got {tokens[4]!r}"
             ) from None
+        first = first_lines.setdefault((r, c1, c2), lineno)
+        if first != lineno:
+            raise CatalogParseError(
+                f"{path}: line {lineno}: duplicate class ({r}, {c1}, {c2}), "
+                f"first on line {first}"
+            )
         entries.append(Rank2CatalogEntry(r, c1, c2, tokens[3] == "1", gg))
     return Catalog(tuple(entries))
 
@@ -222,7 +230,7 @@ POOL_STAR = "star"              # only classes satisfying the star condition
 
 
 def _pool_entries(entries: list[Rank2CatalogEntry], pool: str) -> list[Rank2CatalogEntry]:
-    if pool in (POOL_STAR, "star_only"):
+    if pool == POOL_STAR:
         return [entry for entry in entries if entry.satisfies_star]
     if pool == POOL_NORMALIZED:
         return list(entries)
@@ -230,17 +238,16 @@ def _pool_entries(entries: list[Rank2CatalogEntry], pool: str) -> list[Rank2Cata
 
 
 def extension_quadruples(
-    r: int, require_star: bool = True, source: Catalog | None = None
+    r: int, pool: str = POOL_STAR, source: Catalog | None = None
 ) -> list[ExtensionWitness]:
-    """Every unordered pair (repetition allowed) of catalog classes on the
-    degree-r hypersurface, optionally restricted to star classes, with the
-    invariants of the corresponding extension.
+    """Every unordered pair (repetition allowed) of classes in the given pool
+    of the degree-r catalog, with the invariants of the corresponding
+    extension.
 
     Sorted by resulting quadruple, then by left entry; pairs producing the
     same quadruple are all retained.
     """
     ctx = HypersurfaceContext(r)
-    pool = POOL_STAR if require_star else POOL_NORMALIZED
     entries = _pool_entries(catalog(r, source), pool)
     witnesses = [
         _make_witness(ctx, a, b)
@@ -338,7 +345,7 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
     """
     by_quadruple: dict[tuple[int, int, int, int], list[ExtensionWitness]] = {}
     if k == 4:
-        for witness in extension_quadruples(4, require_star=True, source=source):
+        for witness in extension_quadruples(4, POOL_STAR, source=source):
             by_quadruple.setdefault(witness.result.quadruple(), []).append(witness)
 
     items = []

@@ -254,7 +254,7 @@ def _check_extension_symmetry(rng: random.Random) -> CheckResult:
 
 def _check_star_extensions_admissible(rng: random.Random) -> CheckResult:
     rows = {row.c1: row for row in constraints.enumerate_acm_r4(4)}
-    for witness in extensions.extension_quadruples(4, require_star=True):
+    for witness in extensions.extension_quadruples(4, extensions.POOL_STAR):
         result = witness.result
         row = rows.get(result.c1)
         if row is None or result.c2 not in row.interval:
@@ -268,9 +268,8 @@ def _check_star_extensions_admissible(rng: random.Random) -> CheckResult:
 def _check_decompose_exhaustive(rng: random.Random) -> CheckResult:
     cases = 0
     for r in (3, 4):
-        for require_star in (True, False):
-            pool = extensions.POOL_STAR if require_star else extensions.POOL_NORMALIZED
-            for witness in extensions.extension_quadruples(r, require_star):
+        for pool in (extensions.POOL_STAR, extensions.POOL_NORMALIZED):
+            for witness in extensions.extension_quadruples(r, pool):
                 found = extensions.decompose(r, witness.result, pool)
                 if witness not in found:
                     return CheckResult(
@@ -281,7 +280,7 @@ def _check_decompose_exhaustive(rng: random.Random) -> CheckResult:
 
 
 def _check_extension_genus(rng: random.Random) -> CheckResult:
-    for witness in extensions.extension_quadruples(4, require_star=True):
+    for witness in extensions.extension_quadruples(4, extensions.POOL_STAR):
         genus = chern.genus_r4(witness.result)
         if genus.denominator != 1 or genus < 0:
             return CheckResult("extension-genus", False, f"{witness.result}: g={genus}")

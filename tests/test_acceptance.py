@@ -31,6 +31,7 @@ from acmbundles.constraints import (
 )
 from acmbundles.extensions import (
     POOL_NORMALIZED,
+    POOL_STAR,
     STATUS_OPEN,
     catalog,
     coverage_report,
@@ -104,7 +105,7 @@ def test_criterion_1_table_reproduction(capsys):
 
 
 def test_criterion_2_extension_coverage(capsys):
-    witnesses = extension_quadruples(4, require_star=True)
+    witnesses = extension_quadruples(4, POOL_STAR)
     quadruples = {w.result.quadruple() for w in witnesses}
     code = cli.main(["extensions", "--r", "4", "--pool", "star", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -264,7 +265,7 @@ def test_criterion_5_total_runtime(capsys):
 def test_criterion_6_cross_module_containment(capsys):
     rows = {row.c1: row for row in enumerate_acm_r4(4)}
     contained = True
-    for witness in extension_quadruples(4, require_star=True):
+    for witness in extension_quadruples(4, POOL_STAR):
         result = witness.result
         row = rows.get(result.c1)
         if row is None or result.c2 not in row.interval:

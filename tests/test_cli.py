@@ -204,6 +204,17 @@ class TestExtensions:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {path}: line 2: not valid UTF-8"]
 
+    def test_duplicate_catalog_class_is_a_clean_error(self, capsys, tmp_path):
+        path = tmp_path / "catalog.txt"
+        path.write_text("4 1 3 1 no\n4 1 3 1 no\n", encoding="utf-8")
+        code, out, err = run_cli(
+            capsys, "extensions", "--r", "4", "--catalog", str(path)
+        )
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [
+            f"error: {path}: line 2: duplicate class (4, 1, 3), first on line 1"
+        ]
+
 
 class TestDecompose:
     def test_no_decomposition_message(self, capsys):
@@ -304,3 +315,13 @@ class TestUsage:
     def test_bad_format_choice(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--k", "3", "--format", "xml")
         assert (code, out) == (2, "")
+
+    @pytest.mark.parametrize("argv", [
+        ["chi", "--r", "4", "--line", "-a", "1"],
+        ["enumerate", "--k", "3"],
+        ["selfcheck"],
+    ])
+    def test_catalog_only_where_it_is_read(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--catalog", "X")
+        assert (code, out) == (2, "")
+        assert "--catalog" in err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from acmbundles.chern import BundleInvariants, HypersurfaceContext, genus_r4
+from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext, genus_r4
 from acmbundles.constraints import c3_from_acm, enumerate_acm_r4
 from acmbundles.extensions import (
     BUILTIN_CATALOG,
@@ -138,27 +138,28 @@ class TestExtendRank2:
 
 class TestExtensionQuadruples:
     def test_star_pool_on_quartic(self):
-        witnesses = extension_quadruples(4, require_star=True)
+        witnesses = extension_quadruples(4, POOL_STAR)
         assert len(witnesses) == 10
         assert {w.result.quadruple() for w in witnesses} == STAR_QUADRUPLES
         assert len(distinct_quadruples(witnesses)) == 10
         assert BundleInvariants(4, 4, 32, 32) in [w.result for w in witnesses]
 
     def test_sorted_by_result_then_left(self):
-        witnesses = extension_quadruples(4, require_star=True)
+        witnesses = extension_quadruples(4, POOL_STAR)
         keys = [w.sort_key() for w in witnesses]
         assert keys == sorted(keys)
 
     def test_normalized_pool_is_superset(self):
-        witnesses = extension_quadruples(4, require_star=False)
+        witnesses = extension_quadruples(4, POOL_NORMALIZED)
         assert len(witnesses) == 28
         used = {w.left.pair for w in witnesses} | {w.right.pair for w in witnesses}
         assert {(-1, 1), (0, 2), (1, 5)} <= used
-        star_results = {w.result.quadruple() for w in extension_quadruples(4, True)}
+        star = extension_quadruples(4, POOL_STAR)
+        star_results = {w.result.quadruple() for w in star}
         assert star_results <= {w.result.quadruple() for w in witnesses}
 
     def test_cubic_star_pool(self):
-        witnesses = extension_quadruples(3, require_star=True)
+        witnesses = extension_quadruples(3, POOL_STAR)
         assert [w.result.quadruple() for w in witnesses] == [
             (4, 2, 7, 4), (4, 3, 13, 9), (4, 4, 22, 20),
         ]
@@ -188,8 +189,8 @@ class TestDecompose:
 
     def test_exhaustive_over_witnesses(self):
         for r in (3, 4):
-            for require_star, pool in ((True, POOL_STAR), (False, POOL_NORMALIZED)):
-                for witness in extension_quadruples(r, require_star):
+            for pool in (POOL_STAR, POOL_NORMALIZED):
+                for witness in extension_quadruples(r, pool):
                     assert witness in decompose(r, witness.result, pool)
 
     def test_rank_and_degree_errors(self):
@@ -198,9 +199,12 @@ class TestDecompose:
         with pytest.raises(UnsupportedDegree):
             decompose(5, BundleInvariants(4, 1, 6, 4), POOL_STAR)
 
-    def test_star_only_alias(self):
-        found = decompose(4, BundleInvariants(4, 6, 64, 84), "star_only")
-        assert len(found) == 1
+    @pytest.mark.parametrize("pool", ["star_only", True])
+    def test_unknown_pool_rejected(self, pool):
+        with pytest.raises(DomainError, match="unknown pool"):
+            extension_quadruples(4, pool)
+        with pytest.raises(DomainError, match="unknown pool"):
+            decompose(4, BundleInvariants(4, 6, 64, 84), pool)
 
     def test_witnesses_are_unordered(self):
         # the same pair found through targets built from either order is
@@ -216,14 +220,14 @@ class TestDecompose:
 class TestCrossModule:
     def test_star_quadruples_are_admissible(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}
-        for witness in extension_quadruples(4, require_star=True):
+        for witness in extension_quadruples(4, POOL_STAR):
             result = witness.result
             row = rows[result.c1]
             assert result.c2 in row.interval
             assert c3_from_acm(4, result.c1, result.c2) == result.c3
 
     def test_star_quadruples_have_nonnegative_integer_genus(self):
-        for witness in extension_quadruples(4, require_star=True):
+        for witness in extension_quadruples(4, POOL_STAR):
             genus = genus_r4(witness.result)
             assert genus.denominator == 1
             assert genus >= 0
@@ -275,7 +279,7 @@ class TestCatalogFile:
         path = tmp_path / "catalog.txt"
         path.write_text("5 1 4 1 no\n5 2 9 1 no\n", encoding="utf-8")
         loaded = load_catalog(path)
-        witnesses = extension_quadruples(5, require_star=True, source=loaded)
+        witnesses = extension_quadruples(5, POOL_STAR, source=loaded)
         assert len(witnesses) == 3
         target = extend_rank2(HypersurfaceContext(5), (1, 4), (2, 9))
         found = decompose(5, target, POOL_STAR, source=loaded)
@@ -300,6 +304,14 @@ class TestCatalogFile:
         path = tmp_path / "catalog.txt"
         path.write_text(content, encoding="utf-8")
         with pytest.raises(CatalogParseError, match=f"line {lineno}"):
+            load_catalog(path)
+
+    def test_duplicate_class_is_rejected(self, tmp_path):
+        path = tmp_path / "catalog.txt"
+        path.write_text("4 1 3 1 no\n# again\n4 2 8 1 no\n4 1 3 0 always\n",
+                        encoding="utf-8")
+        message = f"{path}: line 4: duplicate class (4, 1, 3), first on line 1"
+        with pytest.raises(CatalogParseError, match=re.escape(message)):
             load_catalog(path)
 
     @pytest.mark.parametrize(
