@@ -273,9 +273,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "for ACM bundles on low-degree hypersurfaces in P^4."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help: str, handler, *flags, r: bool = True,
+    def command(name: str, summary: str, handler, *flags, r: bool = True,
                 catalog: bool = False) -> None:
-        p = sub.add_parser(name, help=help)
+        p = sub.add_parser(name, help=summary)
         if r:
             p.add_argument("--r", type=int, required=True, help="hypersurface degree")
         for names, options in flags:

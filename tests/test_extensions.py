@@ -154,8 +154,7 @@ class TestExtensionQuadruples:
         assert len(witnesses) == 28
         used = {w.left.pair for w in witnesses} | {w.right.pair for w in witnesses}
         assert {(-1, 1), (0, 2), (1, 5)} <= used
-        star = extension_quadruples(4, POOL_STAR)
-        star_results = {w.result.quadruple() for w in star}
+        star_results = {w.result.quadruple() for w in extension_quadruples(4, POOL_STAR)}
         assert star_results <= {w.result.quadruple() for w in witnesses}
 
     def test_cubic_star_pool(self):
