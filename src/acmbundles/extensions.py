@@ -274,6 +274,11 @@ def decompose(
     """All unordered catalog pairs on the degree-r hypersurface whose
     extension invariants equal ``target`` (which must have rank 4).
 
+    The left class (a1, a2) forces its partner: b1 = c1 - a1 and
+    b2 = c2 - a2 - r a1 b1, so only c3 is left to check.  The search is
+    one index of the pool by class, O(n), then one lookup per class, O(n),
+    instead of a scan of all n(n+1)/2 pairs.
+
     An empty list is a definitive negative over the chosen pool: no pair of
     classified rank-two bundles can produce these invariants.
     """
@@ -283,11 +288,22 @@ def decompose(
         )
     ctx = HypersurfaceContext(r)
     entries = _pool_entries(catalog(r, source), pool)
-    hits = [
-        _make_witness(ctx, a, b)
-        for a, b in combinations_with_replacement(entries, 2)
-        if extend_rank2(ctx, a.pair, b.pair).quadruple() == target.quadruple()
-    ]
+    # positions rather than one entry per class: a Catalog built directly
+    # may repeat a class, and each copy is its own witness
+    positions: dict[tuple[int, int], list[int]] = {}
+    for j, entry in enumerate(entries):
+        positions.setdefault(entry.pair, []).append(j)
+    quad = target.quadruple()
+    _, c1, c2, _ = quad
+    hits = []
+    for i, a in enumerate(entries):
+        b1 = c1 - a.c1
+        partner = (b1, c2 - a.c2 - ctx.r * a.c1 * b1)
+        # j >= i yields each unordered pair once, in the order of
+        # combinations_with_replacement, the self-pair (a, a) included
+        for j in positions.get(partner, ()):
+            if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
+                hits.append(_make_witness(ctx, a, entries[j]))
     hits.sort(key=ExtensionWitness.sort_key)
     return hits
 

@@ -113,11 +113,6 @@ class TestTwistAndGenus:
 
 
 class TestEnumerate:
-    def test_golden_k3(self, capsys):
-        code, out, err = run_cli(capsys, "enumerate", "--k", "3")
-        assert (code, err) == (0, "")
-        assert out == (GOLDEN / "enumerate_k3.txt").read_text(encoding="utf-8")
-
     def test_golden_k4(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--k", "4")
         assert (code, err) == (0, "")

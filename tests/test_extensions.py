@@ -189,8 +189,10 @@ class TestDecompose:
     def test_exhaustive_over_witnesses(self):
         for r in (3, 4):
             for pool in (POOL_STAR, POOL_NORMALIZED):
-                for witness in extension_quadruples(r, pool):
-                    assert witness in decompose(r, witness.result, pool)
+                listing = extension_quadruples(r, pool)
+                for witness in listing:
+                    expected = [w for w in listing if w.result == witness.result]
+                    assert decompose(r, witness.result, pool) == expected
 
     def test_rank_and_degree_errors(self):
         with pytest.raises(RankUnsupported):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from acmbundles import chern, constraints, selfcheck
+from acmbundles import chern, constraints, extensions, selfcheck
 from acmbundles.chern import BundleInvariants, NonIntegral
 
 
@@ -87,3 +87,16 @@ def test_corrupted_acm_row_is_caught(monkeypatch):
     monkeypatch.setattr(constraints, "_acm_affine", shifted)
     failed = {result.name for result in selfcheck.run_all() if not result.passed}
     assert {"acm-chi-twist-vanishing", "classification-table"} <= failed
+
+
+def test_repeated_decompose_hit_is_caught(monkeypatch):
+    # a witness reported twice is a wrong count, though every hit is genuine
+    real = extensions.decompose
+
+    def repeating(*args, **kwargs):
+        hits = real(*args, **kwargs)
+        return hits[:1] + hits
+
+    monkeypatch.setattr(extensions, "decompose", repeating)
+    failed = {result.name for result in selfcheck.run_all() if not result.passed}
+    assert "decompose-exhaustive" in failed
