@@ -9,13 +9,16 @@ from acmbundles import cli, constraints
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# one golden file per README invocation and format: tests/golden/NAME.EXT
+# one golden file per README invocation and format: tests/golden/NAME.EXT;
+# enumerate_k5 adds an unrefined rank, whose rows print a constant c3/genus
+# and a bare "c2"
 GOLDEN_CASES = {
     "chi_line": ["chi", "--r", "4", "--line", "-a", "1"],
     "chi_bundle": ["chi", "--r", "4", "--bundle", "4,1,6,4"],
     "twist": ["twist", "--r", "4", "--bundle", "3,1,5,2", "-n", "1"],
     "genus": ["genus", "--r", "4", "--bundle", "4,6,64,84"],
     "enumerate_k3": ["enumerate", "--k", "3"],
+    "enumerate_k5": ["enumerate", "--k", "5"],
     "extensions_r4_star": ["extensions", "--r", "4", "--pool", "star"],
     "decompose_r4": ["decompose", "--r", "4", "--target", "4,5,46,52"],
     "coverage_k4": ["coverage", "--k", "4"],
