@@ -76,14 +76,6 @@ class HypersurfaceContext:
         if self.r < 1:
             raise DomainError(f"hypersurface degree must be >= 1, got {self.r}")
 
-    def canonical_coefficient(self) -> int:
-        """Coefficient of the hyperplane class in the canonical divisor: r - 5."""
-        return self.r - 5
-
-    def hyperplane_cube(self) -> int:
-        """Triple self-intersection of the hyperplane class, in points: r."""
-        return self.r
-
 
 @dataclass(frozen=True)
 class BundleInvariants:

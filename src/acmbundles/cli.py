@@ -152,11 +152,8 @@ def cmd_genus(args) -> tuple[str, int]:
                           [args.r, *inv.quadruple()])
 
 
-def _linear_in_c2(fn, k: int, c1: int) -> str:
-    # every per-row formula is linear in c2; read slope and intercept off
-    # two evaluations so the rendering cannot drift from the arithmetic
-    intercept = fn(k, c1, 0)
-    slope = fn(k, c1, 1) - intercept
+def _affine_text(form: tuple[int, int]) -> str:
+    slope, intercept = form
     if slope == 0:
         return str(intercept)
     head = "c2" if slope == 1 else f"{slope}c2"
@@ -165,14 +162,13 @@ def _linear_in_c2(fn, k: int, c1: int) -> str:
 
 def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
     head = [str(row.k), str(row.c1)]
+    lower, upper = row.interval.lower, row.interval.upper
+    forms = (row.c3_form, row.genus_form)
     if row.is_empty:
         return head + ["(empty)", "-", "-"]
-    if len(row.entries) == 1:
-        entry = row.entries[0]
-        return head + [str(entry.c2), str(entry.c3), str(entry.genus)]
-    return head + [f"[{row.interval.lower},{row.interval.upper}]",
-                   _linear_in_c2(constraints.c3_from_acm, row.k, row.c1),
-                   _linear_in_c2(constraints.genus_from_acm, row.k, row.c1)]
+    if lower == upper:
+        return head + [str(lower), *(str(s * lower + t) for s, t in forms)]
+    return head + [f"[{lower},{upper}]", *map(_affine_text, forms)]
 
 
 def cmd_enumerate(args) -> tuple[str, int]:

@@ -186,17 +186,28 @@ class RowEntry:
 
 @dataclass(frozen=True)
 class EnumerationRow:
-    """All admissible invariants for one (k, c1) on the quartic."""
+    """All admissible invariants for one (k, c1) on the quartic.
+
+    Along a row the forced c3 and the genus are affine in c2: ``c3_form``
+    and ``genus_form`` are their (slope, intercept) pairs.  ``entries`` is
+    computed from the two forms over ``interval`` on each access.
+    """
 
     k: int
     c1: int
     interval: C2Interval
-    entries: tuple[RowEntry, ...]
+    c3_form: tuple[int, int]
+    genus_form: tuple[int, int]
     provenance: tuple[str, ...]
 
     @property
+    def entries(self) -> tuple[RowEntry, ...]:
+        (s3, t3), (sg, tg) = self.c3_form, self.genus_form
+        return tuple(RowEntry(c2, s3 * c2 + t3, sg * c2 + tg) for c2 in self.c2_values)
+
+    @property
     def c2_values(self) -> list[int]:
-        return [entry.c2 for entry in self.entries]
+        return self.interval.values()
 
     @property
     def is_empty(self) -> bool:
@@ -218,15 +229,12 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     rows = []
     for c1 in range(lo, hi + 1):
         interval = c2_interval_r4(k, c1)
-        (s3, t3), (sg, tg) = _acm_affine(k, c1)
-        entries = tuple(
-            RowEntry(c2, s3 * c2 + t3, sg * c2 + tg) for c2 in interval.values()
-        )
+        c3_form, genus_form = _acm_affine(k, c1)
         tags = list(interval.lower_tags)
         tags += [tag for tag in interval.upper_tags if tag not in tags]
         if not refined:
             tags.append(UNREFINED)
-        rows.append(EnumerationRow(k, c1, interval, entries, tuple(tags)))
+        rows.append(EnumerationRow(k, c1, interval, c3_form, genus_form, tuple(tags)))
     return rows
 
 

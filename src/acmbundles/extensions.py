@@ -347,9 +347,6 @@ class CoverageReport:
     def realized(self) -> list[CoverageItem]:
         return [item for item in self.items if item.status != STATUS_OPEN]
 
-    def open_items(self) -> list[CoverageItem]:
-        return [item for item in self.items if item.status == STATUS_OPEN]
-
 
 def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
     """Label every admissible rank-k quadruple on the quartic as realized

@@ -73,12 +73,6 @@ class TestRationalContract:
 
 
 class TestDomainTypes:
-    def test_context_constants(self):
-        assert X4.canonical_coefficient() == -1
-        assert X4.hyperplane_cube() == 4
-        assert HypersurfaceContext(3).canonical_coefficient() == -2
-        assert HypersurfaceContext(3).hyperplane_cube() == 3
-
     def test_context_rejects_degree_zero(self):
         with pytest.raises(DomainError):
             HypersurfaceContext(0)

@@ -254,7 +254,7 @@ class TestCoverage:
         statuses = {item.invariants.quadruple(): item.status for item in report.items}
         assert statuses[(3, 1, 5, 2)] == STATUS_CURVE
         assert statuses[(3, 2, 8, 2)] == STATUS_OPEN
-        assert len(report.open_items()) == 8
+        assert sum(item.status == STATUS_OPEN for item in report.items) == 8
 
 
 class TestCatalogFile:

@@ -61,6 +61,12 @@ def test_kernel_matches_fraction_oracle(r, k, c1, c2, c3):
 def test_enumeration_entries_match_fraction_oracle():
     for k in range(2, 41):
         for row in constraints.enumerate_acm_r4(k):
+            # each row's affine forms hold off the interval too
+            (s3, t3), (sg, tg) = row.c3_form, row.genus_form
+            for c2 in (row.interval.lower - 1, 0, row.interval.upper + 1):
+                assert same(s3 * c2 + t3, oracle.c3_from_acm(k, row.c1, c2))
+                assert same(sg * c2 + tg, oracle.genus_from_acm(k, row.c1, c2))
+            assert row.c2_values == [entry.c2 for entry in row.entries]
             for entry in row.entries:
                 assert same(entry.c3, oracle.c3_from_acm(k, row.c1, entry.c2))
                 assert same(entry.genus, oracle.genus_from_acm(k, row.c1, entry.c2))
