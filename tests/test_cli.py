@@ -26,6 +26,14 @@ GOLDEN_CASES = {
 }
 GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
 
+# argparse's own text, rendered at 80 columns: name -> (argv, exit code,
+# the stream that carries the text; the other stream stays empty)
+USAGE_CASES = {
+    "help": (["--help"], 0, "out"),
+    "help_decompose": (["decompose", "--help"], 0, "out"),
+    "usage_catalog": (["enumerate", "--k", "3", "--catalog", "X"], 2, "err"),
+}
+
 
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
@@ -40,6 +48,21 @@ def test_golden_output(capsys, name, fmt):
     assert (code, err) == (0, "")
     golden = GOLDEN / f"{name}.{GOLDEN_EXTENSIONS[fmt]}"
     assert out == golden.read_text(encoding="utf-8")
+
+
+def run_usage_case(capsys, name):
+    """Run one USAGE_CASES entry; return (exit code, text, other stream)."""
+    argv, _, stream = USAGE_CASES[name]
+    code, out, err = run_cli(capsys, *argv)
+    return (code, out, err) if stream == "out" else (code, err, out)
+
+
+@pytest.mark.parametrize("name", sorted(USAGE_CASES))
+def test_usage_golden(capsys, monkeypatch, name):
+    monkeypatch.setenv("COLUMNS", "80")
+    code, text, other = run_usage_case(capsys, name)
+    assert (code, other) == (USAGE_CASES[name][1], "")
+    assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
 class TestChi:
