@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -263,14 +264,14 @@ def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
     return names, options
 
 
+@functools.cache  # one parser per process; main() finds cmd_<command> by name
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="acmbundles", description=(
         "Exact Chern-class calculus and the admissible-invariant tables "
         "for ACM bundles on low-degree hypersurfaces in P^4."))
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, summary: str, handler, *flags, r: bool = True,
-                catalog: bool = False) -> None:
+    def command(name: str, summary: str, *flags, r=True, catalog=False) -> None:
         p = sub.add_parser(name, help=summary)
         if r:
             p.add_argument("--r", type=int, required=True, help="hypersurface degree")
@@ -281,34 +282,32 @@ def _build_parser() -> argparse.ArgumentParser:
         if catalog:
             p.add_argument("--catalog", metavar="FILE", default=None,
                            help="rank-two catalog override file")
-        p.set_defaults(handler=handler)
 
     bundle = _flag("--bundle", type=_quadruple, required=True, metavar="K,C1,C2,C3")
     pool = _flag("--pool", choices=(extensions.POOL_STAR, extensions.POOL_NORMALIZED),
                  default=extensions.POOL_STAR, help="catalog pool (default: star)")
 
-    command("chi", "Euler characteristic of a line bundle or quadruple", cmd_chi,
+    command("chi", "Euler characteristic of a line bundle or quadruple",
             _flag("--line", action="store_true", help="line-bundle mode: evaluate O(a)"),
             _flag("-a", type=int, default=None, help="twist for --line mode"),
             _flag("--bundle", type=_quadruple, default=None, metavar="K,C1,C2,C3"))
-    command("twist", "invariants of E(n)", cmd_twist,
+    command("twist", "invariants of E(n)",
             bundle, _flag("-n", type=int, required=True, help="twist amount"))
-    command("genus", "genus of the dependency-locus curve", cmd_genus, bundle)
-    command("enumerate", "admissible invariants table for rank k", cmd_enumerate,
+    command("genus", "genus of the dependency-locus curve", bundle)
+    command("enumerate", "admissible invariants table for rank k",
             _flag("--k", type=int, required=True, help="rank (refined for 3 and 4)"),
             r=False)
-    command("extensions", "rank-four extensions of catalog pairs", cmd_extensions,
-            pool, catalog=True)
-    command("decompose", "find catalog pairs realizing a quadruple", cmd_decompose,
+    command("extensions", "rank-four extensions of catalog pairs", pool, catalog=True)
+    command("decompose", "find catalog pairs realizing a quadruple",
             _flag("--target", type=_quadruple, required=True, metavar="K,C1,C2,C3"),
             pool,
             _flag("--expect-witness", action="store_true",
                   help="exit 1 if no decomposition exists"),
             catalog=True)
-    command("coverage", "realized/open labels for the rank-k table", cmd_coverage,
+    command("coverage", "realized/open labels for the rank-k table",
             _flag("--k", type=int, required=True, help="rank (3 or 4)"),
             r=False, catalog=True)
-    command("selfcheck", "run the cross-module invariant suite", cmd_selfcheck, r=False)
+    command("selfcheck", "run the cross-module invariant suite", r=False)
     return parser
 
 
@@ -318,7 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text, code = args.handler(args)
+        text, code = globals()[f"cmd_{args.command}"](args)
     except (UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

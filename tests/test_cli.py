@@ -65,6 +65,64 @@ def test_usage_golden(capsys, monkeypatch, name):
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+# calls whose result must not depend on the call before them in the same
+# process: (argv, exit code, stdout, or the golden file that holds it); each
+# second call of a pair leaves out a flag the first one gave
+NEIGHBOUR_CALLS = [
+    (["chi", "--r", "4", "--line", "-a", "1"], 0, "5\n"),
+    (["chi", "--r", "4", "--bundle", "4,1,6,4"], 0, "4\n"),
+    (["decompose", "--r", "4", "--target", "4,1,6,4", "--expect-witness"], 1, ""),
+    (["decompose", "--r", "4", "--target", "4,1,6,4"], 0, "no decomposition\n"),
+    (["frobnicate"], 2, ""),
+    (["--help"], 0, GOLDEN / "help.txt"),
+    (GOLDEN_CASES["decompose_r4"], 0, GOLDEN / "decompose_r4.txt"),
+]
+
+
+def test_no_state_leaks_between_calls(capsys, monkeypatch):
+    """A call's output, and the namespace its handler is given, are the same
+    whatever call ran before it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    given = []
+
+    def recording(handler):
+        def wrapper(args):
+            given.append(dict(vars(args)))
+            return handler(args)
+        return wrapper
+
+    for name in [name for name in vars(cli) if name.startswith("cmd_")]:
+        monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    # a call outside the sequence goes first, so the first pass follows
+    # other flag values than the second
+    run_cli(capsys, "decompose", "--r", "4", "--target", "4,4,31,29",
+            "--pool", "normalized")
+    passes = []
+    for _ in range(2):
+        results = []
+        for argv, code, out in NEIGHBOUR_CALLS:
+            given.clear()
+            result = run_cli(capsys, *argv)
+            expected = out.read_text(encoding="utf-8") if isinstance(out, Path) else out
+            assert result[:2] == (code, expected), argv
+            results.append((result, list(given)))
+        passes.append(results)
+    assert passes[0] == passes[1]
+
+
+def test_handler_is_looked_up_by_name(capsys, monkeypatch):
+    run_cli(capsys, "chi", "--r", "4", "--line", "-a", "1")
+    seen = []
+
+    def stub(args):
+        seen.append(args.a)
+        return "stub\n", 0
+
+    monkeypatch.setattr(cli, "cmd_chi", stub)
+    assert run_cli(capsys, "chi", "--r", "4", "--line", "-a", "2") == (0, "stub\n", "")
+    assert seen == [2]
+
+
 class TestChi:
     def test_line_mode(self, capsys):
         code, out, err = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "1")
