@@ -29,7 +29,6 @@ __all__ = [
     "extend_rank2",
     "ExtensionWitness",
     "extension_quadruples",
-    "distinct_quadruples",
     "decompose",
     "POOL_NORMALIZED",
     "POOL_STAR",
@@ -255,14 +254,6 @@ def extension_quadruples(
     ]
     witnesses.sort(key=ExtensionWitness.sort_key)
     return witnesses
-
-
-def distinct_quadruples(witnesses: list[ExtensionWitness]) -> list[BundleInvariants]:
-    """The distinct resulting quadruples of a witness list, ascending."""
-    seen: dict[tuple[int, int, int, int], BundleInvariants] = {}
-    for witness in witnesses:
-        seen.setdefault(witness.result.quadruple(), witness.result)
-    return [seen[quad] for quad in sorted(seen)]
 
 
 def decompose(

@@ -24,7 +24,6 @@ from acmbundles.extensions import (
     catalog,
     coverage_report,
     decompose,
-    distinct_quadruples,
     extend_rank2,
     extension_quadruples,
     load_catalog,
@@ -141,7 +140,6 @@ class TestExtensionQuadruples:
         witnesses = extension_quadruples(4, POOL_STAR)
         assert len(witnesses) == 10
         assert {w.result.quadruple() for w in witnesses} == STAR_QUADRUPLES
-        assert len(distinct_quadruples(witnesses)) == 10
         assert BundleInvariants(4, 4, 32, 32) in [w.result for w in witnesses]
 
     def test_sorted_by_result_then_left(self):
