@@ -50,18 +50,13 @@ def test_golden_output(capsys, name, fmt):
     assert out == golden.read_text(encoding="utf-8")
 
 
-def run_usage_case(capsys, name):
-    """Run one USAGE_CASES entry; return (exit code, text, other stream)."""
-    argv, _, stream = USAGE_CASES[name]
-    code, out, err = run_cli(capsys, *argv)
-    return (code, out, err) if stream == "out" else (code, err, out)
-
-
 @pytest.mark.parametrize("name", sorted(USAGE_CASES))
 def test_usage_golden(capsys, monkeypatch, name):
     monkeypatch.setenv("COLUMNS", "80")
-    code, text, other = run_usage_case(capsys, name)
-    assert (code, other) == (USAGE_CASES[name][1], "")
+    argv, expected_code, stream = USAGE_CASES[name]
+    code, out, err = run_cli(capsys, *argv)
+    text, other = (out, err) if stream == "out" else (err, out)
+    assert (code, other) == (expected_code, "")
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
