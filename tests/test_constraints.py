@@ -4,6 +4,7 @@ import warnings
 
 import pytest
 
+import bound_oracles as oracle
 from acmbundles.chern import (
     BundleInvariants,
     CurveInvariants,
@@ -22,6 +23,7 @@ from acmbundles.constraints import (
     UNREFINED,
     UPPER_RANK3,
     UPPER_RESTRICTION,
+    UPPER_SECTIONS,
     C2Interval,
     c1_bounds,
     c2_interval_r4,
@@ -82,12 +84,6 @@ class TestClosedForms:
 
 
 class TestC2Interval:
-    def test_known_intervals(self):
-        assert (c2_interval_r4(4, 2).lower, c2_interval_r4(4, 2).upper) == (8, 12)
-        assert (c2_interval_r4(3, 3).lower, c2_interval_r4(3, 3).upper) == (17, 18)
-        assert (c2_interval_r4(4, 6).lower, c2_interval_r4(4, 6).upper) == (64, 64)
-        assert (c2_interval_r4(3, 1).lower, c2_interval_r4(3, 1).upper) == (5, 5)
-
     def test_full_table(self):
         for k, per_c1 in EXPECTED_INTERVALS.items():
             for c1, (lower, upper) in per_c1.items():
@@ -95,12 +91,16 @@ class TestC2Interval:
                 assert (interval.lower, interval.upper) == (lower, upper)
 
     def test_endpoint_tags(self):
-        assert c2_interval_r4(3, 1).lower_tags == (EXACT_C1_ONE,)
-        three_three = c2_interval_r4(3, 3)
-        assert three_three.lower_tags == (LOWER_RANK3,)
-        assert UPPER_RANK3 in three_three.upper_tags
-        four_two = c2_interval_r4(4, 2)
-        assert set(four_two.lower_tags) == {LOWER_BASE, LOWER_ABOVE_ONE}
+        # tags come in clause order; every clause attaining an endpoint is listed
+        expected = {
+            (3, 1): ((EXACT_C1_ONE,), (EXACT_C1_ONE,)),
+            (3, 3): ((LOWER_RANK3,), (UPPER_RESTRICTION, UPPER_RANK3)),
+            (4, 2): ((LOWER_BASE, LOWER_ABOVE_ONE), (UPPER_SECTIONS,)),
+            (4, 6): ((LOWER_BASE,), (UPPER_RESTRICTION,)),
+        }
+        for (k, c1), tags in expected.items():
+            interval = c2_interval_r4(k, c1)
+            assert (interval.lower_tags, interval.upper_tags) == tags, (k, c1)
 
     def test_rank_two_gets_generic_clauses_only(self):
         # without the c1 = 1 override, rank 2 keeps the whole window [2, 4]
@@ -167,6 +167,16 @@ class TestEnumeration:
             assert c2 in rows[c1].interval
         for row in rows.values():
             assert UNREFINED in row.provenance
+
+    def test_rows_match_pointwise_oracle(self):
+        for k in range(2, 13):
+            rows = enumerate_acm_r4(k)
+            lo, hi = c1_bounds(QUARTIC, k)
+            assert [row.c1 for row in rows] == list(range(lo, hi + 1))
+            for row in rows:
+                expected = [c2 for c2 in oracle.window(k, row.c1)
+                            if oracle.admissible(k, row.c1, c2)]
+                assert row.c2_values == expected, (k, row.c1)
 
     def test_restriction_tag_appears_at_tight_rows(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}
