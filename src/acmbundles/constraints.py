@@ -41,14 +41,29 @@ __all__ = [
 QUARTIC = HypersurfaceContext(4)
 
 # Tags naming the bound clause that set an interval endpoint.
-LOWER_BASE = "lower:base"                # c2 >= 2c1^2 - 2c1 + k
-LOWER_ABOVE_ONE = "lower:above-one"      # c1 > 1 only: c2 >= 2c1^2 - 4c1 + 8
-LOWER_RANK3 = "lower:rank3"              # k = 3, c1 >= 3: c2 >= 2c1^2 - 4c1 + 11
-UPPER_RESTRICTION = "upper:restriction"  # c2 <= 2c1^2 - 4c1 + 4k (hyperplane restriction)
-UPPER_SECTIONS = "upper:sections"        # c2 <= 2c1^2 + k (chi >= k, forced by h^0 >= k)
-UPPER_RANK3 = "upper:rank3"              # k = 3, c1 >= 3: c2 <= 2c1^2 - 4c1 + 12
-EXACT_C1_ONE = "exact:c1-one"            # c1 = 1 forces c2 = k + 2 outright
-UNREFINED = "unrefined"                  # only generic clauses applied (k not in {3,4})
+LOWER_BASE = "lower:base"
+LOWER_ABOVE_ONE = "lower:above-one"
+LOWER_RANK3 = "lower:rank3"
+UPPER_RESTRICTION = "upper:restriction"
+UPPER_SECTIONS = "upper:sections"
+UPPER_RANK3 = "upper:rank3"
+EXACT_C1_ONE = "exact:c1-one"
+UNREFINED = "unrefined"
+
+_REFINED_RANKS = (3, 4)  # every clause applies; their tables are complete
+
+# The c2 bound clauses in provenance order: a row (tag, side, ranks, c1_min,
+# a, b, d) bounds c2 from below or above by 2c1^2 + a c1 + b k + d for k in
+# ranks and c1 >= c1_min (ranks None: every k >= 2 and c1).  Restriction is
+# the hyperplane-section bound; sections is chi(E) >= k, from h^0(E) >= k.
+_C2_CLAUSES = (
+    (LOWER_BASE, "lower", None, None, -2, 1, 0),
+    (LOWER_ABOVE_ONE, "lower", _REFINED_RANKS, 2, -4, 0, 8),
+    (LOWER_RANK3, "lower", (3,), 3, -4, 0, 11),
+    (UPPER_RESTRICTION, "upper", None, None, -4, 4, 0),
+    (UPPER_SECTIONS, "upper", None, None, 0, 1, 0),
+    (UPPER_RANK3, "upper", (3,), 3, -4, 0, 12),
+)
 
 
 @dataclass(frozen=True)
@@ -70,8 +85,6 @@ class C2Interval:
 
     def values(self) -> list[int]:
         """All integer points, ascending; empty list for an empty interval."""
-        if self.is_empty:
-            return []
         return list(range(self.lower, self.upper + 1))
 
     def __contains__(self, c2: int) -> bool:
@@ -139,40 +152,27 @@ def genus_from_acm(k: int, c1: int, c2: int) -> int:
 
 
 def c2_interval_r4(k: int, c1: int) -> C2Interval:
-    """Intersection of every applicable c2 bound on the quartic.
-
-    For k in {3, 4} all refinements apply: c1 = 1 collapses the interval to
-    the single value c2 = k + 2, c1 > 1 adds a stronger lower bound, and
-    k = 3 with c1 >= 3 pins c2 into a two-point window.  Other ranks k >= 2
-    get only the generic clauses; callers should treat those intervals as
-    unrefined supersets.  Lower bounds combine by max, upper bounds by min.
+    """Intersection of the ``_C2_CLAUSES`` bounds that apply at (k, c1):
+    lower bounds combine by max, upper bounds by min.  For k in {3, 4},
+    c1 = 1 instead pins c2 = k + 2.  Other ranks k >= 2 get only the generic
+    clauses; callers should treat those intervals as unrefined supersets.
     """
     if k < 2:
         raise DomainError(f"c2 interval needs rank >= 2, got {k}")
-    refined = k in (3, 4)
-    if refined and c1 == 1:
+    if c1 == 1 and k in _REFINED_RANKS:
         return C2Interval(k + 2, k + 2, (EXACT_C1_ONE,), (EXACT_C1_ONE,))
-
-    lowers = [(2 * c1 * c1 - 2 * c1 + k, LOWER_BASE)]
-    uppers = [
-        (2 * c1 * c1 - 4 * c1 + 4 * k, UPPER_RESTRICTION),
-        (2 * c1 * c1 + k, UPPER_SECTIONS),
-    ]
-    if refined:
-        if c1 > 1:
-            lowers.append((2 * c1 * c1 - 4 * c1 + 8, LOWER_ABOVE_ONE))
-        if k == 3 and c1 >= 3:
-            lowers.append((2 * c1 * c1 - 4 * c1 + 11, LOWER_RANK3))
-            uppers.append((2 * c1 * c1 - 4 * c1 + 12, UPPER_RANK3))
-
-    lower = max(value for value, _ in lowers)
-    upper = min(value for value, _ in uppers)
-    return C2Interval(
-        lower,
-        upper,
-        tuple(tag for value, tag in lowers if value == lower),
-        tuple(tag for value, tag in uppers if value == upper),
-    )
+    square = 2 * c1 * c1
+    ends = {}  # side -> (value, tags) of the tightest bound so far
+    for tag, side, ranks, c1_min, a, b, d in _C2_CLAUSES:
+        if ranks is None or (k in ranks and c1 >= c1_min):
+            value = square + a * c1 + b * k + d
+            best, tags = ends.get(side, (value, ()))
+            if value == best:
+                ends[side] = (value, tags + (tag,))
+            elif value > best if side == "lower" else value < best:
+                ends[side] = (value, (tag,))
+    (lower, lower_tags), (upper, upper_tags) = ends["lower"], ends["upper"]
+    return C2Interval(lower, upper, lower_tags, upper_tags)
 
 
 @dataclass(frozen=True)
@@ -225,14 +225,13 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     completeness claim.
     """
     lo, hi = c1_bounds(QUARTIC, k)
-    refined = k in (3, 4)
     rows = []
     for c1 in range(lo, hi + 1):
         interval = c2_interval_r4(k, c1)
         c3_form, genus_form = _acm_affine(k, c1)
         tags = list(interval.lower_tags)
         tags += [tag for tag in interval.upper_tags if tag not in tags]
-        if not refined:
+        if k not in _REFINED_RANKS:
             tags.append(UNREFINED)
         rows.append(EnumerationRow(k, c1, interval, c3_form, genus_form, tuple(tags)))
     return rows
