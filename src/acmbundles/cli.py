@@ -48,12 +48,12 @@ def _quadruple(text: str) -> tuple[int, int, int, int]:
     return (k, c1, c2, c3)
 
 
-def _emit(args, command: str, inputs: dict, *, results, table, header: list[str],
-          rows, code: int = 0) -> tuple[str, int]:
+def _emit(args, inputs: dict, *, results, table, header: list[str], rows,
+          code: int = 0) -> tuple[str, int]:
     """Render the one format ``--format`` selects; ``results``, ``table`` and
     ``rows`` are zero-argument callables, and only the selected one runs."""
     if args.format == "json":
-        document = {"schema_version": SCHEMA_VERSION, "command": command,
+        document = {"schema_version": SCHEMA_VERSION, "command": args.command,
                     "inputs": inputs, "results": results()}
         return json.dumps(document, indent=2, sort_keys=True) + "\n", code
     if args.format == "csv":
@@ -76,10 +76,10 @@ def _bundle_dict(inv: BundleInvariants) -> dict:
     return {"k": inv.k, "c1": inv.c1, "c2": inv.c2, "c3": inv.c3}
 
 
-def _emit_rational(args, command: str, inputs: dict, value,
-                   header: list[str], row: list) -> tuple[str, int]:
+def _emit_rational(args, inputs: dict, value, header: list[str],
+                   row: list) -> tuple[str, int]:
     return _emit(
-        args, command, inputs,
+        args, inputs,
         results=lambda: [{"numerator": value.numerator,
                           "denominator": value.denominator, "value": str(value)}],
         table=lambda: f"{value}\n",
@@ -93,10 +93,9 @@ def _pair_dict(w: extensions.ExtensionWitness) -> dict:
             "right": {"c1": w.right.c1, "c2": w.right.c2}}
 
 
-def _emit_witnesses(args, command: str, inputs: dict, witnesses,
-                    table) -> tuple[str, int]:
+def _emit_witnesses(args, inputs: dict, witnesses, table) -> tuple[str, int]:
     return _emit(
-        args, command, inputs,
+        args, inputs,
         results=lambda: [{**_pair_dict(w), "result": _bundle_dict(w.result)}
                          for w in witnesses],
         table=table,
@@ -117,7 +116,7 @@ def cmd_chi(args) -> tuple[str, int]:
     if args.line:
         if args.a is None:
             raise UsageError("--line needs a twist: -a N")
-        return _emit_rational(args, "chi", {"r": args.r, "mode": "line", "a": args.a},
+        return _emit_rational(args, {"r": args.r, "mode": "line", "a": args.a},
                               chi_line_bundle(ctx, args.a),
                               ["r", "a", "chi"], [args.r, args.a])
     if args.bundle is not None:
@@ -125,7 +124,7 @@ def cmd_chi(args) -> tuple[str, int]:
             raise UsageError("-a only applies to --line mode")
         inv = BundleInvariants(*args.bundle)
         inputs = {"r": args.r, "mode": "bundle", "bundle": _bundle_dict(inv)}
-        return _emit_rational(args, "chi", inputs, chi_bundle(ctx, inv),
+        return _emit_rational(args, inputs, chi_bundle(ctx, inv),
                               ["r", "k", "c1", "c2", "c3", "chi"],
                               [args.r, *inv.quadruple()])
     raise UsageError("chi needs either --line with -a, or --bundle k,c1,c2,c3")
@@ -136,7 +135,7 @@ def cmd_twist(args) -> tuple[str, int]:
     inv = BundleInvariants(*args.bundle)
     result = twist(ctx, inv, args.n)
     return _emit(
-        args, "twist", {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n},
+        args, {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n},
         results=lambda: [_bundle_dict(result)],
         table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
         header=["k", "c1", "c2", "c3"],
@@ -147,7 +146,7 @@ def cmd_twist(args) -> tuple[str, int]:
 def cmd_genus(args) -> tuple[str, int]:
     ctx = HypersurfaceContext(args.r)
     inv = BundleInvariants(*args.bundle)
-    return _emit_rational(args, "genus", {"r": args.r, "bundle": _bundle_dict(inv)},
+    return _emit_rational(args, {"r": args.r, "bundle": _bundle_dict(inv)},
                           genus_general(ctx, inv),
                           ["r", "k", "c1", "c2", "c3", "genus"],
                           [args.r, *inv.quadruple()])
@@ -176,7 +175,7 @@ def cmd_enumerate(args) -> tuple[str, int]:
     rows = constraints.enumerate_acm_r4(args.k)
     header = ["k", "c1", "c2", "c3", "g"]
     return _emit(
-        args, "enumerate", {"k": args.k},
+        args, {"k": args.k},
         results=lambda: [
             {"k": row.k, "c1": row.c1, "lower": row.interval.lower,
              "upper": row.interval.upper, "empty": row.is_empty,
@@ -196,8 +195,7 @@ def cmd_extensions(args) -> tuple[str, int]:
     witnesses = extensions.extension_quadruples(args.r, args.pool,
                                                 source=_load_source(args))
     return _emit_witnesses(
-        args, "extensions", {"r": args.r, "pool": args.pool, "catalog": args.catalog},
-        witnesses,
+        args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, witnesses,
         lambda: _columns([["left", "right", "result"], *(
             [str(w.left), str(w.right), str(w.result)] for w in witnesses)]),
     )
@@ -212,7 +210,7 @@ def cmd_decompose(args) -> tuple[str, int]:
     inputs = {"r": args.r, "target": _bundle_dict(target), "pool": args.pool,
               "expect_witness": args.expect_witness, "catalog": args.catalog}
     return _emit_witnesses(
-        args, "decompose", inputs, witnesses,
+        args, inputs, witnesses,
         lambda: "".join(f"{w} -> {w.result}\n" for w in witnesses)
         or "no decomposition\n",
     )
@@ -222,7 +220,7 @@ def cmd_coverage(args) -> tuple[str, int]:
     items = extensions.coverage_report(args.k, source=_load_source(args)).items
     header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
     return _emit(
-        args, "coverage", {"k": args.k, "catalog": args.catalog},
+        args, {"k": args.k, "catalog": args.catalog},
         results=lambda: [
             {**_bundle_dict(item.invariants), "genus": item.genus,
              "status": item.status, "origin": item.origin,
@@ -249,7 +247,7 @@ def _selfcheck_table(results: list[selfcheck.CheckResult]) -> str:
 def cmd_selfcheck(args) -> tuple[str, int]:
     results = selfcheck.run_all()
     return _emit(
-        args, "selfcheck", {},
+        args, {},
         results=lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail}
                          for r in results],
         table=lambda: _selfcheck_table(results),
