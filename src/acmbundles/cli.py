@@ -48,19 +48,40 @@ def _quadruple(text: str) -> tuple[int, int, int, int]:
     return (k, c1, c2, c3)
 
 
-def _emit(args, inputs: dict, *, results, table, header: list[str], rows,
+def _emit(args, inputs: dict, *, results, table, csv_text,
           code: int = 0) -> tuple[str, int]:
     """Render the one format ``--format`` selects; ``results``, ``table`` and
-    ``rows`` are zero-argument callables, and only the selected one runs."""
+    ``csv_text`` are zero-argument callables, and only the selected one runs.
+
+    ``results`` returns finished record texts, each indented for the
+    "results" list.  The document is canonical JSON (sorted keys, indent 2):
+    keys sort command < inputs < results < schema_version, so the head is
+    the encoded envelope without its closing brace."""
     if args.format == "json":
-        document = {"schema_version": SCHEMA_VERSION, "command": args.command,
-                    "inputs": inputs, "results": results()}
-        return json.dumps(document, indent=2, sort_keys=True) + "\n", code
+        head = json.dumps({"command": args.command, "inputs": inputs},
+                          indent=2, sort_keys=True)[:-2]
+        return (f'{head},\n  "results": {_json_list(results(), "  ")},\n'
+                f'  "schema_version": {SCHEMA_VERSION}\n}}\n'), code
     if args.format == "csv":
-        buffer = io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows([header, *rows()])
-        return buffer.getvalue(), code
+        return csv_text(), code
     return table(), code
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    # items are encoded and indented one level deeper than ``indent``
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+
+
+def _record(value: dict) -> str:
+    """One small "results" record: canonical JSON indented four spaces,
+    exactly, because an encoded string never holds a raw newline."""
+    return "    " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
+
+
+def _csv(header: list[str], rows) -> str:
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
+    return buffer.getvalue()
 
 
 def _columns(rows: list[list[str]]) -> str:
@@ -80,11 +101,11 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
                    row: list) -> tuple[str, int]:
     return _emit(
         args, inputs,
-        results=lambda: [{"numerator": value.numerator,
-                          "denominator": value.denominator, "value": str(value)}],
+        results=lambda: [_record({"numerator": value.numerator,
+                                  "denominator": value.denominator,
+                                  "value": str(value)})],
         table=lambda: f"{value}\n",
-        header=header,
-        rows=lambda: [[*row, str(value)]],
+        csv_text=lambda: _csv(header, [[*row, str(value)]]),
     )
 
 
@@ -93,15 +114,26 @@ def _pair_dict(w: extensions.ExtensionWitness) -> dict:
             "right": {"c1": w.right.c1, "c2": w.right.c2}}
 
 
+def _witness_record(w: extensions.ExtensionWitness) -> str:
+    # the fixed canonical-JSON shape of one witness inside "results"
+    left, right, result = w.left, w.right, w.result
+    return (f'    {{\n      "left": {{\n        "c1": {left.c1},\n'
+            f'        "c2": {left.c2}\n      }},\n      "result": {{\n'
+            f'        "c1": {result.c1},\n        "c2": {result.c2},\n'
+            f'        "c3": {result.c3},\n        "k": {result.k}\n      }},\n'
+            f'      "right": {{\n        "c1": {right.c1},\n'
+            f'        "c2": {right.c2}\n      }}\n    }}')
+
+
 def _emit_witnesses(args, inputs: dict, witnesses, table) -> tuple[str, int]:
     return _emit(
         args, inputs,
-        results=lambda: [{**_pair_dict(w), "result": _bundle_dict(w.result)}
-                         for w in witnesses],
+        results=lambda: list(map(_witness_record, witnesses)),
         table=table,
-        header=["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"],
-        rows=lambda: [[w.left.c1, w.left.c2, w.right.c1, w.right.c2,
-                       *w.result.quadruple()] for w in witnesses],
+        csv_text=lambda: _csv(
+            ["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"],
+            ([w.left.c1, w.left.c2, w.right.c1, w.right.c2, *w.result.quadruple()]
+             for w in witnesses)),
     )
 
 
@@ -136,10 +168,9 @@ def cmd_twist(args) -> tuple[str, int]:
     result = twist(ctx, inv, args.n)
     return _emit(
         args, {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n},
-        results=lambda: [_bundle_dict(result)],
+        results=lambda: [_record(_bundle_dict(result))],
         table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
-        header=["k", "c1", "c2", "c3"],
-        rows=lambda: [result.quadruple()],
+        csv_text=lambda: _csv(["k", "c1", "c2", "c3"], [result.quadruple()]),
     )
 
 
@@ -171,23 +202,42 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
     return head + [f"[{lower},{upper}]", *map(_affine_text, forms)]
 
 
+def _enumerate_record(row: constraints.EnumerationRow) -> str:
+    # the fixed canonical-JSON shape of one row inside "results", its
+    # entries evaluated from the row's forms
+    (s3, t3), (sg, tg) = row.c3_form, row.genus_form
+    values = row.c2_values
+    c2_values = _json_list([f"        {c2}" for c2 in values], "      ")
+    entries = _json_list([f'        {{\n          "c2": {c2},\n'
+                          f'          "c3": {s3 * c2 + t3},\n'
+                          f'          "genus": {sg * c2 + tg}\n        }}'
+                          for c2 in values], "      ")
+    tags = _json_list([f"        {json.dumps(tag)}" for tag in row.provenance], "      ")
+    return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {c2_values},\n'
+            f'      "empty": {"true" if row.is_empty else "false"},\n'
+            f'      "entries": {entries},\n      "k": {row.k},\n'
+            f'      "lower": {row.interval.lower},\n      "provenance": {tags},\n'
+            f'      "upper": {row.interval.upper}\n    }}')
+
+
+def _enumerate_csv(rows: list[constraints.EnumerationRow]) -> str:
+    # integer cells only, which csv never quotes
+    lines = ["k,c1,c2,c3,g\n"]
+    for row in rows:
+        (s3, t3), (sg, tg) = row.c3_form, row.genus_form
+        head = f"{row.k},{row.c1},"
+        lines += [f"{head}{c2},{s3 * c2 + t3},{sg * c2 + tg}\n" for c2 in row.c2_values]
+    return "".join(lines)
+
+
 def cmd_enumerate(args) -> tuple[str, int]:
     rows = constraints.enumerate_acm_r4(args.k)
-    header = ["k", "c1", "c2", "c3", "g"]
     return _emit(
         args, {"k": args.k},
-        results=lambda: [
-            {"k": row.k, "c1": row.c1, "lower": row.interval.lower,
-             "upper": row.interval.upper, "empty": row.is_empty,
-             "c2_values": row.c2_values, "provenance": list(row.provenance),
-             "entries": [{"c2": e.c2, "c3": e.c3, "genus": e.genus}
-                         for e in row.entries]}
-            for row in rows
-        ],
-        table=lambda: _columns([header, *map(_enumerate_cells, rows)]),
-        header=header,
-        rows=lambda: [[row.k, row.c1, e.c2, e.c3, e.genus]
-                      for row in rows for e in row.entries],
+        results=lambda: list(map(_enumerate_record, rows)),
+        table=lambda: _columns([["k", "c1", "c2", "c3", "g"],
+                                *map(_enumerate_cells, rows)]),
+        csv_text=lambda: _enumerate_csv(rows),
     )
 
 
@@ -222,17 +272,17 @@ def cmd_coverage(args) -> tuple[str, int]:
     return _emit(
         args, {"k": args.k, "catalog": args.catalog},
         results=lambda: [
-            {**_bundle_dict(item.invariants), "genus": item.genus,
-             "status": item.status, "origin": item.origin,
-             "witnesses": [_pair_dict(w) for w in item.witnesses]}
+            _record({**_bundle_dict(item.invariants), "genus": item.genus,
+                     "status": item.status, "origin": item.origin,
+                     "witnesses": [_pair_dict(w) for w in item.witnesses]})
             for item in items
         ],
         table=lambda: _columns([header, *(
             [*map(str, item.invariants.quadruple()), str(item.genus), item.status,
              item.origin or "-"] for item in items)]),
-        header=header,
-        rows=lambda: [[*item.invariants.quadruple(), item.genus, item.status,
-                       item.origin] for item in items],
+        csv_text=lambda: _csv(header, [
+            [*item.invariants.quadruple(), item.genus, item.status, item.origin]
+            for item in items]),
     )
 
 
@@ -248,12 +298,11 @@ def cmd_selfcheck(args) -> tuple[str, int]:
     results = selfcheck.run_all()
     return _emit(
         args, {},
-        results=lambda: [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                         for r in results],
+        results=lambda: [_record({"name": r.name, "passed": r.passed,
+                                  "detail": r.detail}) for r in results],
         table=lambda: _selfcheck_table(results),
-        header=["name", "passed", "detail"],
-        rows=lambda: [[r.name, "true" if r.passed else "false", r.detail]
-                      for r in results],
+        csv_text=lambda: _csv(["name", "passed", "detail"], [
+            [r.name, "true" if r.passed else "false", r.detail] for r in results]),
         code=0 if all(r.passed for r in results) else 1,
     )
 
