@@ -53,10 +53,11 @@ def _emit(args, inputs: dict, *, results, table, csv_text,
     """Render the one format ``--format`` selects; ``results``, ``table`` and
     ``csv_text`` are zero-argument callables, and only the selected one runs.
 
-    ``results`` returns finished record texts, each indented for the
-    "results" list.  The document is canonical JSON (sorted keys, indent 2):
-    keys sort command < inputs < results < schema_version, so the head is
-    the encoded envelope without its closing brace."""
+    ``results`` returns finished record texts, each written from a fixed
+    template and indented for the "results" list; ``json.dumps`` encodes
+    every string in them.  The document is canonical JSON (sorted keys,
+    indent 2): keys sort command < inputs < results < schema_version, so
+    the head is the encoded envelope without its closing brace."""
     if args.format == "json":
         head = json.dumps({"command": args.command, "inputs": inputs},
                           indent=2, sort_keys=True)[:-2]
@@ -70,12 +71,6 @@ def _emit(args, inputs: dict, *, results, table, csv_text,
 def _json_list(items: list[str], indent: str) -> str:
     # items are encoded and indented one level deeper than ``indent``
     return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
-
-
-def _record(value: dict) -> str:
-    """One small "results" record: canonical JSON indented four spaces,
-    exactly, because an encoded string never holds a raw newline."""
-    return "    " + json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n    ")
 
 
 def _csv(header: list[str], rows) -> str:
@@ -101,21 +96,15 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
                    row: list) -> tuple[str, int]:
     return _emit(
         args, inputs,
-        results=lambda: [_record({"numerator": value.numerator,
-                                  "denominator": value.denominator,
-                                  "value": str(value)})],
+        results=lambda: [f'    {{\n      "denominator": {value.denominator},\n'
+                         f'      "numerator": {value.numerator},\n'
+                         f'      "value": {json.dumps(str(value))}\n    }}'],
         table=lambda: f"{value}\n",
         csv_text=lambda: _csv(header, [[*row, str(value)]]),
     )
 
 
-def _pair_dict(w: extensions.ExtensionWitness) -> dict:
-    return {"left": {"c1": w.left.c1, "c2": w.left.c2},
-            "right": {"c1": w.right.c1, "c2": w.right.c2}}
-
-
 def _witness_record(w: extensions.ExtensionWitness) -> str:
-    # the fixed canonical-JSON shape of one witness inside "results"
     left, right, result = w.left, w.right, w.result
     return (f'    {{\n      "left": {{\n        "c1": {left.c1},\n'
             f'        "c2": {left.c2}\n      }},\n      "result": {{\n'
@@ -168,7 +157,8 @@ def cmd_twist(args) -> tuple[str, int]:
     result = twist(ctx, inv, args.n)
     return _emit(
         args, {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n},
-        results=lambda: [_record(_bundle_dict(result))],
+        results=lambda: [f'    {{\n      "c1": {result.c1},\n      "c2": {result.c2},\n'
+                         f'      "c3": {result.c3},\n      "k": {result.k}\n    }}'],
         table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
         csv_text=lambda: _csv(["k", "c1", "c2", "c3"], [result.quadruple()]),
     )
@@ -203,8 +193,7 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
 
 
 def _enumerate_record(row: constraints.EnumerationRow) -> str:
-    # the fixed canonical-JSON shape of one row inside "results", its
-    # entries evaluated from the row's forms
+    # entries are evaluated from the row's forms
     (s3, t3), (sg, tg) = row.c3_form, row.genus_form
     values = row.c2_values
     c2_values = _json_list([f"        {c2}" for c2 in values], "      ")
@@ -266,17 +255,26 @@ def cmd_decompose(args) -> tuple[str, int]:
     )
 
 
+def _coverage_record(item: extensions.CoverageItem) -> str:
+    inv = item.invariants
+    pairs = _json_list([f'        {{\n          "left": {{\n            "c1": {w.left.c1},\n'
+                        f'            "c2": {w.left.c2}\n          }},\n'
+                        f'          "right": {{\n            "c1": {w.right.c1},\n'
+                        f'            "c2": {w.right.c2}\n          }}\n        }}'
+                        for w in item.witnesses], "      ")
+    return (f'    {{\n      "c1": {inv.c1},\n      "c2": {inv.c2},\n'
+            f'      "c3": {inv.c3},\n      "genus": {item.genus},\n      "k": {inv.k},\n'
+            f'      "origin": {json.dumps(item.origin)},\n'
+            f'      "status": {json.dumps(item.status)},\n'
+            f'      "witnesses": {pairs}\n    }}')
+
+
 def cmd_coverage(args) -> tuple[str, int]:
     items = extensions.coverage_report(args.k, source=_load_source(args)).items
     header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
     return _emit(
         args, {"k": args.k, "catalog": args.catalog},
-        results=lambda: [
-            _record({**_bundle_dict(item.invariants), "genus": item.genus,
-                     "status": item.status, "origin": item.origin,
-                     "witnesses": [_pair_dict(w) for w in item.witnesses]})
-            for item in items
-        ],
+        results=lambda: list(map(_coverage_record, items)),
         table=lambda: _columns([header, *(
             [*map(str, item.invariants.quadruple()), str(item.genus), item.status,
              item.origin or "-"] for item in items)]),
@@ -298,8 +296,10 @@ def cmd_selfcheck(args) -> tuple[str, int]:
     results = selfcheck.run_all()
     return _emit(
         args, {},
-        results=lambda: [_record({"name": r.name, "passed": r.passed,
-                                  "detail": r.detail}) for r in results],
+        results=lambda: [f'    {{\n      "detail": {json.dumps(r.detail)},\n'
+                         f'      "name": {json.dumps(r.name)},\n'
+                         f'      "passed": {"true" if r.passed else "false"}\n    }}'
+                         for r in results],
         table=lambda: _selfcheck_table(results),
         csv_text=lambda: _csv(["name", "passed", "detail"], [
             [r.name, "true" if r.passed else "false", r.detail] for r in results]),

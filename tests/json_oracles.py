@@ -3,10 +3,10 @@ outputs, kept as test oracles for the record templates in ``cli``.
 
 ``cli`` writes schema-v1 JSON from fixed per-record templates and
 ``enumerate``'s CSV from each row's c3/genus forms.  These builders instead
-make the dict tree and the CSV rows the obvious way, from ``row.entries``
-and the witness objects, and serialize them with the standard library, so a
-slip in a template (a key out of order, a missing comma, a wrong indent)
-shows as a byte mismatch.
+make the dict tree and the CSV rows the obvious way, from ``row.entries``,
+the witness objects and the library's values, and serialize them with the
+standard library, so a slip in a template (a key out of order, a missing
+comma, a wrong indent, an unescaped string) shows as a byte mismatch.
 """
 
 from __future__ import annotations
@@ -16,7 +16,14 @@ import io
 import json
 
 from acmbundles import constraints, extensions
-from acmbundles.chern import BundleInvariants
+from acmbundles.chern import (
+    BundleInvariants,
+    HypersurfaceContext,
+    chi_bundle,
+    chi_line_bundle,
+    genus_general,
+    twist,
+)
 
 SCHEMA_VERSION = 1
 
@@ -41,6 +48,38 @@ def witness_dicts(witnesses) -> list[dict]:
     return [{**pair_dict(w), "result": bundle_dict(w.result)} for w in witnesses]
 
 
+def rational_dict(value) -> dict:
+    return {"numerator": value.numerator, "denominator": value.denominator,
+            "value": str(value)}
+
+
+def chi_line_json(r: int, a: int) -> str:
+    value = chi_line_bundle(HypersurfaceContext(r), a)
+    return document("chi", {"r": r, "mode": "line", "a": a}, [rational_dict(value)])
+
+
+def chi_bundle_json(r: int, inv: BundleInvariants) -> str:
+    value = chi_bundle(HypersurfaceContext(r), inv)
+    inputs = {"r": r, "mode": "bundle", "bundle": bundle_dict(inv)}
+    return document("chi", inputs, [rational_dict(value)])
+
+
+def genus_json(r: int, inv: BundleInvariants) -> str:
+    value = genus_general(HypersurfaceContext(r), inv)
+    return document("genus", {"r": r, "bundle": bundle_dict(inv)}, [rational_dict(value)])
+
+
+def twist_json(r: int, inv: BundleInvariants, n: int) -> str:
+    result = twist(HypersurfaceContext(r), inv, n)
+    return document("twist", {"r": r, "bundle": bundle_dict(inv), "n": n},
+                    [bundle_dict(result)])
+
+
+def selfcheck_json(results) -> str:
+    return document("selfcheck", {}, [
+        {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results])
+
+
 def enumerate_json(k: int) -> str:
     results = [
         {"k": row.k, "c1": row.c1, "lower": row.interval.lower,
@@ -62,23 +101,26 @@ def enumerate_csv(k: int) -> str:
     return buffer.getvalue()
 
 
-def extensions_json(r: int, pool: str, path: str) -> str:
-    witnesses = extensions.extension_quadruples(
-        r, pool, source=extensions.load_catalog(path))
+def _source(path: str | None) -> extensions.Catalog | None:
+    return None if path is None else extensions.load_catalog(path)
+
+
+def extensions_json(r: int, pool: str, path: str | None) -> str:
+    witnesses = extensions.extension_quadruples(r, pool, source=_source(path))
     return document("extensions", {"r": r, "pool": pool, "catalog": path},
                     witness_dicts(witnesses))
 
 
-def decompose_json(r: int, target: BundleInvariants, pool: str, path: str) -> str:
-    witnesses = extensions.decompose(r, target, pool,
-                                     source=extensions.load_catalog(path))
+def decompose_json(r: int, target: BundleInvariants, pool: str,
+                   path: str | None) -> str:
+    witnesses = extensions.decompose(r, target, pool, source=_source(path))
     inputs = {"r": r, "target": bundle_dict(target), "pool": pool,
               "expect_witness": False, "catalog": path}
     return document("decompose", inputs, witness_dicts(witnesses))
 
 
-def coverage_json(k: int, path: str) -> str:
-    items = extensions.coverage_report(k, source=extensions.load_catalog(path)).items
+def coverage_json(k: int, path: str | None) -> str:
+    items = extensions.coverage_report(k, source=_source(path)).items
     results = [
         {**bundle_dict(item.invariants), "genus": item.genus,
          "status": item.status, "origin": item.origin,

@@ -1,8 +1,9 @@
 """The CLI's template-written schema-v1 JSON and ``enumerate`` CSV against
 the whole-document ``json.dumps`` and ``csv.writer`` renderings in
-``json_oracles``, byte for byte: every rank k in 2..60, and random catalog
+``json_oracles``, byte for byte: every rank k in 2..60; random catalog
 files, behind a path with non-ASCII characters and JSON escapes, for
-``extensions``, ``decompose`` and ``coverage``."""
+``extensions``, ``decompose`` and ``coverage``; random chi, genus and twist
+queries; and selfcheck results, passing and failing."""
 
 import contextlib
 import io
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import json_oracles as oracle
-from acmbundles import cli
+from acmbundles import cli, selfcheck
 from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext
 from acmbundles.extensions import POOL_NORMALIZED, POOL_STAR, extend_rank2
 
@@ -39,6 +40,22 @@ def test_enumerate_matches_oracle():
     for k in range(2, 61):
         assert run("enumerate", "--k", k, "--format", "json") == (0, oracle.enumerate_json(k)), k
         assert run("enumerate", "--k", k, "--format", "csv") == (0, oracle.enumerate_csv(k)), k
+
+
+def test_builtin_catalog_matches_oracle():
+    # the built-in catalog gives coverage items with extension witnesses,
+    # which random catalogs seldom do
+    for r in (3, 4):
+        for pool in (POOL_STAR, POOL_NORMALIZED):
+            assert run("extensions", "--r", r, "--pool", pool, "--format", "json") == (
+                0, oracle.extensions_json(r, pool, None))
+            for quad in ((4, 5, 46, 52), (4, 4, 31, 29), (4, 1, 6, 4)):
+                target = ",".join(map(str, quad))
+                assert run("decompose", "--r", r, "--target", target, "--pool", pool,
+                           "--format", "json") == (
+                    0, oracle.decompose_json(r, BundleInvariants(*quad), pool, None))
+    for k in (3, 4):
+        assert run("coverage", "--k", k, "--format", "json") == (0, oracle.coverage_json(k, None))
 
 
 @st.composite
@@ -76,3 +93,30 @@ def test_catalog_commands_match_oracle(tmp_path_factory, case):
         oracle.decompose_json, r, target, pool, catalog)
     assert run("coverage", "--k", k, "--catalog", catalog,
                "--format", "json") == expected(oracle.coverage_json, k, catalog)
+
+
+@settings(max_examples=200, deadline=None)
+@given(r=st.integers(1, 8), a=st.integers(-30, 30), n=st.integers(-6, 6),
+       quad=st.tuples(st.integers(1, 6), st.integers(-12, 12),
+                      st.integers(-60, 60), st.integers(-60, 60)))
+def test_small_queries_match_oracle(r, a, n, quad):
+    inv = BundleInvariants(*quad)
+    bundle = ",".join(map(str, quad))
+    assert run("chi", "--r", r, "--line", "-a", a, "--format", "json") == expected(
+        oracle.chi_line_json, r, a)
+    assert run("chi", "--r", r, "--bundle", bundle, "--format", "json") == expected(
+        oracle.chi_bundle_json, r, inv)
+    assert run("genus", "--r", r, "--bundle", bundle, "--format", "json") == expected(
+        oracle.genus_json, r, inv)
+    assert run("twist", "--r", r, "--bundle", bundle, "-n", n, "--format", "json") == expected(
+        oracle.twist_json, r, inv, n)
+
+
+def test_selfcheck_matches_oracle(monkeypatch):
+    results = selfcheck.run_all()
+    assert run("selfcheck", "--format", "json") == (0, oracle.selfcheck_json(results))
+    # a failed check, with a detail that json.dumps must escape
+    failing = [selfcheck.CheckResult("twist-roundtrip", False, 'é∂ "q" \\ at (4;1,6,4)'),
+               *results[1:]]
+    monkeypatch.setattr(selfcheck, "run_all", lambda: failing)
+    assert run("selfcheck", "--format", "json") == (1, oracle.selfcheck_json(failing))
