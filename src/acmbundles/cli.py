@@ -193,7 +193,6 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
 
 
 def _enumerate_record(row: constraints.EnumerationRow) -> str:
-    # entries are evaluated from the row's forms
     (s3, t3), (sg, tg) = row.c3_form, row.genus_form
     values = row.c2_values
     c2_values = _json_list([f"        {c2}" for c2 in values], "      ")
