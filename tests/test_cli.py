@@ -22,9 +22,12 @@ GOLDEN_CASES = {
     "enumerate_k4": ["enumerate", "--k", "4"],
     "enumerate_k5": ["enumerate", "--k", "5"],
     "extensions_r4_star": ["extensions", "--r", "4", "--pool", "star"],
+    "extensions_r4_normalized": ["extensions", "--r", "4", "--pool", "normalized"],
     "decompose_r4": ["decompose", "--r", "4", "--target", "4,5,46,52"],
     "decompose_none": ["decompose", "--r", "4", "--target", "4,1,6,4",
                        "--pool", "normalized"],
+    "decompose_tie": ["decompose", "--r", "4", "--target", "4,2,12,8",
+                      "--pool", "normalized"],
     "coverage_k4": ["coverage", "--k", "4"],
     "selfcheck": ["selfcheck"],
 }
