@@ -104,25 +104,27 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
     )
 
 
-def _witness_record(w: extensions.ExtensionWitness) -> str:
-    left, right, result = w.left, w.right, w.result
-    return (f'    {{\n      "left": {{\n        "c1": {left.c1},\n'
-            f'        "c2": {left.c2}\n      }},\n      "result": {{\n'
-            f'        "c1": {result.c1},\n        "c2": {result.c2},\n'
-            f'        "c3": {result.c3},\n        "k": {result.k}\n      }},\n'
-            f'      "right": {{\n        "c1": {right.c1},\n'
-            f'        "c2": {right.c2}\n      }}\n    }}')
+def _witness_record(c1, c2, c3, left_c1, left_c2, right_c1, right_c2, *_) -> str:
+    return (f'    {{\n      "left": {{\n        "c1": {left_c1},\n'
+            f'        "c2": {left_c2}\n      }},\n      "result": {{\n'
+            f'        "c1": {c1},\n        "c2": {c2},\n'
+            f'        "c3": {c3},\n        "k": 4\n      }},\n'
+            f'      "right": {{\n        "c1": {right_c1},\n'
+            f'        "c2": {right_c2}\n      }}\n    }}')
 
 
-def _emit_witnesses(args, inputs: dict, witnesses, table) -> tuple[str, int]:
+def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[str, int]:
+    """Render extension rows, (c1, c2, c3, left_c1, left_c2, right_c1,
+    right_c2, ...) as :func:`extensions.extension_rows` gives them; the
+    result's rank is 4."""
     return _emit(
         args, inputs,
-        results=lambda: list(map(_witness_record, witnesses)),
+        results=lambda: [_witness_record(*row) for row in rows],
         table=table,
-        csv_text=lambda: _csv(
-            ["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"],
-            ([w.left.c1, w.left.c2, w.right.c1, w.right.c2, *w.result.quadruple()]
-             for w in witnesses)),
+        # integer cells only, which csv never quotes
+        csv_text=lambda: "left_c1,left_c2,right_c1,right_c2,k,c1,c2,c3\n" + "".join([
+            f"{row[3]},{row[4]},{row[5]},{row[6]},4,{row[0]},{row[1]},{row[2]}\n"
+            for row in rows]),
     )
 
 
@@ -230,12 +232,12 @@ def cmd_enumerate(args) -> tuple[str, int]:
 
 
 def cmd_extensions(args) -> tuple[str, int]:
-    witnesses = extensions.extension_quadruples(args.r, args.pool,
-                                                source=_load_source(args))
+    rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args))
     return _emit_witnesses(
-        args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, witnesses,
+        args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, rows,
         lambda: _columns([["left", "right", "result"], *(
-            [str(w.left), str(w.right), str(w.result)] for w in witnesses)]),
+            [f"({left_c1},{left_c2})", f"({right_c1},{right_c2})", f"(4;{c1},{c2},{c3})"]
+            for c1, c2, c3, left_c1, left_c2, right_c1, right_c2, *_ in rows)]),
     )
 
 
@@ -247,8 +249,10 @@ def cmd_decompose(args) -> tuple[str, int]:
         raise DomainError(f"no decomposition of {target} over the {args.pool} pool")
     inputs = {"r": args.r, "target": _bundle_dict(target), "pool": args.pool,
               "expect_witness": args.expect_witness, "catalog": args.catalog}
+    rows = [(w.result.c1, w.result.c2, w.result.c3, *w.left.pair, *w.right.pair)
+            for w in witnesses]
     return _emit_witnesses(
-        args, inputs, witnesses,
+        args, inputs, rows,
         lambda: "".join(f"{w} -> {w.result}\n" for w in witnesses)
         or "no decomposition\n",
     )

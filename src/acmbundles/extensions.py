@@ -28,6 +28,7 @@ __all__ = [
     "catalog",
     "extend_rank2",
     "ExtensionWitness",
+    "extension_rows",
     "extension_quadruples",
     "decompose",
     "POOL_NORMALIZED",
@@ -180,6 +181,11 @@ def catalog(r: int, source: Catalog | None = None) -> list[Rank2CatalogEntry]:
     return (source or BUILTIN_CATALOG).for_degree(r)
 
 
+def _extension(r: int, a1: int, a2: int, b1: int, b2: int) -> tuple[int, int, int]:
+    # the (c1, c2, c3) of extend_rank2, on plain integers
+    return a1 + b1, a2 + r * a1 * b1 + b2, a2 * b1 + a1 * b2
+
+
 def extend_rank2(
     ctx: HypersurfaceContext,
     e1: tuple[int, int],
@@ -195,9 +201,7 @@ def extend_rank2(
     The cross term in c2 is the intersection number of the two divisor
     classes, hence the factor r; on the quartic it is the literal 4.
     """
-    a1, a2 = e1
-    b1, b2 = e2
-    return BundleInvariants(4, a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2)
+    return BundleInvariants(4, *_extension(ctx.r, *e1, *e2))
 
 
 @dataclass(frozen=True)
@@ -216,12 +220,22 @@ class ExtensionWitness:
         return f"{self.left}+{self.right}"
 
 
-def _make_witness(
-    ctx: HypersurfaceContext, a: Rank2CatalogEntry, b: Rank2CatalogEntry
-) -> ExtensionWitness:
-    if b.pair < a.pair:
-        a, b = b, a
-    return ExtensionWitness(a, b, extend_rank2(ctx, a.pair, b.pair))
+def _sorted_rows(r: int, pairs) -> list[tuple]:
+    """One row per pair of entries, sorted; see :func:`extension_rows`.
+    ``position`` counts the pairs in the order given."""
+    rows = []
+    for position, (a, b) in enumerate(pairs):
+        a1, a2, b1, b2 = a.c1, a.c2, b.c1, b.c2
+        if b1 < a1 or (b1 == a1 and b2 < a2):
+            a1, a2, a, b1, b2, b = b1, b2, b, a1, a2, a
+        rows.append((*_extension(r, a1, a2, b1, b2), a1, a2, b1, b2, position, a, b))
+    rows.sort()
+    return rows
+
+
+def _witnesses(rows) -> list[ExtensionWitness]:
+    return [ExtensionWitness(a, b, BundleInvariants(4, c1, c2, c3))
+            for c1, c2, c3, _, _, _, _, _, a, b in rows]
 
 
 POOL_NORMALIZED = "normalized"  # the full classification list
@@ -236,6 +250,24 @@ def _pool_entries(entries: list[Rank2CatalogEntry], pool: str) -> list[Rank2Cata
     raise DomainError(f"unknown pool {pool!r}; expected 'star' or 'normalized'")
 
 
+def extension_rows(
+    r: int, pool: str = POOL_STAR, source: Catalog | None = None
+) -> list[tuple]:
+    """:func:`extension_quadruples` as integer rows
+
+    (c1, c2, c3, left_c1, left_c2, right_c1, right_c2, position, left, right)
+
+    in the same order: (c1, c2, c3) are the extension's invariants (its rank
+    is 4), left <= right in (c1, c2) order, and ``position`` is the pair's
+    index in ``combinations_with_replacement`` order over the pool.  A
+    position is unique, so it settles ties (a Catalog built directly may
+    repeat a class) in that order, and rows never compare the entries.
+    """
+    ctx = HypersurfaceContext(r)
+    entries = _pool_entries(catalog(r, source), pool)
+    return _sorted_rows(ctx.r, combinations_with_replacement(entries, 2))
+
+
 def extension_quadruples(
     r: int, pool: str = POOL_STAR, source: Catalog | None = None
 ) -> list[ExtensionWitness]:
@@ -246,14 +278,7 @@ def extension_quadruples(
     Sorted by resulting quadruple, then by left entry; pairs producing the
     same quadruple are all retained.
     """
-    ctx = HypersurfaceContext(r)
-    entries = _pool_entries(catalog(r, source), pool)
-    witnesses = [
-        _make_witness(ctx, a, b)
-        for a, b in combinations_with_replacement(entries, 2)
-    ]
-    witnesses.sort(key=ExtensionWitness.sort_key)
-    return witnesses
+    return _witnesses(extension_rows(r, pool, source))
 
 
 def decompose(
@@ -294,9 +319,8 @@ def decompose(
         # combinations_with_replacement, the self-pair (a, a) included
         for j in positions.get(partner, ()):
             if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
-                hits.append(_make_witness(ctx, a, entries[j]))
-    hits.sort(key=ExtensionWitness.sort_key)
-    return hits
+                hits.append((a, entries[j]))
+    return _witnesses(_sorted_rows(ctx.r, hits))
 
 
 STATUS_EXTENSION = "realized-by-extension"

@@ -1,12 +1,15 @@
 """Whole-document ``json.dumps`` and ``csv.writer`` renderings of the CLI's
-outputs, kept as test oracles for the record templates in ``cli``.
+outputs, and ``str``-built witness tables, kept as test oracles for the
+record templates in ``cli``.
 
-``cli`` writes schema-v1 JSON from fixed per-record templates and
-``enumerate``'s CSV from each row's c3/genus forms.  These builders instead
-make the dict tree and the CSV rows the obvious way, from ``row.entries``,
-the witness objects and the library's values, and serialize them with the
+``cli`` writes schema-v1 JSON from fixed per-record templates, ``enumerate``'s
+CSV from each row's c3/genus forms, and the ``extensions`` listing in every
+format from integer rows.  These builders instead make the dict tree, the
+CSV rows and the table cells the obvious way, from ``row.entries``, the
+witness objects and the library's values, and serialize them with the
 standard library, so a slip in a template (a key out of order, a missing
-comma, a wrong indent, an unescaped string) shows as a byte mismatch.
+comma, a wrong indent, an unescaped string, a cell in the wrong column)
+shows as a byte mismatch.
 """
 
 from __future__ import annotations
@@ -92,31 +95,69 @@ def enumerate_json(k: int) -> str:
     return document("enumerate", {"k": k}, results)
 
 
-def enumerate_csv(k: int) -> str:
+def csv_text(rows: list[list]) -> str:
     buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows(
-        [["k", "c1", "c2", "c3", "g"]]
-        + [[row.k, row.c1, e.c2, e.c3, e.genus]
-           for row in constraints.enumerate_acm_r4(k) for e in row.entries])
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
     return buffer.getvalue()
+
+
+def enumerate_csv(k: int) -> str:
+    return csv_text([["k", "c1", "c2", "c3", "g"]]
+                    + [[row.k, row.c1, e.c2, e.c3, e.genus]
+                       for row in constraints.enumerate_acm_r4(k) for e in row.entries])
+
+
+def witness_csv(witnesses) -> str:
+    return csv_text([["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"]]
+                    + [[w.left.c1, w.left.c2, w.right.c1, w.right.c2, *w.result.quadruple()]
+                       for w in witnesses])
 
 
 def _source(path: str | None) -> extensions.Catalog | None:
     return None if path is None else extensions.load_catalog(path)
 
 
+def _extensions(r: int, pool: str, path: str | None):
+    return extensions.extension_quadruples(r, pool, source=_source(path))
+
+
 def extensions_json(r: int, pool: str, path: str | None) -> str:
-    witnesses = extensions.extension_quadruples(r, pool, source=_source(path))
     return document("extensions", {"r": r, "pool": pool, "catalog": path},
-                    witness_dicts(witnesses))
+                    witness_dicts(_extensions(r, pool, path)))
+
+
+def extensions_csv(r: int, pool: str, path: str | None) -> str:
+    return witness_csv(_extensions(r, pool, path))
+
+
+def extensions_table(r: int, pool: str, path: str | None) -> str:
+    cells = [["left", "right", "result"]] + [
+        [str(w.left), str(w.right), str(w.result)] for w in _extensions(r, pool, path)]
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
+    return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                   + "\n" for row in cells)
+
+
+def _decompose(r: int, target: BundleInvariants, pool: str, path: str | None):
+    return extensions.decompose(r, target, pool, source=_source(path))
 
 
 def decompose_json(r: int, target: BundleInvariants, pool: str,
                    path: str | None) -> str:
-    witnesses = extensions.decompose(r, target, pool, source=_source(path))
     inputs = {"r": r, "target": bundle_dict(target), "pool": pool,
               "expect_witness": False, "catalog": path}
-    return document("decompose", inputs, witness_dicts(witnesses))
+    return document("decompose", inputs, witness_dicts(_decompose(r, target, pool, path)))
+
+
+def decompose_csv(r: int, target: BundleInvariants, pool: str,
+                  path: str | None) -> str:
+    return witness_csv(_decompose(r, target, pool, path))
+
+
+def decompose_table(r: int, target: BundleInvariants, pool: str,
+                    path: str | None) -> str:
+    return "".join(f"{w} -> {w.result}\n" for w in _decompose(r, target, pool, path)) \
+        or "no decomposition\n"
 
 
 def coverage_json(k: int, path: str | None) -> str:

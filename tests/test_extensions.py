@@ -26,6 +26,7 @@ from acmbundles.extensions import (
     decompose,
     extend_rank2,
     extension_quadruples,
+    extension_rows,
     load_catalog,
 )
 
@@ -164,6 +165,22 @@ class TestExtensionQuadruples:
     def test_unclassified_degree_rejected(self):
         with pytest.raises(UnsupportedDegree):
             extension_quadruples(5)
+        # the degree itself is checked before the catalog is looked up
+        with pytest.raises(DomainError, match="hypersurface degree"):
+            extension_rows(0)
+
+    @pytest.mark.parametrize("pool", [POOL_STAR, POOL_NORMALIZED])
+    def test_rows_carry_the_witnesses(self, pool):
+        rows = extension_rows(4, pool)
+        assert [(*row[:7], *row[8:]) for row in rows] == [
+            (*w.result.quadruple()[1:], *w.left.pair, *w.right.pair, w.left, w.right)
+            for w in extension_quadruples(4, pool)]
+        # a row's position is its pair's index in combinations_with_replacement
+        entries = [e for e in catalog(4) if pool == POOL_NORMALIZED or e.satisfies_star]
+        pairs = list(combinations_with_replacement(entries, 2))
+        assert sorted(row[7] for row in rows) == list(range(len(pairs)))
+        for *_, position, left, right in rows:
+            assert {left, right} == set(pairs[position])
 
 
 class TestDecompose:

@@ -1,9 +1,10 @@
-"""The CLI's template-written schema-v1 JSON and ``enumerate`` CSV against
-the whole-document ``json.dumps`` and ``csv.writer`` renderings in
-``json_oracles``, byte for byte: every rank k in 2..60; random catalog
-files, behind a path with non-ASCII characters and JSON escapes, for
-``extensions``, ``decompose`` and ``coverage``; random chi, genus and twist
-queries; and selfcheck results, passing and failing."""
+"""The CLI's template-written schema-v1 JSON, ``enumerate`` CSV and witness
+listings against the whole-document ``json.dumps``, ``csv.writer`` and
+``str`` renderings in ``json_oracles``, byte for byte: every rank k in
+2..60; random catalog files, behind a path with non-ASCII characters and
+JSON escapes, for ``extensions`` and ``decompose`` in every format and
+``coverage`` as JSON; random chi, genus and twist queries; and selfcheck
+results, passing and failing."""
 
 import contextlib
 import io
@@ -19,6 +20,12 @@ from acmbundles.extensions import POOL_NORMALIZED, POOL_STAR, extend_rank2
 # a catalog file name that json.dumps must escape: non-ASCII, a quote and a
 # backslash
 CATALOG_NAME = 'katalog é∂ "q" \\ .txt'
+
+# format -> the oracle's rendering of each witness listing
+EXTENSIONS = {"json": oracle.extensions_json, "csv": oracle.extensions_csv,
+              "table": oracle.extensions_table}
+DECOMPOSE = {"json": oracle.decompose_json, "csv": oracle.decompose_csv,
+             "table": oracle.decompose_table}
 
 
 def run(*argv) -> tuple[int, str]:
@@ -86,11 +93,13 @@ def test_catalog_commands_match_oracle(tmp_path_factory, case):
     path = tmp_path_factory.getbasetemp() / CATALOG_NAME
     path.write_text(text, encoding="utf-8")
     catalog = str(path)
-    assert run("extensions", "--r", r, "--pool", pool, "--catalog", catalog,
-               "--format", "json") == expected(oracle.extensions_json, r, pool, catalog)
-    assert run("decompose", "--r", r, "--target", ",".join(map(str, target.quadruple())),
-               "--pool", pool, "--catalog", catalog, "--format", "json") == expected(
-        oracle.decompose_json, r, target, pool, catalog)
+    quad = ",".join(map(str, target.quadruple()))
+    for fmt in EXTENSIONS:
+        assert run("extensions", "--r", r, "--pool", pool, "--catalog", catalog,
+                   "--format", fmt) == expected(EXTENSIONS[fmt], r, pool, catalog)
+        assert run("decompose", "--r", r, "--target", quad, "--pool", pool,
+                   "--catalog", catalog, "--format", fmt) == expected(
+            DECOMPOSE[fmt], r, target, pool, catalog)
     assert run("coverage", "--k", k, "--catalog", catalog,
                "--format", "json") == expected(oracle.coverage_json, k, catalog)
 

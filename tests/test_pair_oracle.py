@@ -1,7 +1,8 @@
-"""``decompose``, which solves for the forced partner of each class, against
-the exhaustive pair scan in ``pair_oracles``: the same witnesses in the same
-order and with the same multiplicity, on hand-built catalogs that may repeat
-a class and on targets that are, nearly are, or are not pair sums."""
+"""``decompose``, which solves for the forced partner of each class, and
+``extension_quadruples``, which sorts integer rows, against the exhaustive
+pair scan in ``pair_oracles``: the same witnesses in the same order and with
+the same multiplicity, on hand-built catalogs that may repeat a class and on
+targets that are, nearly are, or are not pair sums."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from acmbundles.extensions import (
     Rank2CatalogEntry,
     decompose,
     extend_rank2,
+    extension_quadruples,
 )
 
 POOLS = (POOL_STAR, POOL_NORMALIZED)
@@ -76,3 +78,13 @@ def cases(draw):
 def test_decompose_matches_pair_scan(case):
     r, source, target, pool = case
     assert decompose(r, target, pool, source) == oracle.decompose(r, target, pool, source)
+
+
+@settings(max_examples=300, deadline=None)
+@given(catalogs(), st.sampled_from(POOLS))
+def test_extension_quadruples_match_pair_scan(case, pool):
+    # repeated classes tie on every integer, so this pins the tie order
+    r, entries = case
+    source = Catalog(tuple(entries))
+    assert extension_quadruples(r, pool, source) == oracle.extension_quadruples(
+        r, pool, source)
