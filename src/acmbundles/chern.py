@@ -153,9 +153,9 @@ def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
            + (r k/24) (5-r) (r^2-5r+10)
     """
     r = ctx.r
-    k, c1, c2, c3 = inv.quadruple()
+    k, c1, c2 = inv.k, inv.c1, inv.c2
     return Fraction(
-        4 * r * c1**3 - 12 * c1 * c2 + 12 * c3 + 6 * r * (5 - r) * c1 * c1
+        4 * r * c1**3 - 12 * c1 * c2 + 12 * inv.c3 + 6 * r * (5 - r) * c1 * c1
         - 12 * (5 - r) * c2 + 2 * r * _theta(r) * c1
         + r * k * (5 - r) * (r * r - 5 * r + 10),
         24,
@@ -174,10 +174,10 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     typos.
     """
     r = ctx.r
-    k, c1, c2, c3 = inv.quadruple()
+    k, c1, c2 = inv.k, inv.c1, inv.c2
     new_c2 = _divide_exact(2 * c2 + r * n * (k - 1) * (2 * c1 + n * k), 2, "twisted c2")
     new_c3 = _divide_exact(
-        6 * c3
+        6 * inv.c3
         + (k - 2) * n * (6 * c2 + 3 * (k - 1) * n * r * c1 + r * n * n * k * (k - 1)),
         6,
         "twisted c3",

@@ -1,6 +1,7 @@
 """The self-verification suite itself: green on a healthy build, red when a
 coefficient is corrupted, and byte-stable between runs."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -100,3 +101,84 @@ def test_repeated_decompose_hit_is_caught(monkeypatch):
     monkeypatch.setattr(extensions, "decompose", repeating)
     failed = {result.name for result in selfcheck.run_all() if not result.passed}
     assert "decompose-exhaustive" in failed
+
+
+def failed_checks():
+    return {result.name for result in selfcheck.run_all() if not result.passed}
+
+
+def test_quartic_chi_under_twisting_is_caught(monkeypatch):
+    # c1 -> c1 + k n makes c1^4 quartic in n: a nonzero fourth difference
+    real = chern.chi_bundle
+    monkeypatch.setattr(chern, "chi_bundle", lambda ctx, inv: real(ctx, inv) + inv.c1**4)
+    assert "chi-twist-cubic" in failed_checks()
+
+
+def test_chi_off_z24_is_caught(monkeypatch):
+    # a constant shift leaves every fourth difference zero; only the
+    # denominator shows it
+    real = chern.chi_bundle
+    monkeypatch.setattr(chern, "chi_bundle", lambda ctx, inv: real(ctx, inv) + Fraction(1, 48))
+    results = {result.name: result for result in selfcheck.run_all()}
+    assert not results["chi-twist-cubic"].passed
+    assert "Z/24" in results["chi-twist-cubic"].detail
+
+
+def test_quadratic_c3_drift_in_twist_is_caught(monkeypatch):
+    real = chern.twist
+
+    def drifting(ctx, inv, n):
+        twisted = real(ctx, inv, n)
+        return BundleInvariants(twisted.k, twisted.c1, twisted.c2, twisted.c3 + n * n)
+
+    monkeypatch.setattr(chern, "twist", drifting)
+    assert {"twist-roundtrip", "twist-additive"} & failed_checks()
+
+
+def test_acm_sample_is_drawn_on_every_call(monkeypatch):
+    assert not {name for name in failed_checks() if name.startswith("acm-")}
+    real = constraints._acm_affine
+
+    def shifted(k, c1):
+        (slope, intercept), genus = real(k, c1)
+        return (slope, intercept + 2), genus
+
+    monkeypatch.setattr(constraints, "_acm_affine", shifted)
+    assert "acm-chi-twist-vanishing" in failed_checks()
+
+
+def test_witness_count_is_counted(monkeypatch):
+    real = extensions.extension_quadruples
+    monkeypatch.setattr(
+        extensions, "extension_quadruples", lambda *args, **kwargs: real(*args, **kwargs)[1:]
+    )
+    results = {result.name: result for result in selfcheck.run_all()}
+    assert results["star-extensions-admissible"].detail == "9 witnesses"
+    assert results["extension-genus"].detail == "9 quadruples"
+    assert not results["star-extensions-admissible"].passed
+    assert not results["extension-genus"].passed
+
+
+def test_draws_follow_randint(monkeypatch):
+    # every range a run draws from yields randint's stream, so a Python whose
+    # randint changes fails here instead of silently changing the sample
+    real = selfcheck._draw
+    ranges = set()
+
+    def recording(rng, lo, hi):
+        ranges.add((lo, hi))
+        return real(rng, lo, hi)
+
+    def refused(self, lo, hi):
+        raise AssertionError("selfcheck draws ranges through _draw")
+
+    monkeypatch.setattr(selfcheck, "_draw", recording)
+    monkeypatch.setattr(random.Random, "randint", refused)
+    selfcheck.run_all()
+    monkeypatch.undo()
+    assert ranges == {(1, 8), (2, 8), (-10, 10), (-20, 20), (-30, 30), (-50, 50), (-60, 60), (-80, 80)}
+    for lo, hi in sorted(ranges):
+        drawn, expected = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
+        assert [real(drawn, lo, hi) for _ in range(5000)] == [
+            expected.randint(lo, hi) for _ in range(5000)
+        ]
