@@ -10,6 +10,10 @@ from acmbundles import chern, constraints, extensions, selfcheck
 from acmbundles.chern import BundleInvariants, NonIntegral
 
 
+def failed_checks():
+    return {result.name for result in selfcheck.run_all() if not result.passed}
+
+
 def test_all_checks_pass():
     results = selfcheck.run_all()
     assert len(results) >= 12
@@ -46,8 +50,7 @@ def test_corrupted_bound_clause_is_caught(monkeypatch):
         )
 
     monkeypatch.setattr(constraints, "c2_interval_r4", widened)
-    failed = {result.name for result in selfcheck.run_all() if not result.passed}
-    assert "classification-table" in failed
+    assert "classification-table" in failed_checks()
 
 
 def corrupt_numerators(monkeypatch, module):
@@ -79,6 +82,8 @@ def test_corrupted_twist_numerator_trips_the_guard(monkeypatch):
 
 
 def test_corrupted_acm_row_is_caught(monkeypatch):
+    # a healthy run first: the ACM sample must be built afresh on every call
+    assert not {name for name in failed_checks() if name.startswith("acm-")}
     real = constraints._acm_affine
 
     def shifted(k, c1):
@@ -86,8 +91,7 @@ def test_corrupted_acm_row_is_caught(monkeypatch):
         return (slope, intercept + 2), genus
 
     monkeypatch.setattr(constraints, "_acm_affine", shifted)
-    failed = {result.name for result in selfcheck.run_all() if not result.passed}
-    assert {"acm-chi-twist-vanishing", "classification-table"} <= failed
+    assert {"acm-chi-twist-vanishing", "classification-table"} <= failed_checks()
 
 
 def test_repeated_decompose_hit_is_caught(monkeypatch):
@@ -99,12 +103,7 @@ def test_repeated_decompose_hit_is_caught(monkeypatch):
         return hits[:1] + hits
 
     monkeypatch.setattr(extensions, "decompose", repeating)
-    failed = {result.name for result in selfcheck.run_all() if not result.passed}
-    assert "decompose-exhaustive" in failed
-
-
-def failed_checks():
-    return {result.name for result in selfcheck.run_all() if not result.passed}
+    assert "decompose-exhaustive" in failed_checks()
 
 
 def test_quartic_chi_under_twisting_is_caught(monkeypatch):
@@ -133,18 +132,6 @@ def test_quadratic_c3_drift_in_twist_is_caught(monkeypatch):
 
     monkeypatch.setattr(chern, "twist", drifting)
     assert {"twist-roundtrip", "twist-additive"} & failed_checks()
-
-
-def test_acm_sample_is_drawn_on_every_call(monkeypatch):
-    assert not {name for name in failed_checks() if name.startswith("acm-")}
-    real = constraints._acm_affine
-
-    def shifted(k, c1):
-        (slope, intercept), genus = real(k, c1)
-        return (slope, intercept + 2), genus
-
-    monkeypatch.setattr(constraints, "_acm_affine", shifted)
-    assert "acm-chi-twist-vanishing" in failed_checks()
 
 
 def test_witness_count_is_counted(monkeypatch):
@@ -176,7 +163,9 @@ def test_draws_follow_randint(monkeypatch):
     monkeypatch.setattr(random.Random, "randint", refused)
     selfcheck.run_all()
     monkeypatch.undo()
-    assert ranges == {(1, 8), (2, 8), (-10, 10), (-20, 20), (-30, 30), (-50, 50), (-60, 60), (-80, 80)}
+    assert ranges == {
+        (1, 8), (2, 8), (-10, 10), (-20, 20), (-30, 30), (-50, 50), (-60, 60), (-80, 80)
+    }
     for lo, hi in sorted(ranges):
         drawn, expected = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
         assert [real(drawn, lo, hi) for _ in range(5000)] == [
