@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "Rational",
     "DomainError",
     "NonIntegral",
     "HypersurfaceContext",
@@ -32,11 +31,6 @@ __all__ = [
     "genus_general",
     "genus_r4",
 ]
-
-# Exact fraction type used throughout: always lowest terms with a positive
-# denominator, exact +,-,*,/ and ZeroDivisionError on zero denominators.
-Rational = Fraction
-
 
 class DomainError(ValueError):
     """Raised when an input lies outside an operation's mathematical domain."""
@@ -58,7 +52,7 @@ class NonIntegral(DomainError):
         super().__init__(message)
 
 
-def require_integer(x: Rational | int, context: str | None = None) -> int:
+def require_integer(x: Fraction | int, context: str | None = None) -> int:
     """Return ``x`` as an int, raising :class:`NonIntegral` if it is not one."""
     frac = Fraction(x)
     if frac.denominator != 1:
@@ -127,7 +121,7 @@ def _divide_exact(numerator: int, denominator: int, context: str) -> int:
     return quotient
 
 
-def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Rational:
+def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Fraction:
     """Euler characteristic of O_X(a) on the degree-r hypersurface X:
 
     chi(O_X(a)) = (r/6) a^3 + (r(5-r)/4) a^2
@@ -145,7 +139,7 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Rational:
     )
 
 
-def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
+def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     """Euler characteristic of a rank-k bundle with invariants (k; c1, c2, c3):
 
     chi(E) = (r/6) c1^3 - (1/2) c1 c2 + (1/2) c3 + (r(5-r)/4) c1^2
@@ -185,7 +179,7 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     return BundleInvariants(k, c1 + k * n, new_c2, new_c3)
 
 
-def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
+def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     """Arithmetic genus of the dependency-locus curve of a rank-k bundle, k >= 2:
 
     g = -(5/2) c2 + (1/2) c1 c2 + (1/2) c3 + (25/12) r + (r/2) c2
@@ -205,6 +199,6 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
     )
 
 
-def genus_r4(inv: BundleInvariants) -> Rational:
+def genus_r4(inv: BundleInvariants) -> Fraction:
     """Quartic-hypersurface genus: g = 1 + (c1 c2 - c2 + c3) / 2."""
     return Fraction(inv.c1 * inv.c2 - inv.c2 + inv.c3 + 2, 2)

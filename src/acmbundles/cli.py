@@ -14,6 +14,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 
 from . import constraints, extensions, selfcheck
@@ -368,10 +369,14 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         text, code = globals()[f"cmd_{args.command}"](args)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except (UsageError, DomainError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):
+            # the reader is gone; the flush at interpreter exit must not retry
+            sys.stdout = open(os.devnull, "w")
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
-    sys.stdout.write(text)
     return code
 
 

@@ -213,9 +213,6 @@ class ExtensionWitness:
     right: Rank2CatalogEntry
     result: BundleInvariants
 
-    def sort_key(self) -> tuple:
-        return (self.result.quadruple(), self.left.pair, self.right.pair)
-
     def __str__(self) -> str:
         return f"{self.left}+{self.right}"
 
@@ -281,6 +278,34 @@ def extension_quadruples(
     return _witnesses(extension_rows(r, pool, source))
 
 
+def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[ExtensionWitness]]:
+    """For each quadruple in ``quads``, every unordered pair of ``entries``
+    whose extension has it, in the order of :func:`extension_rows`.  The left
+    class (a1, a2) forces its partner, b1 = c1 - a1 and b2 = c2 - a2 - r a1 b1,
+    so one index of the pool by class, O(n), serves every quadruple at one
+    lookup per class, O(n), and only c3 is left to check.
+    """
+    # positions rather than one entry per class: a Catalog built directly
+    # may repeat a class, and each copy is its own witness
+    positions: dict[tuple[int, int], list[int]] = {}
+    for j, entry in enumerate(entries):
+        positions.setdefault(entry.pair, []).append(j)
+    found = []
+    for quad in quads:
+        _, c1, c2, _ = quad
+        hits = []
+        for i, a in enumerate(entries):
+            b1 = c1 - a.c1
+            partner = (b1, c2 - a.c2 - ctx.r * a.c1 * b1)
+            # j >= i yields each unordered pair once, in the order of
+            # combinations_with_replacement, the self-pair (a, a) included
+            for j in positions.get(partner, ()):
+                if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
+                    hits.append((a, entries[j]))
+        found.append(_witnesses(_sorted_rows(ctx.r, hits)))
+    return found
+
+
 def decompose(
     r: int,
     target: BundleInvariants,
@@ -288,12 +313,8 @@ def decompose(
     source: Catalog | None = None,
 ) -> list[ExtensionWitness]:
     """All unordered catalog pairs on the degree-r hypersurface whose
-    extension invariants equal ``target`` (which must have rank 4).
-
-    The left class (a1, a2) forces its partner: b1 = c1 - a1 and
-    b2 = c2 - a2 - r a1 b1, so only c3 is left to check.  The search is
-    one index of the pool by class, O(n), then one lookup per class, O(n),
-    instead of a scan of all n(n+1)/2 pairs.
+    extension invariants equal ``target`` (which must have rank 4), found in
+    O(n) by solving for each class's forced partner.
 
     An empty list is a definitive negative over the chosen pool: no pair of
     classified rank-two bundles can produce these invariants.
@@ -304,23 +325,7 @@ def decompose(
         )
     ctx = HypersurfaceContext(r)
     entries = _pool_entries(catalog(r, source), pool)
-    # positions rather than one entry per class: a Catalog built directly
-    # may repeat a class, and each copy is its own witness
-    positions: dict[tuple[int, int], list[int]] = {}
-    for j, entry in enumerate(entries):
-        positions.setdefault(entry.pair, []).append(j)
-    quad = target.quadruple()
-    _, c1, c2, _ = quad
-    hits = []
-    for i, a in enumerate(entries):
-        b1 = c1 - a.c1
-        partner = (b1, c2 - a.c2 - ctx.r * a.c1 * b1)
-        # j >= i yields each unordered pair once, in the order of
-        # combinations_with_replacement, the self-pair (a, a) included
-        for j in positions.get(partner, ()):
-            if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
-                hits.append((a, entries[j]))
-    return _witnesses(_sorted_rows(ctx.r, hits))
+    return _forced_pairs(ctx, entries, [target.quadruple()])[0]
 
 
 STATUS_EXTENSION = "realized-by-extension"
@@ -371,25 +376,19 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
     solely from the curve list, since a nontrivial extension needs both
     pieces of rank at least two.
     """
-    by_quadruple: dict[tuple[int, int, int, int], list[ExtensionWitness]] = {}
-    if k == 4:
-        for witness in extension_quadruples(4, POOL_STAR, source=source):
-            by_quadruple.setdefault(witness.result.quadruple(), []).append(witness)
-
+    cells = [(BundleInvariants(k, row.c1, entry.c2, entry.c3), entry.genus)
+             for row in constraints.enumerate_acm_r4(k) for entry in row.entries]
+    entries = _pool_entries(catalog(4, source), POOL_STAR) if k == 4 else []
+    found = _forced_pairs(HypersurfaceContext(4), entries,
+                          [inv.quadruple() for inv, _ in cells])
     items = []
-    for row in constraints.enumerate_acm_r4(k):
-        for entry in row.entries:
-            inv = BundleInvariants(k, row.c1, entry.c2, entry.c3)
-            quad = inv.quadruple()
-            witnesses = tuple(by_quadruple.get(quad, ()))
-            if witnesses:
-                status = STATUS_EXTENSION
-                origin = "extension: " + "; ".join(str(w) for w in witnesses)
-            elif quad in CURVE_REALIZED:
-                status = STATUS_CURVE
-                origin = CURVE_REALIZED[quad]
-            else:
-                status = STATUS_OPEN
-                origin = ""
-            items.append(CoverageItem(inv, entry.genus, status, origin, witnesses))
+    for (inv, genus), witnesses in zip(cells, found):
+        quad = inv.quadruple()
+        if witnesses:
+            status, origin = STATUS_EXTENSION, "extension: " + "; ".join(map(str, witnesses))
+        elif quad in CURVE_REALIZED:
+            status, origin = STATUS_CURVE, CURVE_REALIZED[quad]
+        else:
+            status, origin = STATUS_OPEN, ""
+        items.append(CoverageItem(inv, genus, status, origin, tuple(witnesses)))
     return CoverageReport(k, tuple(items))

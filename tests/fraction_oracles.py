@@ -15,7 +15,6 @@ from acmbundles.chern import (
     BundleInvariants,
     DomainError,
     HypersurfaceContext,
-    Rational,
     require_integer,
 )
 
@@ -25,7 +24,7 @@ def _theta(r: int) -> int:
     return (r - 5) ** 2 + (r * r - 5 * r + 10)
 
 
-def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Rational:
+def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Fraction:
     r = ctx.r
     return (
         Fraction(r, 6) * a**3
@@ -35,7 +34,7 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Rational:
     )
 
 
-def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
+def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     r = ctx.r
     k, c1, c2, c3 = inv.quadruple()
     return (
@@ -64,7 +63,7 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     )
 
 
-def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
+def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     if inv.k < 2:
         raise DomainError(f"genus needs a bundle of rank >= 2, got rank {inv.k}")
     r = ctx.r
@@ -81,7 +80,7 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Rational:
     )
 
 
-def genus_r4(inv: BundleInvariants) -> Rational:
+def genus_r4(inv: BundleInvariants) -> Fraction:
     return 1 + Fraction(inv.c1 * inv.c2 - inv.c2 + inv.c3, 2)
 
 

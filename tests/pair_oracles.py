@@ -1,11 +1,11 @@
-"""The exhaustive pair scan, kept as a test oracle for ``extensions.decompose``
-and ``extensions.extension_quadruples``.
+"""The exhaustive pair scan, kept as a test oracle for ``extensions.decompose``,
+``extensions.extension_quadruples`` and ``extensions.coverage_report``.
 
-``decompose`` solves for the partner each left class forces, and both build
-their witnesses from sorted integer rows.  This oracle instead tries every
-unordered pair of the pool (repetition allowed), the way the extension
-formulas read, orients each pair itself and sorts the witnesses by
-``ExtensionWitness.sort_key``, so a slip in the partner arithmetic, the c3
+``decompose`` and ``coverage_report`` solve for the partner each left class
+forces, and all three build their witnesses from sorted integer rows.  This
+oracle instead tries every unordered pair of the pool (repetition allowed),
+the way the extension formulas read, orients each pair itself and sorts the
+witnesses by :func:`sort_key`, so a slip in the partner arithmetic, the c3
 check, the orientation, the tie order or the pair bookkeeping shows as a
 mismatch.
 """
@@ -15,10 +15,16 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from acmbundles.chern import BundleInvariants, HypersurfaceContext
+from acmbundles.constraints import enumerate_acm_r4
 from acmbundles.extensions import (
-    Catalog,
-    ExtensionWitness,
+    CURVE_REALIZED,
     POOL_STAR,
+    STATUS_CURVE,
+    STATUS_EXTENSION,
+    STATUS_OPEN,
+    Catalog,
+    CoverageItem,
+    ExtensionWitness,
     RankUnsupported,
     _pool_entries,
     catalog,
@@ -33,6 +39,11 @@ def witness(ctx: HypersurfaceContext, a, b) -> ExtensionWitness:
     return ExtensionWitness(left, right, extend_rank2(ctx, left.pair, right.pair))
 
 
+def sort_key(w: ExtensionWitness) -> tuple:
+    """Resulting quadruple, then left class, then right class."""
+    return (w.result.quadruple(), w.left.pair, w.right.pair)
+
+
 def extension_quadruples(
     r: int, pool: str = POOL_STAR, source: Catalog | None = None
 ) -> list[ExtensionWitness]:
@@ -41,7 +52,7 @@ def extension_quadruples(
     ctx = HypersurfaceContext(r)
     entries = _pool_entries(catalog(r, source), pool)
     witnesses = [witness(ctx, a, b) for a, b in combinations_with_replacement(entries, 2)]
-    witnesses.sort(key=ExtensionWitness.sort_key)
+    witnesses.sort(key=sort_key)
     return witnesses
 
 
@@ -59,3 +70,26 @@ def decompose(
         )
     return [w for w in extension_quadruples(r, pool, source)
             if w.result.quadruple() == target.quadruple()]
+
+
+def coverage(k: int, source: Catalog | None = None) -> list[CoverageItem]:
+    """The items of ``coverage_report(k, source)``, with the star-pool
+    witnesses of each admissible quadruple grouped from the pair scan."""
+    by_quadruple: dict[tuple, list[ExtensionWitness]] = {}
+    if k == 4:
+        for w in extension_quadruples(4, POOL_STAR, source):
+            by_quadruple.setdefault(w.result.quadruple(), []).append(w)
+    items = []
+    for row in enumerate_acm_r4(k):
+        for entry in row.entries:
+            inv = BundleInvariants(k, row.c1, entry.c2, entry.c3)
+            witnesses = tuple(by_quadruple.get(inv.quadruple(), ()))
+            if witnesses:
+                status = STATUS_EXTENSION
+                origin = "extension: " + "; ".join(str(w) for w in witnesses)
+            elif inv.quadruple() in CURVE_REALIZED:
+                status, origin = STATUS_CURVE, CURVE_REALIZED[inv.quadruple()]
+            else:
+                status, origin = STATUS_OPEN, ""
+            items.append(CoverageItem(inv, entry.genus, status, origin, witnesses))
+    return items

@@ -12,7 +12,6 @@ from acmbundles.chern import (
     DomainError,
     HypersurfaceContext,
     NonIntegral,
-    Rational,
     chi_bundle,
     chi_line_bundle,
     genus_general,
@@ -50,26 +49,6 @@ rank2plus = st.builds(
     c3=st.integers(-80, 80),
 )
 contexts = st.integers(1, 8).map(HypersurfaceContext)
-
-
-class TestRationalContract:
-    def test_lowest_terms_and_positive_denominator(self):
-        assert Rational(6, 4) == Rational(3, 2)
-        assert Rational(6, 4).denominator == 2
-        assert Rational(1, -2).denominator == 2
-        assert Rational(1, -2).numerator == -1
-
-    def test_exact_arithmetic(self):
-        assert Rational(1, 3) + Rational(1, 6) == Rational(1, 2)
-        assert Rational(1, 3) * 3 == 1
-        assert Rational(7, 2) - Rational(1, 2) == 3
-        assert Rational(1, 7) / Rational(2, 7) == Rational(1, 2)
-
-    def test_division_by_zero(self):
-        with pytest.raises(ZeroDivisionError):
-            Rational(1, 0)
-        with pytest.raises(ZeroDivisionError):
-            Rational(1, 2) / 0
 
 
 class TestDomainTypes:

@@ -1,6 +1,10 @@
 """Exit codes, output formats, determinism, and golden-table equality."""
 
+import errno
+import io
 import json
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -401,3 +405,35 @@ class TestUsage:
         code, out, err = run_cli(capsys, *argv, "--catalog", "X")
         assert (code, out) == (2, "")
         assert "--catalog" in err
+
+
+class _FailingStdout(io.StringIO):
+    def __init__(self, exc):
+        super().__init__()
+        self.exc = exc
+
+    def write(self, text):
+        raise self.exc
+
+
+class TestWriteErrors:
+    # a closed reader and a full device: exit 1 with one error line, and
+    # after a broken pipe stdout points at the null device, so the flush at
+    # interpreter exit has nothing to fail on
+    @pytest.mark.parametrize("exc", [
+        BrokenPipeError(errno.EPIPE, "Broken pipe"),
+        OSError(errno.ENOSPC, "No space left on device"),
+    ])
+    def test_stdout_write_error_exits_cleanly(self, capsys, monkeypatch, exc):
+        failing = _FailingStdout(exc)
+        monkeypatch.setattr(sys, "stdout", failing)
+        code = cli.main(["chi", "--r", "4", "--line", "-a", "1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [f"error: {exc}"]
+        assert "Traceback" not in err
+        if isinstance(exc, BrokenPipeError):
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
+        else:
+            assert sys.stdout is failing

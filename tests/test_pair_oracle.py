@@ -1,8 +1,9 @@
-"""``decompose``, which solves for the forced partner of each class, and
-``extension_quadruples``, which sorts integer rows, against the exhaustive
-pair scan in ``pair_oracles``: the same witnesses in the same order and with
-the same multiplicity, on hand-built catalogs that may repeat a class and on
-targets that are, nearly are, or are not pair sums."""
+"""``decompose`` and ``coverage_report``, which solve for the forced partner
+of each class, and ``extension_quadruples``, which sorts integer rows,
+against the exhaustive pair scan in ``pair_oracles``: the same witnesses in
+the same order and with the same multiplicity, on hand-built catalogs that
+may repeat a class and on targets that are, nearly are, or are not pair
+sums."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from acmbundles.extensions import (
     Catalog,
     GlobalGeneration,
     Rank2CatalogEntry,
+    catalog,
+    coverage_report,
     decompose,
     extend_rank2,
     extension_quadruples,
@@ -88,3 +91,23 @@ def test_extension_quadruples_match_pair_scan(case, pool):
     source = Catalog(tuple(entries))
     assert extension_quadruples(r, pool, source) == oracle.extension_quadruples(
         r, pool, source)
+
+
+@st.composite
+def quartic_catalogs(draw):
+    # the built-in star classes planted, so every built-in witness recurs,
+    # and random classes near them, some repeated and some outside the star
+    # pool, so that new pairs land on admissible quadruples too
+    planted = [e.pair for e in catalog(4) if e.satisfies_star]
+    cls = st.tuples(st.integers(-1, 5), st.integers(0, 30))
+    drawn = draw(st.lists(cls, max_size=12))
+    repeats = draw(st.lists(st.sampled_from(planted + drawn), max_size=4))
+    entries = [entry(4, c1, c2) for c1, c2 in planted] + [
+        entry(4, c1, c2, draw(st.booleans())) for c1, c2 in drawn + repeats]
+    return Catalog(tuple(draw(st.permutations(entries))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(quartic_catalogs())
+def test_coverage_matches_pair_scan(source):
+    assert coverage_report(4, source).items == tuple(oracle.coverage(4, source))
