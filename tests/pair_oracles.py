@@ -83,12 +83,13 @@ def coverage(k: int, source: Catalog | None = None) -> list[CoverageItem]:
     for row in enumerate_acm_r4(k):
         for entry in row.entries:
             inv = BundleInvariants(k, row.c1, entry.c2, entry.c3)
-            witnesses = tuple(by_quadruple.get(inv.quadruple(), ()))
+            quad = inv.quadruple()
+            witnesses = tuple(by_quadruple.get(quad, ()))
             if witnesses:
                 status = STATUS_EXTENSION
                 origin = "extension: " + "; ".join(str(w) for w in witnesses)
-            elif inv.quadruple() in CURVE_REALIZED:
-                status, origin = STATUS_CURVE, CURVE_REALIZED[inv.quadruple()]
+            elif quad in CURVE_REALIZED:
+                status, origin = STATUS_CURVE, CURVE_REALIZED[quad]
             else:
                 status, origin = STATUS_OPEN, ""
             items.append(CoverageItem(inv, entry.genus, status, origin, witnesses))
