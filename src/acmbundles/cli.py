@@ -369,14 +369,17 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         text, code = globals()[f"cmd_{args.command}"](args)
-        sys.stdout.write(text)
-        sys.stdout.flush()
     except (UsageError, DomainError, OSError) as exc:
-        if isinstance(exc, BrokenPipeError):
-            # the reader is gone; the flush at interpreter exit must not retry
-            sys.stdout = open(os.devnull, "w")
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        # the output is lost; the flush at interpreter exit must not retry it
+        sys.stdout = open(os.devnull, "w")
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

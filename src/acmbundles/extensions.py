@@ -279,12 +279,10 @@ def extension_quadruples(
 
 
 def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[ExtensionWitness]]:
-    """For each quadruple in ``quads``, every unordered pair of ``entries``
-    whose extension has it, in the order of :func:`extension_rows`.  The left
-    class (a1, a2) forces its partner, b1 = c1 - a1 and b2 = c2 - a2 - r a1 b1,
-    so one index of the pool by class, O(n), serves every quadruple at one
-    lookup per class, O(n), and only c3 is left to check.
-    """
+    """For each quadruple in ``quads``, the pairs of ``entries`` extending to
+    it, in :func:`extension_rows` order.  A class (a1, a2) forces its partner,
+    b1 = c1 - a1 and b2 = c2 - a2 - r a1 b1, so one index of the pool by class
+    serves every quadruple at O(n) lookups, and only c3 is left to check."""
     # positions rather than one entry per class: a Catalog built directly
     # may repeat a class, and each copy is its own witness
     positions: dict[tuple[int, int], list[int]] = {}
@@ -378,17 +376,19 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
     """
     cells = [(BundleInvariants(k, row.c1, entry.c2, entry.c3), entry.genus)
              for row in constraints.enumerate_acm_r4(k) for entry in row.entries]
+    quads = [inv.quadruple() for inv, _ in cells]
     entries = _pool_entries(catalog(4, source), POOL_STAR) if k == 4 else []
-    found = _forced_pairs(HypersurfaceContext(4), entries,
-                          [inv.quadruple() for inv, _ in cells])
+    found = _forced_pairs(HypersurfaceContext(4), entries, quads)
     items = []
-    for (inv, genus), witnesses in zip(cells, found):
-        quad = inv.quadruple()
+    for (inv, genus), quad, witnesses in zip(cells, quads, found):
         if witnesses:
-            status, origin = STATUS_EXTENSION, "extension: " + "; ".join(map(str, witnesses))
+            status = STATUS_EXTENSION
+            origin = "extension: " + "; ".join(str(w) for w in witnesses)
         elif quad in CURVE_REALIZED:
-            status, origin = STATUS_CURVE, CURVE_REALIZED[quad]
+            status = STATUS_CURVE
+            origin = CURVE_REALIZED[quad]
         else:
-            status, origin = STATUS_OPEN, ""
+            status = STATUS_OPEN
+            origin = ""
         items.append(CoverageItem(inv, genus, status, origin, tuple(witnesses)))
     return CoverageReport(k, tuple(items))

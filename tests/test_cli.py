@@ -4,6 +4,7 @@ import errno
 import io
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -418,8 +419,8 @@ class _FailingStdout(io.StringIO):
 
 class TestWriteErrors:
     # a closed reader and a full device: exit 1 with one error line, and
-    # after a broken pipe stdout points at the null device, so the flush at
-    # interpreter exit has nothing to fail on
+    # stdout points at the null device, so the flush at interpreter exit has
+    # nothing to fail on
     @pytest.mark.parametrize("exc", [
         BrokenPipeError(errno.EPIPE, "Broken pipe"),
         OSError(errno.ENOSPC, "No space left on device"),
@@ -432,8 +433,17 @@ class TestWriteErrors:
         assert code == 1
         assert err.splitlines() == [f"error: {exc}"]
         assert "Traceback" not in err
-        if isinstance(exc, BrokenPipeError):
-            assert sys.stdout.name == os.devnull
-            sys.stdout.close()
-        else:
-            assert sys.stdout is failing
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_as_a_process(self):
+        # only a real interpreter runs the flush at exit
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "acmbundles", "chi", "--r", "4", "--line", "-a", "1"],
+                stdout=full, stderr=subprocess.PIPE, text=True, env=env)
+        assert proc.returncode == 1
+        full_error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        assert proc.stderr.splitlines() == [f"error: {full_error}"]
