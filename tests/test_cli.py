@@ -12,12 +12,18 @@ import pytest
 
 from acmbundles import cli, constraints
 
-GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+# a catalog file with degrees 3, 4 and 5, comments, blank lines and
+# indentation; its goldens run from the repository root, so the path that
+# "inputs" records is this relative one
+CATALOG = "tests/catalog_345.txt"
 
 # one golden file per README invocation and format: tests/golden/NAME.EXT;
 # enumerate_k5 adds an unrefined rank, whose rows print a constant c3/genus
 # and a bare "c2"; decompose_none prints an empty "results" list and a
-# header-only CSV
+# header-only CSV; the *_catalog cases read CATALOG, and decompose_catalog's
+# target has three star-pool witnesses
 GOLDEN_CASES = {
     "chi_line": ["chi", "--r", "4", "--line", "-a", "1"],
     "chi_bundle": ["chi", "--r", "4", "--bundle", "4,1,6,4"],
@@ -34,6 +40,11 @@ GOLDEN_CASES = {
     "decompose_tie": ["decompose", "--r", "4", "--target", "4,2,12,8",
                       "--pool", "normalized"],
     "coverage_k4": ["coverage", "--k", "4"],
+    "extensions_r5_catalog": ["extensions", "--r", "5", "--pool", "normalized",
+                              "--catalog", CATALOG],
+    "decompose_catalog": ["decompose", "--r", "4", "--target", "4,2,12,8",
+                          "--pool", "star", "--catalog", CATALOG],
+    "coverage_catalog": ["coverage", "--k", "4", "--catalog", CATALOG],
     "selfcheck": ["selfcheck"],
 }
 GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
@@ -55,7 +66,8 @@ def run_cli(capsys, *argv):
 
 @pytest.mark.parametrize("fmt", sorted(GOLDEN_EXTENSIONS))
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
-def test_golden_output(capsys, name, fmt):
+def test_golden_output(capsys, monkeypatch, name, fmt):
+    monkeypatch.chdir(ROOT)
     code, out, err = run_cli(capsys, *GOLDEN_CASES[name], "--format", fmt)
     assert (code, err) == (0, "")
     golden = GOLDEN / f"{name}.{GOLDEN_EXTENSIONS[fmt]}"
@@ -295,6 +307,38 @@ class TestExtensions:
         assert err.splitlines() == [
             f"error: {path}: line 2: duplicate class (4, 1, 3), first on line 1"
         ]
+
+
+class TestCatalogErrors:
+    # error exits on the catalog fixture: exit 1, empty stdout and this
+    # exact stderr, whatever degree the command reads
+    @pytest.mark.parametrize("argv, err", [
+        (["extensions", "--r", "6"],
+         "error: no rank-two classification for degree 6 (available: 3, 4, 5)\n"),
+        (["decompose", "--r", "6", "--target", "4,2,12,8"],
+         "error: no rank-two classification for degree 6 (available: 3, 4, 5)\n"),
+        (["extensions", "--r", "0"], "error: hypersurface degree must be >= 1, got 0\n"),
+        (["decompose", "--r", "0", "--target", "4,2,12,8"],
+         "error: hypersurface degree must be >= 1, got 0\n"),
+    ])
+    def test_fixture_errors(self, capsys, monkeypatch, argv, err):
+        monkeypatch.chdir(ROOT)
+        assert run_cli(capsys, *argv, "--catalog", CATALOG) == (1, "", err)
+
+    @pytest.mark.parametrize("argv", [
+        ["extensions", "--r", "5"],
+        ["decompose", "--r", "4", "--target", "4,2,12,8"],
+        ["coverage", "--k", "4"],
+    ])
+    def test_parse_error_in_a_degree_not_read(self, capsys, tmp_path, argv):
+        # line 24 holds the degree-3 class (2,5)
+        text = (ROOT / CATALOG).read_text(encoding="utf-8")
+        path = tmp_path / "catalog.txt"
+        path.write_text(text.replace("\n3 2 5 1 no\n", "\n3 2 5 1 maybe\n"),
+                        encoding="utf-8")
+        assert run_cli(capsys, *argv, "--catalog", str(path)) == (1, "", (
+            f"error: {path}: line 24: gg must be one of always/generic/no, "
+            "got 'maybe'\n"))
 
 
 class TestDecompose:
