@@ -81,12 +81,9 @@ def _csv(header: list[str], rows) -> str:
 
 
 def _columns(rows: list[list[str]]) -> str:
-    widths = [max(len(cell) for cell in column) for column in zip(*rows)]
-    lines = [
-        "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-        for row in rows
-    ]
-    return "\n".join(lines) + "\n"
+    # one line template per table: each cell left-justified to its column
+    template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
+    return "\n".join([template.format(*row).rstrip() for row in rows]) + "\n"
 
 
 def _bundle_dict(inv: BundleInvariants) -> dict:
@@ -105,22 +102,19 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
     )
 
 
-def _witness_record(c1, c2, c3, left_c1, left_c2, right_c1, right_c2, *_) -> str:
-    return (f'    {{\n      "left": {{\n        "c1": {left_c1},\n'
-            f'        "c2": {left_c2}\n      }},\n      "result": {{\n'
-            f'        "c1": {c1},\n        "c2": {c2},\n'
-            f'        "c3": {c3},\n        "k": 4\n      }},\n'
-            f'      "right": {{\n        "c1": {right_c1},\n'
-            f'        "c2": {right_c2}\n      }}\n    }}')
-
-
 def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[str, int]:
     """Render extension rows, (c1, c2, c3, left_c1, left_c2, right_c1,
     right_c2, ...) as :func:`extensions.extension_rows` gives them; the
     result's rank is 4."""
     return _emit(
         args, inputs,
-        results=lambda: [_witness_record(*row) for row in rows],
+        results=lambda: [
+            f'    {{\n      "left": {{\n        "c1": {row[3]},\n'
+            f'        "c2": {row[4]}\n      }},\n      "result": {{\n'
+            f'        "c1": {row[0]},\n        "c2": {row[1]},\n'
+            f'        "c3": {row[2]},\n        "k": 4\n      }},\n'
+            f'      "right": {{\n        "c1": {row[5]},\n'
+            f'        "c2": {row[6]}\n      }}\n    }}' for row in rows],
         table=table,
         # integer cells only, which csv never quotes
         csv_text=lambda: "left_c1,left_c2,right_c1,right_c2,k,c1,c2,c3\n" + "".join([
@@ -129,8 +123,9 @@ def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[str, int]:
     )
 
 
-def _load_source(args) -> extensions.Catalog | None:
-    return None if args.catalog is None else extensions.load_catalog(args.catalog)
+def _load_source(args, r: int) -> extensions.Catalog | None:
+    # every line is checked, but only the degree the command reads is built
+    return None if args.catalog is None else extensions.load_catalog(args.catalog, r)
 
 
 def cmd_chi(args) -> tuple[str, int]:
@@ -233,17 +228,17 @@ def cmd_enumerate(args) -> tuple[str, int]:
 
 
 def cmd_extensions(args) -> tuple[str, int]:
-    rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args))
+    rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args, args.r))
     return _emit_witnesses(
         args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, rows,
         lambda: _columns([["left", "right", "result"], *(
             [f"({left_c1},{left_c2})", f"({right_c1},{right_c2})", f"(4;{c1},{c2},{c3})"]
-            for c1, c2, c3, left_c1, left_c2, right_c1, right_c2, *_ in rows)]),
+            for c1, c2, c3, left_c1, left_c2, right_c1, right_c2, _, _, _ in rows)]),
     )
 
 
 def cmd_decompose(args) -> tuple[str, int]:
-    source = _load_source(args)
+    source = _load_source(args, args.r)
     target = BundleInvariants(*args.target)
     witnesses = extensions.decompose(args.r, target, args.pool, source=source)
     if not witnesses and args.expect_witness:
@@ -274,7 +269,7 @@ def _coverage_record(item: extensions.CoverageItem) -> str:
 
 
 def cmd_coverage(args) -> tuple[str, int]:
-    items = extensions.coverage_report(args.k, source=_load_source(args)).items
+    items = extensions.coverage_report(args.k, source=_load_source(args, 4)).items
     header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
     return _emit(
         args, {"k": args.k, "catalog": args.catalog},

@@ -121,15 +121,22 @@ BUILTIN_CATALOG = Catalog(
 )
 
 
-def load_catalog(path: str | Path) -> Catalog:
+_STAR = {"0": False, "1": True}
+_GG = {gg.value: gg for gg in GlobalGeneration}
+
+
+def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
     """Parse a catalog override file.
 
     One entry per line, whitespace separated: ``r c1 c2 star gg`` with
     star in {0, 1} and gg in {always, generic, no}.  Lines starting with
     ``#`` and blank lines are skipped.  UTF-8 only.  A class (r, c1, c2)
     may appear only once.
+
+    Every line is checked.  With ``r`` given, only degree-r classes become
+    entries, unless there are none: then all do, for ``for_degree``'s message.
     """
-    entries = []
+    rows = []
     first_lines: dict[tuple[int, int, int], int] = {}
     data = Path(path).read_bytes()
     try:
@@ -140,50 +147,44 @@ def load_catalog(path: str | Path) -> Catalog:
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise CatalogParseError(f"{path}: line {lineno}: not valid UTF-8") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        tokens = raw.split()
+        if not tokens or tokens[0].startswith("#"):
             continue
-        tokens = line.split()
         if len(tokens) != 5:
             raise CatalogParseError(
                 f"{path}: line {lineno}: expected 5 fields 'r c1 c2 star gg', "
                 f"got {len(tokens)}"
             )
         try:
-            r, c1, c2 = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            key = int(tokens[0]), int(tokens[1]), int(tokens[2])
         except ValueError:
             raise CatalogParseError(
                 f"{path}: line {lineno}: r, c1, c2 must be integers"
             ) from None
-        if tokens[3] not in ("0", "1"):
+        star = _STAR.get(tokens[3])
+        if star is None:
             raise CatalogParseError(
                 f"{path}: line {lineno}: star must be 0 or 1, got {tokens[3]!r}"
             )
-        try:
-            gg = GlobalGeneration(tokens[4])
-        except ValueError:
+        gg = _GG.get(tokens[4])
+        if gg is None:
             raise CatalogParseError(
                 f"{path}: line {lineno}: gg must be one of always/generic/no, "
                 f"got {tokens[4]!r}"
-            ) from None
-        first = first_lines.setdefault((r, c1, c2), lineno)
+            )
+        first = first_lines.setdefault(key, lineno)
         if first != lineno:
             raise CatalogParseError(
-                f"{path}: line {lineno}: duplicate class ({r}, {c1}, {c2}), "
-                f"first on line {first}"
+                f"{path}: line {lineno}: duplicate class {key}, first on line {first}"
             )
-        entries.append(Rank2CatalogEntry(r, c1, c2, tokens[3] == "1", gg))
-    return Catalog(tuple(entries))
+        rows.append((*key, star, gg))
+    wanted = [row for row in rows if row[0] == r] or rows
+    return Catalog(tuple(Rank2CatalogEntry(*row) for row in wanted))
 
 
 def catalog(r: int, source: Catalog | None = None) -> list[Rank2CatalogEntry]:
     """All normalized rank-two ACM classes on the degree-r hypersurface."""
     return (source or BUILTIN_CATALOG).for_degree(r)
-
-
-def _extension(r: int, a1: int, a2: int, b1: int, b2: int) -> tuple[int, int, int]:
-    # the (c1, c2, c3) of extend_rank2, on plain integers
-    return a1 + b1, a2 + r * a1 * b1 + b2, a2 * b1 + a1 * b2
 
 
 def extend_rank2(
@@ -201,7 +202,8 @@ def extend_rank2(
     The cross term in c2 is the intersection number of the two divisor
     classes, hence the factor r; on the quartic it is the literal 4.
     """
-    return BundleInvariants(4, *_extension(ctx.r, *e1, *e2))
+    (a1, a2), (b1, b2) = e1, e2
+    return BundleInvariants(4, a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2)
 
 
 @dataclass(frozen=True)
@@ -218,21 +220,17 @@ class ExtensionWitness:
 
 
 def _sorted_rows(r: int, pairs) -> list[tuple]:
-    """One row per pair of entries, sorted; see :func:`extension_rows`.
-    ``position`` counts the pairs in the order given."""
+    """One row per pair, sorted (see :func:`extension_rows`): (c1, c2, c3) is
+    :func:`extend_rank2` on plain integers; ``position`` counts the pairs given."""
     rows = []
     for position, (a, b) in enumerate(pairs):
         a1, a2, b1, b2 = a.c1, a.c2, b.c1, b.c2
         if b1 < a1 or (b1 == a1 and b2 < a2):
             a1, a2, a, b1, b2, b = b1, b2, b, a1, a2, a
-        rows.append((*_extension(r, a1, a2, b1, b2), a1, a2, b1, b2, position, a, b))
+        rows.append((a1 + b1, a2 + r * a1 * b1 + b2, a2 * b1 + a1 * b2,
+                     a1, a2, b1, b2, position, a, b))
     rows.sort()
     return rows
-
-
-def _witnesses(rows) -> list[ExtensionWitness]:
-    return [ExtensionWitness(a, b, BundleInvariants(4, c1, c2, c3))
-            for c1, c2, c3, _, _, _, _, _, a, b in rows]
 
 
 POOL_NORMALIZED = "normalized"  # the full classification list
@@ -275,7 +273,8 @@ def extension_quadruples(
     Sorted by resulting quadruple, then by left entry; pairs producing the
     same quadruple are all retained.
     """
-    return _witnesses(extension_rows(r, pool, source))
+    return [ExtensionWitness(a, b, BundleInvariants(4, c1, c2, c3))
+            for c1, c2, c3, _, _, _, _, _, a, b in extension_rows(r, pool, source)]
 
 
 def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[ExtensionWitness]]:
@@ -291,16 +290,21 @@ def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[Extensi
     found = []
     for quad in quads:
         _, c1, c2, _ = quad
-        hits = []
+        hits, results = [], []
         for i, a in enumerate(entries):
             b1 = c1 - a.c1
             partner = (b1, c2 - a.c2 - ctx.r * a.c1 * b1)
             # j >= i yields each unordered pair once, in the order of
             # combinations_with_replacement, the self-pair (a, a) included
             for j in positions.get(partner, ()):
-                if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
-                    hits.append((a, entries[j]))
-        found.append(_witnesses(_sorted_rows(ctx.r, hits)))
+                if j >= i:
+                    result = extend_rank2(ctx, a.pair, partner)
+                    if result.quadruple() == quad:
+                        hits.append((a, entries[j]))
+                        results.append(result)
+        # a row's position indexes its hit: each witness keeps its check's result
+        found.append([ExtensionWitness(a, b, results[position])
+                      for *_, position, a, b in _sorted_rows(ctx.r, hits)])
     return found
 
 

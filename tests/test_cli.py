@@ -320,7 +320,7 @@ class TestCatalogErrors:
         (["extensions", "--r", "0"], "error: hypersurface degree must be >= 1, got 0\n"),
         (["decompose", "--r", "0", "--target", "4,2,12,8"],
          "error: hypersurface degree must be >= 1, got 0\n"),
-    ])
+    ], ids=["extensions-absent", "decompose-absent", "extensions-r0", "decompose-r0"])
     def test_fixture_errors(self, capsys, monkeypatch, argv, err):
         monkeypatch.chdir(ROOT)
         assert run_cli(capsys, *argv, "--catalog", CATALOG) == (1, "", err)
@@ -329,7 +329,7 @@ class TestCatalogErrors:
         ["extensions", "--r", "5"],
         ["decompose", "--r", "4", "--target", "4,2,12,8"],
         ["coverage", "--k", "4"],
-    ])
+    ], ids=["extensions", "decompose", "coverage"])
     def test_parse_error_in_a_degree_not_read(self, capsys, tmp_path, argv):
         # line 24 holds the degree-3 class (2,5)
         text = (ROOT / CATALOG).read_text(encoding="utf-8")

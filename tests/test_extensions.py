@@ -5,10 +5,11 @@ import re
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pair_oracles as oracle
+from test_json_oracle import catalog_cases
 from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext, genus_r4
 from acmbundles.constraints import c3_from_acm, enumerate_acm_r4
 from acmbundles.extensions import (
@@ -345,3 +346,50 @@ class TestCatalogFile:
         message = f"{path}: line {lineno}: not valid UTF-8"
         with pytest.raises(CatalogParseError, match=re.escape(message)):
             load_catalog(path)
+
+
+# one broken line: a wrong field count, a bad integer, star or gg, a
+# repeated class, or a byte that is not UTF-8
+BAD_TOKENS = {
+    "fields": lambda tokens: tokens[:4],
+    "int": lambda tokens: [tokens[0], "x", *tokens[2:]],
+    "star": lambda tokens: [*tokens[:3], "2", tokens[4]],
+    "gg": lambda tokens: [*tokens[:4], "maybe"],
+}
+CORRUPTIONS = (*BAD_TOKENS, "duplicate", "utf8")
+
+
+def _corrupt(lines: list[str], index: int, how: str) -> bytes:
+    """The file's bytes with line ``index`` broken the way ``how`` names."""
+    encoded = [line.encode("utf-8") for line in lines]
+    if how == "duplicate":
+        encoded.append(encoded[index])
+    elif how == "utf8":
+        encoded[index] = b"\xff" + encoded[index]
+    else:
+        encoded[index] = " ".join(BAD_TOKENS[how](lines[index].split())).encode("utf-8")
+    return b"\n".join(encoded) + b"\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=catalog_cases(), data=st.data())
+def test_degree_argument_only_filters(tmp_path_factory, case, data):
+    """load_catalog(path, r) holds the same degree-r classes as the whole
+    file, all of them when the file has no degree r, and raises the same
+    error as load_catalog(path) on a file with one broken line."""
+    text = case[1]
+    path = tmp_path_factory.getbasetemp() / "filtered-catalog.txt"
+    path.write_text(text, encoding="utf-8")
+    full = load_catalog(path)
+    for r in full.degrees():
+        assert catalog(r, load_catalog(path, r)) == catalog(r, full)
+    assert load_catalog(path, 9) == full
+    lines = text.splitlines()
+    index = data.draw(st.integers(0, len(lines) - 1))
+    path.write_bytes(_corrupt(lines, index, data.draw(st.sampled_from(CORRUPTIONS))))
+    with pytest.raises(CatalogParseError) as whole:
+        load_catalog(path)
+    for r in (*full.degrees(), 9):
+        with pytest.raises(CatalogParseError) as one:
+            load_catalog(path, r)
+        assert str(one.value) == str(whole.value)
