@@ -50,11 +50,18 @@ GOLDEN_CASES = {
 GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
 
 # argparse's own text, rendered at 80 columns: name -> (argv, exit code,
-# the stream that carries the text; the other stream stays empty)
+# the stream that carries the text; the other stream stays empty); a
+# command's own errors carry its prefix ("acmbundles enumerate:"), while an
+# unknown command and leftover tokens are the top-level parser's
 USAGE_CASES = {
     "help": (["--help"], 0, "out"),
     "help_decompose": (["decompose", "--help"], 0, "out"),
     "usage_catalog": (["enumerate", "--k", "3", "--catalog", "X"], 2, "err"),
+    "usage_enumerate_missing": (["enumerate"], 2, "err"),
+    "usage_enumerate_format": (["enumerate", "--k", "3", "--format", "xml"], 2, "err"),
+    "usage_genus_int": (["genus", "--r", "x", "--bundle", "4,1,6,4"], 2, "err"),
+    "usage_unknown_command": (["frobnicate"], 2, "err"),
+    "usage_chi_leftover": (["chi", "--r", "4", "--line", "-a", "1", "extra"], 2, "err"),
 }
 
 
