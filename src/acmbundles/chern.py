@@ -66,9 +66,13 @@ class HypersurfaceContext:
 
     r: int
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise DomainError(f"hypersurface degree must be >= 1, got {self.r}")
+    # a written __init__ fills the frozen instance's __dict__ at once; the
+    # generated one calls object.__setattr__ per field, then __post_init__;
+    # the dataclass still generates repr, ==, hash and the frozen __setattr__
+    def __init__(self, r: int) -> None:
+        if r < 1:
+            raise DomainError(f"hypersurface degree must be >= 1, got {r}")
+        self.__dict__.update(r=r)
 
 
 @dataclass(frozen=True)
@@ -85,9 +89,11 @@ class BundleInvariants:
     c2: int
     c3: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise DomainError(f"rank must be >= 1, got {self.k}")
+    def __init__(self, k: int, c1: int, c2: int, c3: int) -> None:
+        # written out, as HypersurfaceContext's is
+        if k < 1:
+            raise DomainError(f"rank must be >= 1, got {k}")
+        self.__dict__.update(k=k, c1=c1, c2=c2, c3=c3)
 
     def quadruple(self) -> tuple[int, int, int, int]:
         return (self.k, self.c1, self.c2, self.c3)

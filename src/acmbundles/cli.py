@@ -311,7 +311,8 @@ def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
 
 
 @functools.cache  # one parser per process; main() finds cmd_<command> by name
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(prog="acmbundles", description=(
         "Exact Chern-class calculus and the admissible-invariant tables "
         "for ACM bundles on low-degree hypersurfaces in P^4."))
@@ -354,12 +355,27 @@ def _build_parser() -> argparse.ArgumentParser:
             _flag("--k", type=int, required=True, help="rank (3 or 4)"),
             r=False, catalog=True)
     command("selfcheck", "run the cross-module invariant suite", r=False)
-    return parser
+    return parser, sub.choices
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Parse argv once: a leading command name goes straight to that
+    command's parser, as the top-level parser would hand it on; help, a
+    missing or unknown command and leftover tokens are the top-level
+    parser's, so every message and exit code is the one it gives."""
+    parser, commands = _build_parser()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

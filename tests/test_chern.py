@@ -1,5 +1,6 @@
 """Exactness guarantees, Riemann-Roch values, twisting, and genus formulas."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -62,6 +63,29 @@ class TestDomainTypes:
         assert str(inv) == "(3;1,5,2)"
         with pytest.raises(DomainError):
             BundleInvariants(0, 1, 5, 2)
+
+    def test_value_types_keep_the_dataclass_behaviour(self):
+        # both classes write their own __init__; what the dataclass
+        # generates must stay as it was
+        inv = twist(X4, BundleInvariants(4, 1, 6, 4), -1)
+        assert repr(inv) == "BundleInvariants(k=4, c1=-3, c2=18, c3=-12)"
+        assert repr(X4) == "HypersurfaceContext(r=4)"
+        assert inv == BundleInvariants(k=4, c1=-3, c2=18, c3=-12)
+        assert inv != BundleInvariants(4, -3, 18, -11)
+        assert inv != (4, -3, 18, -12)
+        assert hash(inv) == hash((4, -3, 18, -12))
+        assert (X4, hash(X4)) == (HypersurfaceContext(4), hash((4,)))
+        for value, field in ((inv, "c2"), (inv, "k"), (X4, "r")):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field, 0)
+        for bad in ({"k": 0}, {"k": -2}):
+            with pytest.raises(DomainError, match=f"rank must be >= 1, got {bad['k']}"):
+                dataclasses.replace(inv, **bad)
+        with pytest.raises(DomainError, match="hypersurface degree must be >= 1, got -1"):
+            HypersurfaceContext(-1)
+        assert dataclasses.replace(inv, c3=5) == BundleInvariants(4, -3, 18, 5)
+        assert dataclasses.replace(X4, r=3) == HypersurfaceContext(3)
+        assert [f.name for f in dataclasses.fields(inv)] == ["k", "c1", "c2", "c3"]
 
     def test_curve_invariants_degree(self):
         assert CurveInvariants(6, 3).genus == 3
