@@ -66,9 +66,9 @@ class HypersurfaceContext:
 
     r: int
 
-    # a written __init__ fills the frozen instance's __dict__ at once; the
-    # generated one calls object.__setattr__ per field, then __post_init__;
-    # the dataclass still generates repr, ==, hash and the frozen __setattr__
+    # written out to fill __dict__ in one update, where the generated one
+    # calls object.__setattr__ per field and then __post_init__; repr, ==,
+    # hash and the frozen __setattr__ are still generated
     def __init__(self, r: int) -> None:
         if r < 1:
             raise DomainError(f"hypersurface degree must be >= 1, got {r}")

@@ -92,13 +92,13 @@ def columns_80():
         yield
 
 
-def _captured(call, argv):
-    """(result, stdout, stderr), where result is the call's value or the
-    code of the SystemExit it raised."""
+def _captured(call):
+    """(result, stdout, stderr), where result is what ``call()`` returned or
+    the code of the SystemExit it raised."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            result = call(argv)
+            result = call()
         except SystemExit as exc:
             result = exc.code
     return result, out.getvalue(), err.getvalue()
@@ -108,8 +108,8 @@ def _captured(call, argv):
 @given(argv=ARGV)
 def test_one_pass_parse_matches_parse_args(argv):
     parser, _ = cli._build_parser()
-    assert (_captured(lambda a: vars(cli._parse(a)), argv)
-            == _captured(lambda a: vars(parser.parse_args(a)), argv))
+    assert (_captured(lambda: vars(cli._parse(argv)))
+            == _captured(lambda: vars(parser.parse_args(argv))))
 
 
 @settings(max_examples=300, deadline=None)
