@@ -1,13 +1,15 @@
 """The exhaustive pair scan, kept as a test oracle for ``extensions.decompose``,
-``extensions.extension_quadruples`` and ``extensions.coverage_report``.
+``extensions.extension_rows``, ``extensions.extension_quadruples`` and
+``extensions.coverage_report``.
 
 ``decompose`` and ``coverage_report`` solve for the partner each left class
-forces, and all three build their witnesses from sorted integer rows.  This
-oracle instead tries every unordered pair of the pool (repetition allowed),
-the way the extension formulas read, orients each pair itself and sorts the
-witnesses by :func:`sort_key`, so a slip in the partner arithmetic, the c3
-check, the orientation, the tie order or the pair bookkeeping shows as a
-mismatch.
+forces, and ``extension_rows`` pairs each class with those after it in
+(c1, c2) order and merges the runs.  This oracle instead tries every
+unordered pair of the pool (repetition allowed) in
+``combinations_with_replacement`` order, the way the extension formulas
+read, orients each pair itself and sorts by :func:`sort_key`, so a slip in
+the partner arithmetic, the c3 check, the orientation, the tie order, the
+positions or the pair bookkeeping shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -42,6 +44,21 @@ def witness(ctx: HypersurfaceContext, a, b) -> ExtensionWitness:
 def sort_key(w: ExtensionWitness) -> tuple:
     """Resulting quadruple, then left class, then right class."""
     return (w.result.quadruple(), w.left.pair, w.right.pair)
+
+
+def extension_rows(
+    r: int, pool: str = POOL_STAR, source: Catalog | None = None
+) -> list[tuple]:
+    """The rows of ``extensions.extension_rows``: each pair's witness as
+    integers, its index in ``combinations_with_replacement`` order and its
+    entries, stably sorted by ``sort_key`` from that order."""
+    ctx = HypersurfaceContext(r)
+    entries = _pool_entries(catalog(r, source), pool)
+    pairs = [(position, witness(ctx, a, b))
+             for position, (a, b) in enumerate(combinations_with_replacement(entries, 2))]
+    pairs.sort(key=lambda pair: sort_key(pair[1]))
+    return [(*w.result.quadruple()[1:], *w.left.pair, *w.right.pair, position, w.left, w.right)
+            for position, w in pairs]
 
 
 def extension_quadruples(

@@ -1,9 +1,9 @@
 """``decompose`` and ``coverage_report``, which solve for the forced partner
-of each class, and ``extension_quadruples``, which sorts integer rows,
-against the exhaustive pair scan in ``pair_oracles``: the same witnesses in
-the same order and with the same multiplicity, on hand-built catalogs that
-may repeat a class and on targets that are, nearly are, or are not pair
-sums."""
+of each class, and ``extension_rows`` and ``extension_quadruples``, which
+sort integer rows, against the exhaustive pair scan in
+``pair_oracles``: the same witnesses in the same order and with the same
+multiplicity, on hand-built catalogs that may repeat a class and on targets
+that are, nearly are, or are not pair sums."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +21,7 @@ from acmbundles.extensions import (
     decompose,
     extend_rank2,
     extension_quadruples,
+    extension_rows,
 )
 
 POOLS = (POOL_STAR, POOL_NORMALIZED)
@@ -91,6 +92,42 @@ def test_extension_quadruples_match_pair_scan(case, pool):
     source = Catalog(tuple(entries))
     assert extension_quadruples(r, pool, source) == oracle.extension_quadruples(
         r, pool, source)
+
+
+@st.composite
+def repeating_catalogs(draw):
+    # few cells, so pairs collide on a quadruple, sometimes planted as
+    # (x, u) + (x, v) and (x, u + d) + (x, v - d), which always do; every
+    # class comes once, twice or three times with one star flag, so copies
+    # meet in both pools
+    r = draw(st.integers(1, 5))
+    cls = st.tuples(st.integers(-3, 3), st.integers(-6, 12), st.booleans())
+    classes = draw(st.lists(cls, min_size=1, max_size=9))
+    if draw(st.booleans()):
+        x, u = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        v, d = draw(st.integers(4, 9)), draw(st.integers(1, 2))
+        classes += [(x, u, True), (x, v, True), (x, u + d, True), (x, v - d, True)]
+    flags = {}
+    for c1, c2, star in classes:
+        flags.setdefault((c1, c2), star)
+    entries = [entry(r, c1, c2, star)
+               for (c1, c2), star in flags.items() for _ in range(draw(st.integers(1, 3)))]
+    others = [entry(r + 1, c1, c2) for c1, c2, _ in draw(st.lists(cls, max_size=3))]
+    return r, Catalog(tuple(draw(st.permutations(entries + others))))
+
+
+def assert_same_rows(got, want):
+    # integers, positions and order by ==, the entries by identity
+    assert [row[:8] for row in got] == [row[:8] for row in want]
+    assert all(g[8] is w[8] and g[9] is w[9] for g, w in zip(got, want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeating_catalogs(), st.sampled_from(POOLS))
+def test_extension_rows_match_pair_scan(case, pool):
+    r, source = case
+    rows = extension_rows(r, pool, source)
+    assert_same_rows(rows, oracle.extension_rows(r, pool, source))
 
 
 @st.composite
