@@ -104,8 +104,8 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
 
 def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[str, int]:
     """Render extension rows, (c1, c2, c3, left_c1, left_c2, right_c1,
-    right_c2, ...) as :func:`extensions.extension_rows` gives them; the
-    result's rank is 4."""
+    right_c2, ...) as :func:`extensions.extension_rows` and
+    :func:`extensions.decompose_rows` give them; the result's rank is 4."""
     return _emit(
         args, inputs,
         results=lambda: [
@@ -240,16 +240,15 @@ def cmd_extensions(args) -> tuple[str, int]:
 def cmd_decompose(args) -> tuple[str, int]:
     source = _load_source(args, args.r)
     target = BundleInvariants(*args.target)
-    witnesses = extensions.decompose(args.r, target, args.pool, source=source)
-    if not witnesses and args.expect_witness:
+    rows = extensions.decompose_rows(args.r, target, args.pool, source=source)
+    if not rows and args.expect_witness:
         raise DomainError(f"no decomposition of {target} over the {args.pool} pool")
     inputs = {"r": args.r, "target": _bundle_dict(target), "pool": args.pool,
               "expect_witness": args.expect_witness, "catalog": args.catalog}
-    rows = [(w.result.c1, w.result.c2, w.result.c3, *w.left.pair, *w.right.pair)
-            for w in witnesses]
     return _emit_witnesses(
         args, inputs, rows,
-        lambda: "".join(f"{w} -> {w.result}\n" for w in witnesses)
+        lambda: "".join([f"({row[3]},{row[4]})+({row[5]},{row[6]}) -> "
+                         f"(4;{row[0]},{row[1]},{row[2]})\n" for row in rows])
         or "no decomposition\n",
     )
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations_with_replacement
 from pathlib import Path
 
 from . import constraints
@@ -30,6 +29,7 @@ __all__ = [
     "ExtensionWitness",
     "extension_rows",
     "extension_quadruples",
+    "decompose_rows",
     "decompose",
     "POOL_NORMALIZED",
     "POOL_STAR",
@@ -219,20 +219,6 @@ class ExtensionWitness:
         return f"{self.left}+{self.right}"
 
 
-def _sorted_rows(r: int, pairs) -> list[tuple]:
-    """One row per pair, sorted (see :func:`extension_rows`): (c1, c2, c3) is
-    :func:`extend_rank2` on plain integers; ``position`` counts the pairs given."""
-    rows = []
-    for position, (a, b) in enumerate(pairs):
-        a1, a2, b1, b2 = a.c1, a.c2, b.c1, b.c2
-        if b1 < a1 or (b1 == a1 and b2 < a2):
-            a1, a2, a, b1, b2, b = b1, b2, b, a1, a2, a
-        rows.append((a1 + b1, a2 + r * a1 * b1 + b2, a2 * b1 + a1 * b2,
-                     a1, a2, b1, b2, position, a, b))
-    rows.sort()
-    return rows
-
-
 POOL_NORMALIZED = "normalized"  # the full classification list
 POOL_STAR = "star"              # only classes satisfying the star condition
 
@@ -260,7 +246,18 @@ def extension_rows(
     """
     ctx = HypersurfaceContext(r)
     entries = _pool_entries(catalog(r, source), pool)
-    return _sorted_rows(ctx.r, combinations_with_replacement(entries, 2))
+    n = len(entries)
+    # by (c1, c2), then pool index i; the pair (i, j), i <= j, is at start_i + j
+    ranked = sorted([(e.c1, e.c2, i, i * n - i * (i + 1) // 2, e)
+                     for i, e in enumerate(entries)])
+    # each class with those ranked at or after it: left <= right, in a run
+    # ascending in (c1, c2, c3, right), so the sort only merges the n runs
+    rows = [(a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2, a1, a2, b1, b2,
+             start_i + j if i <= j else start_j + i, a, b)
+            for p, (a1, a2, i, start_i, a) in enumerate(ranked)
+            for b1, b2, j, start_j, b in ranked[p:]]
+    rows.sort()
+    return rows
 
 
 def extension_quadruples(
@@ -277,9 +274,9 @@ def extension_quadruples(
             for c1, c2, c3, _, _, _, _, _, a, b in extension_rows(r, pool, source)]
 
 
-def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[ExtensionWitness]]:
-    """For each quadruple in ``quads``, the pairs of ``entries`` extending to
-    it, in :func:`extension_rows` order.  A class (a1, a2) forces its partner,
+def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[tuple]]:
+    """For each quadruple in ``quads``, the rows of ``entries`` extending to
+    it, as :func:`extension_rows` has them.  A class (a1, a2) forces its partner,
     b1 = c1 - a1 and b2 = c2 - a2 - r a1 b1, so one index of the pool by class
     serves every quadruple at O(n) lookups, and only c3 is left to check."""
     # positions rather than one entry per class: a Catalog built directly
@@ -287,33 +284,38 @@ def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[Extensi
     positions: dict[tuple[int, int], list[int]] = {}
     for j, entry in enumerate(entries):
         positions.setdefault(entry.pair, []).append(j)
+    n = len(entries)
     found = []
     for quad in quads:
-        _, c1, c2, _ = quad
-        hits, results = [], []
+        _, c1, c2, c3 = quad
+        rows = []
         for i, a in enumerate(entries):
             b1 = c1 - a.c1
             partner = (b1, c2 - a.c2 - ctx.r * a.c1 * b1)
-            # j >= i yields each unordered pair once, in the order of
-            # combinations_with_replacement, the self-pair (a, a) included
+            # j >= i yields each unordered pair once, the self-pair included
             for j in positions.get(partner, ()):
-                if j >= i:
-                    result = extend_rank2(ctx, a.pair, partner)
-                    if result.quadruple() == quad:
-                        hits.append((a, entries[j]))
-                        results.append(result)
-        # a row's position indexes its hit: each witness keeps its check's result
-        found.append([ExtensionWitness(a, b, results[position])
-                      for *_, position, a, b in _sorted_rows(ctx.r, hits)])
+                if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
+                    left, right = (entries[j], a) if partner < a.pair else (a, entries[j])
+                    rows.append((c1, c2, c3, left.c1, left.c2, right.c1, right.c2,
+                                 i * n - i * (i + 1) // 2 + j, left, right))
+        found.append(sorted(rows))  # one quadruple: by left, right, position
     return found
 
 
-def decompose(
-    r: int,
-    target: BundleInvariants,
-    pool: str = POOL_STAR,
-    source: Catalog | None = None,
-) -> list[ExtensionWitness]:
+def decompose_rows(r: int, target: BundleInvariants, pool: str = POOL_STAR,
+                   source: Catalog | None = None) -> list[tuple]:
+    """:func:`decompose` as rows: those of :func:`extension_rows` whose
+    invariants are ``target``'s, in the same order."""
+    if target.k != 4:
+        raise RankUnsupported(f"decomposition into two rank-two pieces needs rank 4, "
+                              f"got {target.k}")
+    ctx = HypersurfaceContext(r)
+    entries = _pool_entries(catalog(r, source), pool)
+    return _forced_pairs(ctx, entries, [target.quadruple()])[0]
+
+
+def decompose(r: int, target: BundleInvariants, pool: str = POOL_STAR,
+              source: Catalog | None = None) -> list[ExtensionWitness]:
     """All unordered catalog pairs on the degree-r hypersurface whose
     extension invariants equal ``target`` (which must have rank 4), found in
     O(n) by solving for each class's forced partner.
@@ -321,13 +323,8 @@ def decompose(
     An empty list is a definitive negative over the chosen pool: no pair of
     classified rank-two bundles can produce these invariants.
     """
-    if target.k != 4:
-        raise RankUnsupported(
-            f"decomposition into two rank-two pieces needs rank 4, got {target.k}"
-        )
-    ctx = HypersurfaceContext(r)
-    entries = _pool_entries(catalog(r, source), pool)
-    return _forced_pairs(ctx, entries, [target.quadruple()])[0]
+    return [ExtensionWitness(a, b, target)
+            for *_, a, b in decompose_rows(r, target, pool, source)]
 
 
 STATUS_EXTENSION = "realized-by-extension"
@@ -378,13 +375,16 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
     solely from the curve list, since a nontrivial extension needs both
     pieces of rank at least two.
     """
-    cells = [(BundleInvariants(k, row.c1, entry.c2, entry.c3), entry.genus)
-             for row in constraints.enumerate_acm_r4(k) for entry in row.entries]
+    cells = [(BundleInvariants(k, row.c1, c2, s3 * c2 + t3), sg * c2 + tg)
+             for row in constraints.enumerate_acm_r4(k)
+             for (s3, t3), (sg, tg) in [(row.c3_form, row.genus_form)]
+             for c2 in row.c2_values]
     quads = [inv.quadruple() for inv, _ in cells]
     entries = _pool_entries(catalog(4, source), POOL_STAR) if k == 4 else []
     found = _forced_pairs(HypersurfaceContext(4), entries, quads)
     items = []
-    for (inv, genus), quad, witnesses in zip(cells, quads, found):
+    for (inv, genus), quad, rows in zip(cells, quads, found):
+        witnesses = tuple(ExtensionWitness(a, b, inv) for *_, a, b in rows)
         if witnesses:
             status = STATUS_EXTENSION
             origin = "extension: " + "; ".join(str(w) for w in witnesses)
@@ -394,5 +394,5 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
         else:
             status = STATUS_OPEN
             origin = ""
-        items.append(CoverageItem(inv, genus, status, origin, tuple(witnesses)))
+        items.append(CoverageItem(inv, genus, status, origin, witnesses))
     return CoverageReport(k, tuple(items))

@@ -1,6 +1,6 @@
 """``decompose`` and ``coverage_report``, which solve for the forced partner
 of each class, and ``extension_rows`` and ``extension_quadruples``, which
-sort integer rows, against the exhaustive pair scan in
+merge runs of integer rows, against the exhaustive pair scan in
 ``pair_oracles``: the same witnesses in the same order and with the same
 multiplicity, on hand-built catalogs that may repeat a class and on targets
 that are, nearly are, or are not pair sums."""
@@ -19,6 +19,7 @@ from acmbundles.extensions import (
     catalog,
     coverage_report,
     decompose,
+    decompose_rows,
     extend_rank2,
     extension_quadruples,
     extension_rows,
@@ -128,6 +129,11 @@ def test_extension_rows_match_pair_scan(case, pool):
     r, source = case
     rows = extension_rows(r, pool, source)
     assert_same_rows(rows, oracle.extension_rows(r, pool, source))
+    # decompose_rows is the listing's slice for each quadruple it holds
+    for c1, c2, c3 in {row[:3] for row in rows}:
+        target = BundleInvariants(4, c1, c2, c3)
+        assert_same_rows(decompose_rows(r, target, pool, source),
+                         [row for row in rows if row[:3] == (c1, c2, c3)])
 
 
 @st.composite
