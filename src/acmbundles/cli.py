@@ -255,11 +255,11 @@ def cmd_decompose(args) -> tuple[str, int]:
 
 def _coverage_record(item: extensions.CoverageItem) -> str:
     inv = item.invariants
-    pairs = _json_list([f'        {{\n          "left": {{\n            "c1": {w.left.c1},\n'
-                        f'            "c2": {w.left.c2}\n          }},\n'
-                        f'          "right": {{\n            "c1": {w.right.c1},\n'
-                        f'            "c2": {w.right.c2}\n          }}\n        }}'
-                        for w in item.witnesses], "      ")
+    pairs = _json_list([f'        {{\n          "left": {{\n            "c1": {row[3]},\n'
+                        f'            "c2": {row[4]}\n          }},\n'
+                        f'          "right": {{\n            "c1": {row[5]},\n'
+                        f'            "c2": {row[6]}\n          }}\n        }}'
+                        for row in item.witnesses], "      ")
     return (f'    {{\n      "c1": {inv.c1},\n      "c2": {inv.c2},\n'
             f'      "c3": {inv.c3},\n      "genus": {item.genus},\n      "k": {inv.k},\n'
             f'      "origin": {json.dumps(item.origin)},\n'

@@ -1,6 +1,7 @@
 """The classified rank-two ACM bundles on degree-3 and degree-4 hypersurfaces,
 rank-four extension arithmetic, exhaustive decomposability search, and the
-realized/open coverage report for the admissibility tables.
+realized/open coverage report for the admissibility tables.  Each extension
+pair is one integer row, as :func:`extension_rows` lists them.
 
 The built-in catalog is finished classification data; an override file can be
 supplied for exploring hypothetical catalogs at other degrees.
@@ -26,11 +27,8 @@ __all__ = [
     "load_catalog",
     "catalog",
     "extend_rank2",
-    "ExtensionWitness",
     "extension_rows",
-    "extension_quadruples",
     "decompose_rows",
-    "decompose",
     "POOL_NORMALIZED",
     "POOL_STAR",
     "CURVE_REALIZED",
@@ -206,19 +204,6 @@ def extend_rank2(
     return BundleInvariants(4, a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2)
 
 
-@dataclass(frozen=True)
-class ExtensionWitness:
-    """An unordered pair of catalog classes with the invariants of their
-    extension; left <= right in (c1, c2) order."""
-
-    left: Rank2CatalogEntry
-    right: Rank2CatalogEntry
-    result: BundleInvariants
-
-    def __str__(self) -> str:
-        return f"{self.left}+{self.right}"
-
-
 POOL_NORMALIZED = "normalized"  # the full classification list
 POOL_STAR = "star"              # only classes satisfying the star condition
 
@@ -234,15 +219,16 @@ def _pool_entries(entries: list[Rank2CatalogEntry], pool: str) -> list[Rank2Cata
 def extension_rows(
     r: int, pool: str = POOL_STAR, source: Catalog | None = None
 ) -> list[tuple]:
-    """:func:`extension_quadruples` as integer rows
+    """Every unordered pair (repetition allowed) of the pool's classes, with
+    its extension's invariants, as sorted integer rows
 
     (c1, c2, c3, left_c1, left_c2, right_c1, right_c2, position, left, right)
 
-    in the same order: (c1, c2, c3) are the extension's invariants (its rank
-    is 4), left <= right in (c1, c2) order, and ``position`` is the pair's
-    index in ``combinations_with_replacement`` order over the pool.  A
-    position is unique, so it settles ties (a Catalog built directly may
-    repeat a class) in that order, and rows never compare the entries.
+    (c1, c2, c3) are the extension's invariants (its rank is 4), left <= right
+    in (c1, c2) order, and ``position`` is the pair's index in
+    ``combinations_with_replacement`` order over the pool.  A position is
+    unique, so it settles ties (a Catalog built directly may repeat a class)
+    in that order, and rows never compare the entries.
     """
     ctx = HypersurfaceContext(r)
     entries = _pool_entries(catalog(r, source), pool)
@@ -258,20 +244,6 @@ def extension_rows(
             for b1, b2, j, start_j, b in ranked[p:]]
     rows.sort()
     return rows
-
-
-def extension_quadruples(
-    r: int, pool: str = POOL_STAR, source: Catalog | None = None
-) -> list[ExtensionWitness]:
-    """Every unordered pair (repetition allowed) of classes in the given pool
-    of the degree-r catalog, with the invariants of the corresponding
-    extension.
-
-    Sorted by resulting quadruple, then by left entry; pairs producing the
-    same quadruple are all retained.
-    """
-    return [ExtensionWitness(a, b, BundleInvariants(4, c1, c2, c3))
-            for c1, c2, c3, _, _, _, _, _, a, b in extension_rows(r, pool, source)]
 
 
 def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[tuple]]:
@@ -304,27 +276,15 @@ def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[tuple]]
 
 def decompose_rows(r: int, target: BundleInvariants, pool: str = POOL_STAR,
                    source: Catalog | None = None) -> list[tuple]:
-    """:func:`decompose` as rows: those of :func:`extension_rows` whose
-    invariants are ``target``'s, in the same order."""
+    """The rows of :func:`extension_rows` whose invariants are ``target``'s
+    (rank 4), in the same order, found in O(n) by solving for each class's
+    forced partner.  An empty list is a definitive negative over the pool."""
     if target.k != 4:
         raise RankUnsupported(f"decomposition into two rank-two pieces needs rank 4, "
                               f"got {target.k}")
     ctx = HypersurfaceContext(r)
     entries = _pool_entries(catalog(r, source), pool)
     return _forced_pairs(ctx, entries, [target.quadruple()])[0]
-
-
-def decompose(r: int, target: BundleInvariants, pool: str = POOL_STAR,
-              source: Catalog | None = None) -> list[ExtensionWitness]:
-    """All unordered catalog pairs on the degree-r hypersurface whose
-    extension invariants equal ``target`` (which must have rank 4), found in
-    O(n) by solving for each class's forced partner.
-
-    An empty list is a definitive negative over the chosen pool: no pair of
-    classified rank-two bundles can produce these invariants.
-    """
-    return [ExtensionWitness(a, b, target)
-            for *_, a, b in decompose_rows(r, target, pool, source)]
 
 
 STATUS_EXTENSION = "realized-by-extension"
@@ -347,13 +307,14 @@ CURVE_REALIZED: dict[tuple[int, int, int, int], str] = {
 
 @dataclass(frozen=True)
 class CoverageItem:
-    """One admissible quadruple with its realization status and evidence."""
+    """One admissible quadruple with its realization status and evidence,
+    its star-pool rows as :func:`decompose_rows` gives them."""
 
     invariants: BundleInvariants
     genus: int
     status: str
     origin: str
-    witnesses: tuple[ExtensionWitness, ...]
+    witnesses: tuple[tuple, ...]
 
 
 @dataclass(frozen=True)
@@ -384,15 +345,14 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
     found = _forced_pairs(HypersurfaceContext(4), entries, quads)
     items = []
     for (inv, genus), quad, rows in zip(cells, quads, found):
-        witnesses = tuple(ExtensionWitness(a, b, inv) for *_, a, b in rows)
-        if witnesses:
+        if rows:
             status = STATUS_EXTENSION
-            origin = "extension: " + "; ".join(str(w) for w in witnesses)
+            origin = "extension: " + "; ".join([f"{row[8]}+{row[9]}" for row in rows])
         elif quad in CURVE_REALIZED:
             status = STATUS_CURVE
             origin = CURVE_REALIZED[quad]
         else:
             status = STATUS_OPEN
             origin = ""
-        items.append(CoverageItem(inv, genus, status, origin, witnesses))
+        items.append(CoverageItem(inv, genus, status, origin, tuple(rows)))
     return CoverageReport(k, tuple(items))

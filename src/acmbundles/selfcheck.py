@@ -247,16 +247,12 @@ def _check_extension_symmetry(rng: random.Random) -> CheckResult:
 
 
 def _check_star_extensions_admissible(rng: random.Random) -> CheckResult:
-    rows = {row.c1: row for row in constraints.enumerate_acm_r4(4)}
-    witnesses = extensions.extension_quadruples(4, extensions.POOL_STAR)
-    for witness in witnesses:
-        result = witness.result
-        row = rows.get(result.c1)
-        if row is None or result.c2 not in row.interval:
-            return CheckResult("star-extensions-admissible", False, str(result))
-        entry = next((e for e in row.entries if e.c2 == result.c2), None)
-        if entry is None or entry.c3 != result.c3:
-            return CheckResult("star-extensions-admissible", False, str(result))
+    admissible = {(row.c1, entry.c2, entry.c3)
+                  for row in constraints.enumerate_acm_r4(4) for entry in row.entries}
+    witnesses = extensions.extension_rows(4, extensions.POOL_STAR)
+    for c1, c2, c3, *_ in witnesses:
+        if (c1, c2, c3) not in admissible:
+            return CheckResult("star-extensions-admissible", False, f"(4;{c1},{c2},{c3})")
     count = len(witnesses)
     return CheckResult(
         "star-extensions-admissible", count == _STAR_WITNESSES, f"{count} witnesses"
@@ -267,13 +263,13 @@ def _check_decompose_exhaustive(rng: random.Random) -> CheckResult:
     cases = 0
     for r in (3, 4):
         for pool in (extensions.POOL_STAR, extensions.POOL_NORMALIZED):
-            # decompose must return exactly the listing's slice for a
+            # decompose_rows must return exactly the listing's slice for a
             # quadruple: every pair once, no extra pair, the same order
-            by_quadruple: dict[tuple[int, ...], list[extensions.ExtensionWitness]] = {}
-            for witness in extensions.extension_quadruples(r, pool):
-                by_quadruple.setdefault(witness.result.quadruple(), []).append(witness)
+            by_quadruple: dict[tuple[int, ...], list[tuple]] = {}
+            for row in extensions.extension_rows(r, pool):
+                by_quadruple.setdefault((4, *row[:3]), []).append(row)
             for quad, expected in by_quadruple.items():
-                found = extensions.decompose(r, expected[0].result, pool)
+                found = extensions.decompose_rows(r, chern.BundleInvariants(*quad), pool)
                 if found != expected:
                     return CheckResult("decompose-exhaustive", False, f"r={r}, {pool}, {quad}")
                 cases += len(expected)
@@ -281,11 +277,11 @@ def _check_decompose_exhaustive(rng: random.Random) -> CheckResult:
 
 
 def _check_extension_genus(rng: random.Random) -> CheckResult:
-    witnesses = extensions.extension_quadruples(4, extensions.POOL_STAR)
-    for witness in witnesses:
-        genus = chern.genus_r4(witness.result)
+    witnesses = extensions.extension_rows(4, extensions.POOL_STAR)
+    for c1, c2, c3, *_ in witnesses:
+        genus = chern.genus_r4(chern.BundleInvariants(4, c1, c2, c3))
         if genus.denominator != 1 or genus < 0:
-            return CheckResult("extension-genus", False, f"{witness.result}: g={genus}")
+            return CheckResult("extension-genus", False, f"(4;{c1},{c2},{c3}): g={genus}")
     count = len(witnesses)
     return CheckResult("extension-genus", count == _STAR_WITNESSES, f"{count} quadruples")
 
@@ -314,13 +310,12 @@ def _check_coverage_realized(rng: random.Random) -> CheckResult:
 def _check_known_negative_decomposition(rng: random.Random) -> CheckResult:
     target = chern.BundleInvariants(4, 1, 6, 4)
     pairs = len(list(combinations_with_replacement(extensions.catalog(4), 2)))
-    hits = extensions.decompose(4, target, extensions.POOL_NORMALIZED)
+    hits = extensions.decompose_rows(4, target, extensions.POOL_NORMALIZED)
     if pairs != 28:
         return CheckResult("known-negative-decomposition", False, f"{pairs} pairs")
     if hits:
-        return CheckResult(
-            "known-negative-decomposition", False, f"unexpected witness {hits[0]}"
-        )
+        detail = f"unexpected witness {hits[0][8]}+{hits[0][9]}"
+        return CheckResult("known-negative-decomposition", False, detail)
     return CheckResult("known-negative-decomposition", True, "28 pairs, no witness")
 
 

@@ -6,9 +6,10 @@ record templates in ``cli``.
 CSV from each row's c3/genus forms, and the ``extensions`` listing in every
 format from integer rows.  These builders instead make the dict tree, the
 CSV rows and the table cells the obvious way, from ``row.entries``, the
-witness objects and the library's values, and serialize them with the
-standard library, so a slip in a template (a key out of order, a missing
-comma, a wrong indent, an unescaped string, a cell in the wrong column)
+library's values and the rows of the exhaustive pair scan in
+``pair_oracles``, and serialize them with the standard library, so a slip
+in a template (a key out of order, a missing comma, a wrong indent, an
+unescaped string, a cell in the wrong column) or in the listing itself
 shows as a byte mismatch.
 """
 
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 
+import pair_oracles
 from acmbundles import constraints, extensions
 from acmbundles.chern import (
     BundleInvariants,
@@ -42,13 +44,19 @@ def bundle_dict(inv: BundleInvariants) -> dict:
     return {"k": inv.k, "c1": inv.c1, "c2": inv.c2, "c3": inv.c3}
 
 
-def pair_dict(w: extensions.ExtensionWitness) -> dict:
-    return {"left": {"c1": w.left.c1, "c2": w.left.c2},
-            "right": {"c1": w.right.c1, "c2": w.right.c2}}
+def result(row: tuple) -> BundleInvariants:
+    """The extension a row records."""
+    return BundleInvariants(4, *row[:3])
 
 
-def witness_dicts(witnesses) -> list[dict]:
-    return [{**pair_dict(w), "result": bundle_dict(w.result)} for w in witnesses]
+def pair_dict(row: tuple) -> dict:
+    left, right = row[8], row[9]
+    return {"left": {"c1": left.c1, "c2": left.c2},
+            "right": {"c1": right.c1, "c2": right.c2}}
+
+
+def witness_dicts(rows) -> list[dict]:
+    return [{**pair_dict(row), "result": bundle_dict(result(row))} for row in rows]
 
 
 def rational_dict(value) -> dict:
@@ -107,10 +115,10 @@ def enumerate_csv(k: int) -> str:
                        for row in constraints.enumerate_acm_r4(k) for e in row.entries])
 
 
-def witness_csv(witnesses) -> str:
+def witness_csv(rows) -> str:
     return csv_text([["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"]]
-                    + [[w.left.c1, w.left.c2, w.right.c1, w.right.c2, *w.result.quadruple()]
-                       for w in witnesses])
+                    + [[*row[8].pair, *row[9].pair, *result(row).quadruple()]
+                       for row in rows])
 
 
 def _source(path: str | None) -> extensions.Catalog | None:
@@ -118,7 +126,7 @@ def _source(path: str | None) -> extensions.Catalog | None:
 
 
 def _extensions(r: int, pool: str, path: str | None):
-    return extensions.extension_quadruples(r, pool, source=_source(path))
+    return pair_oracles.extension_rows(r, pool, source=_source(path))
 
 
 def extensions_json(r: int, pool: str, path: str | None) -> str:
@@ -132,14 +140,14 @@ def extensions_csv(r: int, pool: str, path: str | None) -> str:
 
 def extensions_table(r: int, pool: str, path: str | None) -> str:
     cells = [["left", "right", "result"]] + [
-        [str(w.left), str(w.right), str(w.result)] for w in _extensions(r, pool, path)]
+        [str(row[8]), str(row[9]), str(result(row))] for row in _extensions(r, pool, path)]
     widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
                    + "\n" for row in cells)
 
 
 def _decompose(r: int, target: BundleInvariants, pool: str, path: str | None):
-    return extensions.decompose(r, target, pool, source=_source(path))
+    return pair_oracles.decompose(r, target, pool, source=_source(path))
 
 
 def decompose_json(r: int, target: BundleInvariants, pool: str,
@@ -156,7 +164,8 @@ def decompose_csv(r: int, target: BundleInvariants, pool: str,
 
 def decompose_table(r: int, target: BundleInvariants, pool: str,
                     path: str | None) -> str:
-    return "".join(f"{w} -> {w.result}\n" for w in _decompose(r, target, pool, path)) \
+    return "".join(f"{row[8]}+{row[9]} -> {result(row)}\n"
+                   for row in _decompose(r, target, pool, path)) \
         or "no decomposition\n"
 
 
@@ -165,7 +174,7 @@ def coverage_json(k: int, path: str | None) -> str:
     results = [
         {**bundle_dict(item.invariants), "genus": item.genus,
          "status": item.status, "origin": item.origin,
-         "witnesses": [pair_dict(w) for w in item.witnesses]}
+         "witnesses": [pair_dict(row) for row in item.witnesses]}
         for item in items
     ]
     return document("coverage", {"k": k, "catalog": path}, results)

@@ -35,9 +35,9 @@ from acmbundles.extensions import (
     STATUS_OPEN,
     catalog,
     coverage_report,
-    decompose,
+    decompose_rows,
     extend_rank2,
-    extension_quadruples,
+    extension_rows,
 )
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -105,8 +105,8 @@ def test_criterion_1_table_reproduction(capsys):
 
 
 def test_criterion_2_extension_coverage(capsys):
-    witnesses = extension_quadruples(4, POOL_STAR)
-    quadruples = {w.result.quadruple() for w in witnesses}
+    witnesses = extension_rows(4, POOL_STAR)
+    quadruples = {(4, *row[:3]) for row in witnesses}
     code = cli.main(["extensions", "--r", "4", "--pool", "star", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
     cli_quadruples = {
@@ -125,7 +125,7 @@ def test_criterion_2_extension_coverage(capsys):
 
 def test_criterion_3_negative_decomposability(capsys):
     pair_count = len(list(combinations_with_replacement(catalog(4), 2)))
-    hits = decompose(4, BundleInvariants(4, 1, 6, 4), POOL_NORMALIZED)
+    hits = decompose_rows(4, BundleInvariants(4, 1, 6, 4), POOL_NORMALIZED)
     code = cli.main(
         ["decompose", "--r", "4", "--target", "4,1,6,4", "--pool", "normalized"]
     )
@@ -263,18 +263,8 @@ def test_criterion_5_total_runtime(capsys):
 
 
 def test_criterion_6_cross_module_containment(capsys):
-    rows = {row.c1: row for row in enumerate_acm_r4(4)}
-    contained = True
-    for witness in extension_quadruples(4, POOL_STAR):
-        result = witness.result
-        row = rows.get(result.c1)
-        if row is None or result.c2 not in row.interval:
-            contained = False
-            break
-        entry = next((e for e in row.entries if e.c2 == result.c2), None)
-        if entry is None or entry.c3 != result.c3:
-            contained = False
-            break
+    admissible = {(row.c1, e.c2, e.c3) for row in enumerate_acm_r4(4) for e in row.entries}
+    contained = all(row[:3] in admissible for row in extension_rows(4, POOL_STAR))
 
     labels_ok = True
     for k in (3, 4):

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pair_oracles as oracle
 from test_json_oracle import catalog_cases
 from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext, genus_r4
 from acmbundles.constraints import c3_from_acm, enumerate_acm_r4
@@ -25,9 +24,8 @@ from acmbundles.extensions import (
     UnsupportedDegree,
     catalog,
     coverage_report,
-    decompose,
+    decompose_rows,
     extend_rank2,
-    extension_quadruples,
     extension_rows,
     load_catalog,
 )
@@ -138,35 +136,39 @@ class TestExtendRank2:
                 )
 
 
+def pairs(rows):
+    """Each row's (left class, right class)."""
+    return [(row[3:5], row[5:7]) for row in rows]
+
+
 class TestExtensionQuadruples:
     def test_star_pool_on_quartic(self):
-        witnesses = extension_quadruples(4, POOL_STAR)
-        assert len(witnesses) == 10
-        assert {w.result.quadruple() for w in witnesses} == STAR_QUADRUPLES
-        assert BundleInvariants(4, 4, 32, 32) in [w.result for w in witnesses]
+        rows = extension_rows(4, POOL_STAR)
+        assert len(rows) == 10
+        assert {(4, *row[:3]) for row in rows} == STAR_QUADRUPLES
 
     def test_sorted_by_result_then_left(self):
-        witnesses = extension_quadruples(4, POOL_STAR)
-        keys = [oracle.sort_key(w) for w in witnesses]
+        rows = extension_rows(4, POOL_STAR)
+        keys = [(row[:3], row[3:5], row[5:7]) for row in rows]
         assert keys == sorted(keys)
+        assert all(left <= right for left, right in pairs(rows))
 
     def test_normalized_pool_is_superset(self):
-        witnesses = extension_quadruples(4, POOL_NORMALIZED)
-        assert len(witnesses) == 28
-        used = {w.left.pair for w in witnesses} | {w.right.pair for w in witnesses}
+        rows = extension_rows(4, POOL_NORMALIZED)
+        assert len(rows) == 28
+        used = {cls for pair in pairs(rows) for cls in pair}
         assert {(-1, 1), (0, 2), (1, 5)} <= used
-        star_results = {w.result.quadruple() for w in extension_quadruples(4, POOL_STAR)}
-        assert star_results <= {w.result.quadruple() for w in witnesses}
+        star_results = {row[:3] for row in extension_rows(4, POOL_STAR)}
+        assert star_results <= {row[:3] for row in rows}
 
     def test_cubic_star_pool(self):
-        witnesses = extension_quadruples(3, POOL_STAR)
-        assert [w.result.quadruple() for w in witnesses] == [
-            (4, 2, 7, 4), (4, 3, 13, 9), (4, 4, 22, 20),
+        assert [row[:3] for row in extension_rows(3, POOL_STAR)] == [
+            (2, 7, 4), (3, 13, 9), (4, 22, 20),
         ]
 
     def test_unclassified_degree_rejected(self):
         with pytest.raises(UnsupportedDegree):
-            extension_quadruples(5)
+            extension_rows(5)
         # the degree itself is checked before the catalog is looked up
         with pytest.raises(DomainError, match="hypersurface degree"):
             extension_rows(0)
@@ -174,79 +176,76 @@ class TestExtensionQuadruples:
     @pytest.mark.parametrize("pool", [POOL_STAR, POOL_NORMALIZED])
     def test_rows_carry_the_witnesses(self, pool):
         rows = extension_rows(4, pool)
-        assert [(*row[:7], *row[8:]) for row in rows] == [
-            (*w.result.quadruple()[1:], *w.left.pair, *w.right.pair, w.left, w.right)
-            for w in extension_quadruples(4, pool)]
+        # the integers are the entries' classes and their extension
+        for c1, c2, c3, *classes, _, left, right in rows:
+            assert classes == [*left.pair, *right.pair]
+            assert extend_rank2(X4, left.pair, right.pair) == BundleInvariants(4, c1, c2, c3)
         # a row's position is its pair's index in combinations_with_replacement
         entries = [e for e in catalog(4) if pool == POOL_NORMALIZED or e.satisfies_star]
-        pairs = list(combinations_with_replacement(entries, 2))
-        assert sorted(row[7] for row in rows) == list(range(len(pairs)))
+        pool_pairs = list(combinations_with_replacement(entries, 2))
+        assert sorted(row[7] for row in rows) == list(range(len(pool_pairs)))
         for *_, position, left, right in rows:
-            assert {left, right} == set(pairs[position])
+            assert {left, right} == set(pool_pairs[position])
 
 
 class TestDecompose:
     def test_known_negative_over_full_catalog(self):
-        assert decompose(4, BundleInvariants(4, 1, 6, 4), POOL_NORMALIZED) == []
+        assert decompose_rows(4, BundleInvariants(4, 1, 6, 4), POOL_NORMALIZED) == []
 
     def test_unique_witnesses(self):
-        found = decompose(4, BundleInvariants(4, 6, 64, 84), POOL_STAR)
-        assert [(w.left.pair, w.right.pair) for w in found] == [((3, 14), (3, 14))]
-        found = decompose(4, BundleInvariants(4, 4, 30, 26), POOL_STAR)
-        assert [(w.left.pair, w.right.pair) for w in found] == [((1, 4), (3, 14))]
+        found = decompose_rows(4, BundleInvariants(4, 6, 64, 84), POOL_STAR)
+        assert pairs(found) == [((3, 14), (3, 14))]
+        found = decompose_rows(4, BundleInvariants(4, 4, 30, 26), POOL_STAR)
+        assert pairs(found) == [((1, 4), (3, 14))]
 
     def test_gap_value_needs_starless_class(self):
         # c2 = 31 in the c1 = 4 row: unreachable from star pairs, but the
         # starless (1,5) class does produce it
         target = BundleInvariants(4, 4, 31, 29)
-        assert decompose(4, target, POOL_STAR) == []
-        found = decompose(4, target, POOL_NORMALIZED)
-        assert [(w.left.pair, w.right.pair) for w in found] == [((1, 5), (3, 14))]
+        assert decompose_rows(4, target, POOL_STAR) == []
+        assert pairs(decompose_rows(4, target, POOL_NORMALIZED)) == [((1, 5), (3, 14))]
 
     def test_exhaustive_over_witnesses(self):
         for r in (3, 4):
             for pool in (POOL_STAR, POOL_NORMALIZED):
-                listing = extension_quadruples(r, pool)
-                for witness in listing:
-                    expected = [w for w in listing if w.result == witness.result]
-                    assert decompose(r, witness.result, pool) == expected
+                listing = extension_rows(r, pool)
+                for row in listing:
+                    expected = [other for other in listing if other[:3] == row[:3]]
+                    assert decompose_rows(r, BundleInvariants(4, *row[:3]), pool) == expected
 
     def test_rank_and_degree_errors(self):
         with pytest.raises(RankUnsupported):
-            decompose(4, BundleInvariants(3, 1, 5, 2), POOL_STAR)
+            decompose_rows(4, BundleInvariants(3, 1, 5, 2), POOL_STAR)
         with pytest.raises(UnsupportedDegree):
-            decompose(5, BundleInvariants(4, 1, 6, 4), POOL_STAR)
+            decompose_rows(5, BundleInvariants(4, 1, 6, 4), POOL_STAR)
 
     @pytest.mark.parametrize("pool", ["star_only", True])
     def test_unknown_pool_rejected(self, pool):
         with pytest.raises(DomainError, match="unknown pool"):
-            extension_quadruples(4, pool)
+            extension_rows(4, pool)
         with pytest.raises(DomainError, match="unknown pool"):
-            decompose(4, BundleInvariants(4, 6, 64, 84), pool)
+            decompose_rows(4, BundleInvariants(4, 6, 64, 84), pool)
 
     def test_witnesses_are_unordered(self):
-        # the same pair found through targets built from either order is
-        # one and the same witness object value
-        small = extend_rank2(X4, (1, 4), (3, 14))
-        forward = decompose(4, small, POOL_STAR)
-        assert len(forward) == 1
-        witness = forward[0]
-        assert (witness.left.pair, witness.right.pair) == ((1, 4), (3, 14))
-        assert witness.result == extend_rank2(X4, witness.left.pair, witness.right.pair)
+        # a target built from either order of a pair finds that pair once,
+        # with the smaller class on the left
+        forward = extend_rank2(X4, (1, 4), (3, 14))
+        assert extend_rank2(X4, (3, 14), (1, 4)) == forward
+        found = decompose_rows(4, forward, POOL_STAR)
+        assert pairs(found) == [((1, 4), (3, 14))]
+        assert found[0][:3] == forward.quadruple()[1:]
 
 
 class TestCrossModule:
     def test_star_quadruples_are_admissible(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}
-        for witness in extension_quadruples(4, POOL_STAR):
-            result = witness.result
-            row = rows[result.c1]
-            assert result.c2 in row.interval
-            assert c3_from_acm(4, result.c1, result.c2) == result.c3
+        for c1, c2, c3, *_ in extension_rows(4, POOL_STAR):
+            assert c2 in rows[c1].interval
+            assert c3_from_acm(4, c1, c2) == c3
 
     def test_star_quadruples_have_nonnegative_integer_genus(self):
-        for witness in extension_quadruples(4, POOL_STAR):
-            genus = genus_r4(witness.result)
+        for c1, c2, c3, *_ in extension_rows(4, POOL_STAR):
+            genus = genus_r4(BundleInvariants(4, c1, c2, c3))
             assert genus.denominator == 1
             assert genus >= 0
 
@@ -297,11 +296,10 @@ class TestCatalogFile:
         path = tmp_path / "catalog.txt"
         path.write_text("5 1 4 1 no\n5 2 9 1 no\n", encoding="utf-8")
         loaded = load_catalog(path)
-        witnesses = extension_quadruples(5, POOL_STAR, source=loaded)
-        assert len(witnesses) == 3
+        assert len(extension_rows(5, POOL_STAR, source=loaded)) == 3
         target = extend_rank2(HypersurfaceContext(5), (1, 4), (2, 9))
-        found = decompose(5, target, POOL_STAR, source=loaded)
-        assert [(w.left.pair, w.right.pair) for w in found] == [((1, 4), (2, 9))]
+        found = decompose_rows(5, target, POOL_STAR, source=loaded)
+        assert pairs(found) == [((1, 4), (2, 9))]
 
     def test_builtin_unaffected_by_override(self, tmp_path):
         path = tmp_path / "catalog.txt"

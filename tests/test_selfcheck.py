@@ -96,13 +96,13 @@ def test_corrupted_acm_row_is_caught(monkeypatch):
 
 def test_repeated_decompose_hit_is_caught(monkeypatch):
     # a witness reported twice is a wrong count, though every hit is genuine
-    real = extensions.decompose
+    real = extensions.decompose_rows
 
     def repeating(*args, **kwargs):
         hits = real(*args, **kwargs)
         return hits[:1] + hits
 
-    monkeypatch.setattr(extensions, "decompose", repeating)
+    monkeypatch.setattr(extensions, "decompose_rows", repeating)
     assert "decompose-exhaustive" in failed_checks()
 
 
@@ -135,9 +135,9 @@ def test_quadratic_c3_drift_in_twist_is_caught(monkeypatch):
 
 
 def test_witness_count_is_counted(monkeypatch):
-    real = extensions.extension_quadruples
+    real = extensions.extension_rows
     monkeypatch.setattr(
-        extensions, "extension_quadruples", lambda *args, **kwargs: real(*args, **kwargs)[1:]
+        extensions, "extension_rows", lambda *args, **kwargs: real(*args, **kwargs)[1:]
     )
     results = {result.name: result for result in selfcheck.run_all()}
     assert results["star-extensions-admissible"].detail == "9 witnesses"
