@@ -30,6 +30,7 @@ from .chern import (
 
 SCHEMA_VERSION = 1
 FORMATS = ("table", "json", "csv")
+_JSON_WORDS = {None: "null", True: "true", False: "false"}
 
 
 class UsageError(Exception):
@@ -58,15 +59,27 @@ def _emit(args, inputs: dict, *, results, table, csv_text,
     template and indented for the "results" list; ``json.dumps`` encodes
     every string in them.  The document is canonical JSON (sorted keys,
     indent 2): keys sort command < inputs < results < schema_version, so
-    the head is the encoded envelope without its closing brace."""
+    the head is the envelope's first two keys without its closing brace."""
     if args.format == "json":
-        head = json.dumps({"command": args.command, "inputs": inputs},
-                          indent=2, sort_keys=True)[:-2]
+        head = _json_object({"command": args.command, "inputs": inputs}, "")[:-2]
         return (f'{head},\n  "results": {_json_list(results(), "  ")},\n'
                 f'  "schema_version": {SCHEMA_VERSION}\n}}\n'), code
     if args.format == "csv":
         return csv_text(), code
     return table(), code
+
+
+def _json_object(fields: dict, indent: str) -> str:
+    """``json.dumps(fields, indent=2, sort_keys=True)`` nested at ``indent``,
+    for int, bool, None, str and dict values; only a str runs json in C."""
+    if not fields:
+        return "{}"
+    inner = indent + "  "
+    return "{\n" + ",\n".join([f"{inner}{json.dumps(key)}: " + (
+        _json_object(value, inner) if isinstance(value, dict)
+        else str(value) if type(value) is int  # not a bool
+        else json.dumps(value) if isinstance(value, str) else _JSON_WORDS[value])
+        for key, value in sorted(fields.items())]) + f"\n{indent}}}"
 
 
 def _json_list(items: list[str], indent: str) -> str:

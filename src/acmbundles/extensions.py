@@ -72,6 +72,12 @@ class Rank2CatalogEntry:
     satisfies_star: bool
     globally_generated: GlobalGeneration
 
+    def __init__(self, r: int, c1: int, c2: int, satisfies_star: bool,
+                 globally_generated: GlobalGeneration) -> None:
+        # written out, as chern.HypersurfaceContext's is
+        self.__dict__.update(r=r, c1=c1, c2=c2, satisfies_star=satisfies_star,
+                             globally_generated=globally_generated)
+
     @property
     def pair(self) -> tuple[int, int]:
         return (self.c1, self.c2)
@@ -133,9 +139,8 @@ def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
 
     Every line is checked.  With ``r`` given, only degree-r classes become
     entries, unless there are none: then all do, for ``for_degree``'s message.
+    The file is parsed whole; :func:`_first_fault` words a failure.
     """
-    rows = []
-    first_lines: dict[tuple[int, int, int], int] = {}
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
@@ -144,40 +149,42 @@ def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
         # byte is valid, and a sentinel marks whether it ends mid-line
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise CatalogParseError(f"{path}: line {lineno}: not valid UTF-8") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    try:
+        # a wrong field count fails the unpacking, a bad field int() or a lookup
+        rows = [(int(a), int(b), int(c), _STAR[star], _GG[gg])
+                for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#"
+                for a, b, c, star, gg in (tokens,)]
+    except (ValueError, KeyError):
+        rows = None
+    if rows is None or len({(a, b, c) for a, b, c, _, _ in rows}) != len(rows):
+        raise CatalogParseError(_first_fault(path, lines))
+    wanted = [row for row in rows if row[0] == r] or rows
+    return Catalog(tuple(Rank2CatalogEntry(*row) for row in wanted))
+
+
+def _first_fault(path: str | Path, lines: list[str]) -> str:
+    """The error of the first faulty line of a file that failed to parse, by
+    field count, then integers, star, gg and an earlier line's class."""
+    first_lines: dict[tuple[int, int, int], int] = {}
+    for lineno, raw in enumerate(lines, start=1):
         tokens = raw.split()
         if not tokens or tokens[0].startswith("#"):
             continue
+        where = f"{path}: line {lineno}:"
         if len(tokens) != 5:
-            raise CatalogParseError(
-                f"{path}: line {lineno}: expected 5 fields 'r c1 c2 star gg', "
-                f"got {len(tokens)}"
-            )
+            return f"{where} expected 5 fields 'r c1 c2 star gg', got {len(tokens)}"
         try:
             key = int(tokens[0]), int(tokens[1]), int(tokens[2])
         except ValueError:
-            raise CatalogParseError(
-                f"{path}: line {lineno}: r, c1, c2 must be integers"
-            ) from None
-        star = _STAR.get(tokens[3])
-        if star is None:
-            raise CatalogParseError(
-                f"{path}: line {lineno}: star must be 0 or 1, got {tokens[3]!r}"
-            )
-        gg = _GG.get(tokens[4])
-        if gg is None:
-            raise CatalogParseError(
-                f"{path}: line {lineno}: gg must be one of always/generic/no, "
-                f"got {tokens[4]!r}"
-            )
+            return f"{where} r, c1, c2 must be integers"
+        if tokens[3] not in _STAR:
+            return f"{where} star must be 0 or 1, got {tokens[3]!r}"
+        if tokens[4] not in _GG:
+            return f"{where} gg must be one of always/generic/no, got {tokens[4]!r}"
         first = first_lines.setdefault(key, lineno)
         if first != lineno:
-            raise CatalogParseError(
-                f"{path}: line {lineno}: duplicate class {key}, first on line {first}"
-            )
-        rows.append((*key, star, gg))
-    wanted = [row for row in rows if row[0] == r] or rows
-    return Catalog(tuple(Rank2CatalogEntry(*row) for row in wanted))
+            return f"{where} duplicate class {key}, first on line {first}"
 
 
 def catalog(r: int, source: Catalog | None = None) -> list[Rank2CatalogEntry]:

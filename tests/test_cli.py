@@ -91,6 +91,15 @@ def test_usage_golden(capsys, monkeypatch, name):
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
+def test_catalog_error_golden(capsys, monkeypatch):
+    # a duplicate class on an earlier line than a bad gg: the earlier is named
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, "extensions", "--r", "4",
+                             "--catalog", "tests/catalog_faulty.txt")
+    assert (code, out) == (1, "")
+    assert err == (GOLDEN / "error_catalog_faulty.txt").read_text(encoding="utf-8")
+
+
 # calls whose result must not depend on the call before them in the same
 # process: (argv, exit code, stdout, or the golden file that holds it); each
 # second call of a pair leaves out a flag the first one gave

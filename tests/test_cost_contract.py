@@ -1,0 +1,80 @@
+"""Cost contracts as exact counts: the Python lines the library runs for a
+catalog file grow linearly with the file.
+
+Each count is the number of ``sys.settrace`` line events in code under the
+package's own directory, so it is exact and repeats from run to run, unlike
+a timing.  The contracts are ratios between a file and one twice its size,
+not absolute counts, because the events a line yields may differ between
+Python versions."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from acmbundles import extensions
+from acmbundles.chern import BundleInvariants
+from acmbundles.extensions import POOL_NORMALIZED, decompose_rows, load_catalog
+
+PACKAGE = str(Path(extensions.__file__).parent)
+LINEAR = 2.2  # the bound on the ratio between a doubled input's count and the input's
+
+
+def line_events(call) -> int:
+    """The line events in the package's own code while ``call()`` runs."""
+    count = 0
+
+    def local(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(PACKAGE) else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return count
+
+
+def catalog_file(directory: Path, n: int) -> Path:
+    """A file of ``n`` distinct classes at each of degrees 3, 4 and 5, with a
+    comment and a blank line every ten classes."""
+    lines = []
+    for r in (3, 4, 5):
+        for i in range(n):
+            if i % 10 == 0:
+                lines += [f"# degree {r}, from class {i}", ""]
+            lines.append(f"{r} {i % 7 - 2} {i} {i % 2} {('always', 'generic', 'no')[i % 3]}")
+    path = directory / f"catalog-{n}.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+# (1,3) + (1,10) on the quartic: both files hold the two classes
+TARGET = BundleInvariants(4, 2, 17, 13)
+
+
+def assert_linear(counts: list[int]) -> None:
+    assert counts[0] > 100
+    assert counts[1] / counts[0] < LINEAR, counts
+
+
+@pytest.fixture
+def files(tmp_path) -> list[Path]:
+    return [catalog_file(tmp_path, 100), catalog_file(tmp_path, 200)]
+
+
+def test_load_catalog_grows_linearly(files):
+    assert_linear([line_events(lambda: load_catalog(path, 4)) for path in files])
+
+
+def test_decompose_rows_grows_linearly(files):
+    sources = [load_catalog(path, 4) for path in files]
+    assert all(decompose_rows(4, TARGET, POOL_NORMALIZED, source=s) for s in sources)
+    assert_linear([line_events(lambda: decompose_rows(4, TARGET, POOL_NORMALIZED, source=s))
+                   for s in sources])

@@ -1,6 +1,7 @@
 """Catalog data, extension arithmetic against a ring oracle, decomposability
 search, the coverage report, and the catalog override file format."""
 
+import dataclasses
 import re
 from itertools import combinations_with_replacement
 
@@ -20,6 +21,7 @@ from acmbundles.extensions import (
     STATUS_OPEN,
     CatalogParseError,
     GlobalGeneration,
+    Rank2CatalogEntry,
     RankUnsupported,
     UnsupportedDegree,
     catalog,
@@ -97,6 +99,33 @@ class TestCatalog:
     def test_unclassified_degree_rejected(self):
         with pytest.raises(UnsupportedDegree):
             catalog(5)
+
+    def test_entries_keep_the_dataclass_behaviour(self, tmp_path):
+        # the class writes its own __init__; what the dataclass generates
+        # must stay as it was
+        gg = GlobalGeneration.GENERIC
+        entry = Rank2CatalogEntry(4, 2, 8, True, gg)
+        assert repr(entry) == (f"Rank2CatalogEntry(r=4, c1=2, c2=8, satisfies_star=True, "
+                               f"globally_generated={gg!r})")
+        assert entry == Rank2CatalogEntry(r=4, c1=2, c2=8, satisfies_star=True,
+                                          globally_generated=gg)
+        assert entry != Rank2CatalogEntry(4, 2, 8, False, gg)
+        assert entry != (4, 2, 8, True, gg)
+        assert hash(entry) == hash((4, 2, 8, True, gg))
+        assert (entry.pair, str(entry)) == ((2, 8), "(2,8)")
+        assert entry in BUILTIN_CATALOG.entries
+        names = ["r", "c1", "c2", "satisfies_star", "globally_generated"]
+        assert [f.name for f in dataclasses.fields(entry)] == names
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(entry, name, 0)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(entry, name)
+        assert dataclasses.replace(entry, c2=9) == Rank2CatalogEntry(4, 2, 9, True, gg)
+        path = tmp_path / "catalog.txt"
+        path.write_text("4 2 8 1 generic\n", encoding="utf-8")
+        loaded, = load_catalog(path).entries
+        assert loaded == entry and loaded.globally_generated is gg
 
 
 class TestExtendRank2:

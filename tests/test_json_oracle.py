@@ -3,13 +3,14 @@ listings against the whole-document ``json.dumps``, ``csv.writer`` and
 ``str`` renderings in ``json_oracles``, byte for byte: every rank k in
 2..60; random catalog files, behind a path with non-ASCII characters and
 JSON escapes, for ``extensions`` and ``decompose`` in every format and
-``coverage`` as JSON; random chi, genus and twist queries; and selfcheck
-results, passing and failing."""
+``coverage`` as JSON; random chi, genus and twist queries; selfcheck
+results, passing and failing; and the envelope head's writer."""
 
 import contextlib
 import io
+import json
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import json_oracles as oracle
@@ -129,3 +130,22 @@ def test_selfcheck_matches_oracle(monkeypatch):
                *results[1:]]
     monkeypatch.setattr(selfcheck, "run_all", lambda: failing)
     assert run("selfcheck", "--format", "json") == (1, oracle.selfcheck_json(failing))
+
+
+# the values an envelope head holds: ints, bools, None, strings (JSON escapes
+# and non-ASCII included) and nested objects such as "bundle" and "target"
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(),
+    lambda inner: st.dictionaries(st.text(), inner, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.dictionaries(st.text(), JSON_VALUES, max_size=6))
+@example(fields={"command": "selfcheck", "inputs": {}})
+@example(fields={"command": "decompose", "inputs": {
+    "r": 4, "target": {"k": 4, "c1": 5, "c2": 46, "c3": 52}, "pool": "star",
+    "expect_witness": False, "catalog": CATALOG_NAME}})
+def test_json_object_matches_json_dumps(fields):
+    assert cli._json_object(fields, "") == json.dumps(fields, indent=2, sort_keys=True)
