@@ -65,7 +65,7 @@ def catalog_files(draw) -> str:
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(st.sampled_from(("fields", "glued", "duplicate", *BAD_FIELDS)))
         if kind == "duplicate" and lines:
-            # an earlier class again, with its own star and gg, anywhere
+            # another line's class again, with its own star and gg, anywhere
             repeat = [*draw(st.sampled_from(lines))[:3], *draw(data_lines())[3:]]
             lines.insert(draw(st.integers(0, len(lines))), repeat)
         elif lines:
