@@ -323,24 +323,27 @@ def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
 
 
 @functools.cache  # one parser per process; main() finds cmd_<command> by name
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser, and each command's own parser by name."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The top-level parser, and each command's own parser and flag table by name."""
     parser = argparse.ArgumentParser(prog="acmbundles", description=(
         "Exact Chern-class calculus and the admissible-invariant tables "
         "for ACM bundles on low-degree hypersurfaces in P^4."))
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = {}  # each command's {option string: the Action add_argument made}
 
     def command(name: str, summary: str, *flags, r=True, catalog=False) -> None:
         p = sub.add_parser(name, help=summary)
         if r:
-            p.add_argument("--r", type=int, required=True, help="hypersurface degree")
-        for names, options in flags:
-            p.add_argument(*names, **options)
-        p.add_argument("--format", choices=FORMATS, default="table",
-                       help="output format (default: table)")
+            flags = (_flag("--r", type=int, required=True, help="hypersurface degree"), *flags)
+        flags += (_flag("--format", choices=FORMATS, default="table",
+                        help="output format (default: table)"),)
         if catalog:
-            p.add_argument("--catalog", metavar="FILE", default=None,
-                           help="rank-two catalog override file")
+            flags += (_flag("--catalog", metavar="FILE", default=None,
+                            help="rank-two catalog override file"),)
+        actions = [p.add_argument(*names, **options) for names, options in flags]
+        tables[name] = {option: a for a in actions for option in a.option_strings}
+        # argparse reads "-5" as a value only while no option could be read as one
+        assert not any(option[1] == "." or option[1].isdecimal() for option in tables[name])
 
     bundle = _flag("--bundle", type=_quadruple, required=True, metavar="K,C1,C2,C3")
     pool = _flag("--pool", choices=(extensions.POOL_STAR, extensions.POOL_NORMALIZED),
@@ -367,15 +370,49 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
             _flag("--k", type=int, required=True, help="rank (3 or 4)"),
             r=False, catalog=True)
     command("selfcheck", "run the cross-module invariant suite", r=False)
-    return parser, sub.choices
+    return parser, sub.choices, tables
+
+
+def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse gives for argv that names a command and then
+    only that command's exact flags, each value passing its type and choices
+    and none readable as a flag, every required flag present; for any other
+    argv None, and argparse reads it.  Never raises, never prints."""
+    table = _build_parser()[2].get(argv[0]) if argv else None
+    if table is None:
+        return None
+    given, tokens = {}, iter(argv[1:])
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        action = table.get(token) or equals and table.get(flag)
+        if not action or action.nargs == 0 and equals:
+            return None
+        if action.nargs != 0:
+            # a missing value, "--" (argparse strips it) and "-x" fall back
+            value = value if equals else next(tokens, "--")
+            if value[:1] == "-" and not value[1:].isdecimal():
+                return None
+            try:
+                value = action.type(value) if action.type else value
+            except (ValueError, TypeError, argparse.ArgumentTypeError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        given[action.dest] = action.const if action.nargs == 0 else value
+    if any(action.required and action.dest not in given for action in table.values()):
+        return None
+    defaults = {action.dest: action.default for action in table.values()}
+    return argparse.Namespace(command=argv[0], **(defaults | given))
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once: a leading command name goes straight to that
-    command's parser, as the top-level parser would hand it on; help, a
-    missing or unknown command and leftover tokens are the top-level
-    parser's, so every message and exit code is the one it gives."""
-    parser, commands = _build_parser()
+    """Parse argv once: :func:`_parse_plain` reads well-formed argv, argparse
+    any other: a command's own parser reads what follows its name, and help,
+    unknown commands and leftovers go to the top-level parser, as parse_args."""
+    args = _parse_plain(argv)
+    if args is not None:
+        return args
+    parser, commands, _ = _build_parser()
     command = commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
@@ -388,6 +425,10 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parse(sys.argv[1:] if argv is None else argv)
+        _, commands, tables = _build_parser()
+        for flag, action in tables[args.command].items():
+            if getattr(args, action.dest) == []:  # argparse's value for "--r=--"
+                commands[args.command].error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -395,13 +436,17 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 1
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
-    except OSError as exc:
+    except (OSError, MemoryError) as exc:
         # the output is lost; the flush at interpreter exit must not retry it
         sys.stdout = open(os.devnull, "w")
-        print(f"error: {exc}", file=sys.stderr)
+        print("error: out of memory" if isinstance(exc, MemoryError) else f"error: {exc}",
+              file=sys.stderr)
         return 1
     return code
 

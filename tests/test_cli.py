@@ -49,6 +49,15 @@ GOLDEN_CASES = {
 }
 GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
 
+# argv forms with one golden each: a separate negative value and the "="
+# form, which the flag table reads, and an attached value, which argparse reads
+ARGV_FORM_CASES = {
+    "twist_dashed.json": ["twist", "--r", "4", "--bundle=3,1,5,2", "-n", "-1",
+                          "--format", "json"],
+    "chi_line_dashed.txt": ["chi", "--r=4", "--line", "-a", "-2"],
+    "chi_line_glued.txt": ["chi", "--r", "4", "--line", "-a3"],
+}
+
 # argparse's own text, rendered at 80 columns: name -> (argv, exit code,
 # the stream that carries the text; the other stream stays empty); a
 # command's own errors carry its prefix ("acmbundles enumerate:"), while an
@@ -79,6 +88,12 @@ def test_golden_output(capsys, monkeypatch, name, fmt):
     assert (code, err) == (0, "")
     golden = GOLDEN / f"{name}.{GOLDEN_EXTENSIONS[fmt]}"
     assert out == golden.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_FORM_CASES))
+def test_argv_form_golden(capsys, name):
+    assert run_cli(capsys, *ARGV_FORM_CASES[name]) == (
+        0, (GOLDEN / name).read_text(encoding="utf-8"), "")
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_CASES))
@@ -457,6 +472,18 @@ class TestUsage:
         code, out, _ = run_cli(capsys, "enumerate", "--k", "3", "--format", "xml")
         assert (code, out) == (2, "")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["chi", "--r=--"], "--r"),
+        (["genus", "--r", "4", "--bundle=--"], "--bundle"),
+        (["enumerate", "--k", "3", "--format=--"], "--format"),
+        (["coverage", "--k", "4", "--cat=--"], "--catalog"),
+    ])
+    def test_dashes_value_is_missing(self, capsys, argv, flag):
+        # argparse strips a "--" value and stores []; no handler may see that
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f": error: argument {flag}: expected one argument\n")
+
     @pytest.mark.parametrize("argv", [
         ["chi", "--r", "4", "--line", "-a", "1"],
         ["enumerate", "--k", "3"],
@@ -493,6 +520,19 @@ class TestWriteErrors:
         assert code == 1
         assert err.splitlines() == [f"error: {exc}"]
         assert "Traceback" not in err
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+
+    def test_out_of_memory_exits_cleanly(self, capsys, monkeypatch):
+        # in the handler and in the write: one error line, exit 1, stdout empty
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_enumerate", exhausted)
+        assert run_cli(capsys, "enumerate", "--k", "3") == (1, "", "error: out of memory\n")
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(MemoryError()))
+        assert cli.main(["chi", "--r", "4", "--line", "-a", "1"]) == 1
+        assert capsys.readouterr().err == "error: out of memory\n"
         assert sys.stdout.name == os.devnull
         sys.stdout.close()
 

@@ -1,24 +1,32 @@
 """The CLI under random argv, in process: the one-pass parse in ``cli._parse``
-against argparse's own two-pass ``parse_args``, and ``cli.main``'s contract
-(exit code 0, 1 or 2; empty stdout on error; no traceback; no exception
-escapes) over the same argv and random catalog-file bytes."""
+and the flag-table parse in ``cli._parse_plain`` against argparse's own
+two-pass ``parse_args``, and ``cli.main``'s contract (exit code 0, 1 or 2;
+empty stdout on error; no traceback; no exception escapes) over the same
+argv and random catalog-file bytes."""
 
+import argparse
 import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from acmbundles import cli
 
 COMMANDS = ["chi", "twist", "genus", "enumerate", "extensions", "decompose",
             "coverage", "selfcheck"]
+# values at the edge of what argparse reads as a value rather than a flag:
+# "--" (stripped), "-" (a value), a negative number in any decimal digits
+# ("-٥"; "-5\n" too, since the "$" of its regex matches before a newline),
+# and what only int() accepts
+EDGES = ("--", "-", "", "-٥", "-5\n", "-x y", "-.5", "-²", "+4", "1_0", "-0")
 NUMBERS = ("4", "3", "5", "1", "0", "-1", "-3", "12", "x")
 QUADRUPLES = ("4,1,6,4", "3,1,5,2", "4,5,46,52", "4,1", "4,x,1,1",
-              "4,99999999999999999999,1,1")
-# each option's values: good and bad ones; no number exceeds 12, so --k stays
-# small; CATALOG stands for the random catalog file, CATALOG.missing for none
+              "4,99999999999999999999,1,1", "-4,1,6,4")
+# each option's values: good and bad ones, and one in four drawn from EDGES;
+# no number exceeds 12, so --k stays small; CATALOG stands for the random
+# catalog file, CATALOG.missing for none
 VALUES = {"--r": NUMBERS, "-a": NUMBERS, "-n": NUMBERS, "--k": NUMBERS,
           "--bundle": QUADRUPLES, "--target": QUADRUPLES,
           "--format": ("table", "json", "csv", "xml"),
@@ -41,22 +49,29 @@ TOKENS = [*COMMANDS, *VALUES, *SWITCHES, *NUMBERS, *QUADRUPLES,
           "frobnicate", "chis", "-h", "--help", "--he", "--", "-", "--=x", "-z",
           "--bogus", "--r=4", "--li", "-a3", "-a=-2", "--bu=3,1,5,2", "-n1", "--k=4",
           "--fo=json", "--form", "--po=normalized", "--ta=4,2,12,8", "--exp",
-          "--cat=CATALOG", "CATALOG", "json", "xml", "normalized", "extra"]
+          "--cat=CATALOG", "CATALOG", "json", "xml", "normalized", "extra",
+          *EDGES, "--catalog=--", "--k=-0", "-a=-٥", "--r=-5\n", "--line=", "-n=--",
+          "--format=", "--pool=-", "--bundle=-x y"]
 TAIL = st.lists(st.sampled_from(TOKENS), max_size=8)
 
 
 @st.composite
 def command_call(draw):
     """A command with its required flags and some optional ones, in any
-    order, each with a good or bad value, and now and then one token more:
-    argv that often gets past the parse and runs the command."""
+    order, each with a good or bad value, separate or after "=", and now and
+    then one token more: argv that often gets past the parse and runs the
+    command."""
     name = draw(st.sampled_from(COMMANDS))
     required, optional = FLAGS[name]
     flags = draw(st.permutations(
         required + draw(st.lists(st.sampled_from([*optional, "--format"]), unique=True))))
     argv = [name]
     for flag in flags:
-        argv += [flag, draw(st.sampled_from(VALUES[flag]))] if flag in VALUES else [flag]
+        if flag not in VALUES:
+            argv.append(flag)
+            continue
+        value = draw(st.sampled_from(EDGES if draw(st.integers(0, 3)) == 0 else VALUES[flag]))
+        argv += [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
     if draw(st.integers(0, 3)) == 0:
         argv.append(draw(st.sampled_from(TOKENS)))
     return argv
@@ -107,9 +122,48 @@ def _captured(call):
 @settings(max_examples=500, deadline=None)
 @given(argv=ARGV)
 def test_one_pass_parse_matches_parse_args(argv):
-    parser, _ = cli._build_parser()
+    parser = cli._build_parser()[0]
     assert (_captured(lambda: vars(cli._parse(argv)))
             == _captured(lambda: vars(parser.parse_args(argv))))
+
+
+# each explicit example fails if _parse_plain accepted an explicit "--", a
+# dashed value, a missing required flag or a value outside the choices
+@settings(max_examples=1000, deadline=None)
+@given(argv=ARGV)
+@example(argv=["coverage", "--catalog=--", "--k=-0"])
+@example(argv=["coverage", "--k", "4", "--catalog", "--format"])
+@example(argv=["twist", "--r", "4", "-n", "-1"])
+@example(argv=["enumerate", "--k", "3", "--format", "xml"])
+def test_plain_parse_is_none_or_parse_args(argv):
+    result, out, err = _captured(lambda: cli._parse_plain(argv))
+    assert (out, err) == ("", "")
+    if result is not None:
+        parser = cli._build_parser()[0]
+        assert _captured(lambda: vars(parser.parse_args(argv))) == (vars(result), "", "")
+
+
+# one well-formed argv per command, with the "=" form and negative values
+PLAIN = [["chi", "--r", "4", "--line", "-a", "-2", "--format", "json"],
+         ["chi", "--r=4", "--bundle=4,1,6,4"],
+         ["twist", "--r", "4", "--bundle=3,1,5,2", "-n", "-1", "--format", "json"],
+         ["genus", "--bundle", "4,6,64,84", "--r", "4", "--r", "5"],
+         ["enumerate", "--k", "4", "--format=csv"],
+         ["extensions", "--r", "4", "--pool", "normalized", "--catalog", "f.txt"],
+         ["decompose", "--r", "4", "--target=4,2,12,8", "--expect-witness", "--pool=star"],
+         ["coverage", "--k", "4", "--catalog", "-5"],
+         ["selfcheck"]]
+
+
+def test_well_formed_argv_skips_argparse(monkeypatch):
+    expected = [vars(cli._build_parser()[0].parse_args(argv)) for argv in PLAIN]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse_known_args called")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert {argv[0] for argv in PLAIN} == set(COMMANDS)
+    assert [vars(cli._parse(argv)) for argv in PLAIN] == expected
 
 
 @settings(max_examples=300, deadline=None)

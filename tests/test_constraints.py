@@ -1,10 +1,12 @@
 """Bound clauses, closed forms, and the admissible-row enumeration."""
 
 import warnings
+from fractions import Fraction
 
 import pytest
 
 import bound_oracles as oracle
+from acmbundles import constraints
 from acmbundles.chern import (
     BundleInvariants,
     CurveInvariants,
@@ -181,6 +183,45 @@ class TestEnumeration:
     def test_restriction_tag_appears_at_tight_rows(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}
         assert UPPER_RESTRICTION in rows[6].provenance
+
+
+def _sections_bound(k: int, c1: int):
+    # chi(E) >= k, from h^0(E) >= k, with c3 forced by c3_from_acm: chi is
+    # affine in c2, so the largest c2 it allows is where chi(E) = k
+    def chi(c2):
+        return chi_bundle(QUARTIC, BundleInvariants(k, c1, c2, c3_from_acm(k, c1, c2)))
+    slope = chi(1) - chi(0)
+    assert slope < 0 and chi(2) - chi(1) == slope
+    return (k - chi(0)) / slope
+
+
+def _restriction_bound(k: int, c1: int):
+    return c2_upper_general(QUARTIC, k, c1)
+
+
+def _fit(bound):
+    """(q, a, b, d) with bound(k, c1) = q c1^2 + a c1 + b k + d, interpolated
+    exactly at four points and then checked on a grid."""
+    base = bound(2, 0)
+    q = Fraction(bound(2, 2) - 2 * bound(2, 1) + base, 2)
+    a = bound(2, 1) - base - q
+    b = bound(3, 0) - base
+    d = base - 2 * b
+    assert all(bound(k, c1) == q * c1 * c1 + a * c1 + b * k + d
+               for k in range(2, 9) for c1 in range(-5, 9))
+    return q, a, b, d
+
+
+class TestDerivedClauses:
+    # two rows of the clause table recovered from the kernels, sharing no
+    # coefficient with it; every clause bounds c2 by 2c1^2 + a c1 + b k + d
+    @pytest.mark.parametrize("tag, bound", [(UPPER_SECTIONS, _sections_bound),
+                                            (UPPER_RESTRICTION, _restriction_bound)])
+    def test_row_matches_its_kernel(self, tag, bound):
+        (row,) = [row for row in constraints._C2_CLAUSES if row[0] == tag]
+        q, a, b, d = _fit(bound)
+        assert q == 2
+        assert row[1:] == ("upper", None, None, a, b, d)
 
 
 class TestSufficientCondition:

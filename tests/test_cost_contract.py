@@ -1,5 +1,6 @@
-"""Cost contracts as exact counts: the Python lines the library runs for a
-catalog file grow linearly with the file.
+"""Cost contracts as exact counts: the Python lines the library runs grow
+linearly with a catalog file and with the rank it enumerates, and the pair
+listing quadratically with the file.
 
 Each count is the number of ``sys.settrace`` line events in code under the
 package's own directory, so it is exact and repeats from run to run, unlike
@@ -14,10 +15,19 @@ import pytest
 
 from acmbundles import extensions
 from acmbundles.chern import BundleInvariants
-from acmbundles.extensions import POOL_NORMALIZED, decompose_rows, load_catalog
+from acmbundles.constraints import enumerate_acm_r4
+from acmbundles.extensions import (
+    POOL_NORMALIZED,
+    coverage_report,
+    decompose_rows,
+    extension_rows,
+    load_catalog,
+)
 
 PACKAGE = str(Path(extensions.__file__).parent)
-LINEAR = 2.2  # the bound on the ratio between a doubled input's count and the input's
+# the bounds on the ratio between a doubled input's count and the input's
+LINEAR = 2.2
+QUADRATIC = 4.2
 
 
 def line_events(call) -> int:
@@ -59,9 +69,9 @@ def catalog_file(directory: Path, n: int) -> Path:
 TARGET = BundleInvariants(4, 2, 17, 13)
 
 
-def assert_linear(counts: list[int]) -> None:
+def assert_ratio(counts: list[int], bound: float = LINEAR) -> None:
     assert counts[0] > 100
-    assert counts[1] / counts[0] < LINEAR, counts
+    assert counts[1] / counts[0] < bound, counts
 
 
 @pytest.fixture
@@ -70,11 +80,29 @@ def files(tmp_path) -> list[Path]:
 
 
 def test_load_catalog_grows_linearly(files):
-    assert_linear([line_events(lambda: load_catalog(path, 4)) for path in files])
+    assert_ratio([line_events(lambda: load_catalog(path, 4)) for path in files])
 
 
 def test_decompose_rows_grows_linearly(files):
     sources = [load_catalog(path, 4) for path in files]
     assert all(decompose_rows(4, TARGET, POOL_NORMALIZED, source=s) for s in sources)
-    assert_linear([line_events(lambda: decompose_rows(4, TARGET, POOL_NORMALIZED, source=s))
-                   for s in sources])
+    assert_ratio([line_events(lambda: decompose_rows(4, TARGET, POOL_NORMALIZED, source=s))
+                  for s in sources])
+
+
+def test_coverage_report_grows_linearly(files):
+    sources = [load_catalog(path, 4) for path in files]
+    assert all(coverage_report(4, source=s).realized() for s in sources)
+    assert_ratio([line_events(lambda: coverage_report(4, source=s)) for s in sources])
+
+
+def test_extension_rows_grow_quadratically(files):
+    sources = [load_catalog(path, 4) for path in files]
+    assert_ratio([line_events(lambda: extension_rows(4, POOL_NORMALIZED, source=s))
+                  for s in sources], QUADRATIC)
+
+
+def test_enumerate_grows_linearly_in_rows():
+    # k = 20 and 40 give 30 and 60 rows but 480 and 1,860 entries, so the
+    # count follows the rows only while nothing is built per entry
+    assert_ratio([line_events(lambda: enumerate_acm_r4(k)) for k in (20, 40)])
