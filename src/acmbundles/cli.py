@@ -4,7 +4,10 @@ coverage report, and the self-verification suite.
 
 Output is deterministic: identical invocations produce byte-identical
 standard output.  Exit codes: 0 success, 1 domain errors, 2 usage errors.
-Error paths write nothing to standard output.
+A handler finds every usage and domain error before it returns the chunks
+``main`` writes, so those error paths write nothing to standard output; a
+write that fails, or memory that runs out, after the first chunk can leave
+a prefix of the document there.
 """
 
 from __future__ import annotations
@@ -12,10 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
+import itertools
 import json
 import os
 import sys
+import types
+from collections.abc import Iterable, Iterator
 
 from . import constraints, extensions, selfcheck
 from .chern import (
@@ -50,23 +55,32 @@ def _quadruple(text: str) -> tuple[int, int, int, int]:
     return (k, c1, c2, c3)
 
 
-def _emit(args, inputs: dict, *, results, table, csv_text,
-          code: int = 0) -> tuple[str, int]:
-    """Render the one format ``--format`` selects; ``results``, ``table`` and
-    ``csv_text`` are zero-argument callables, and only the selected one runs.
+def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
+    """Yield the one format ``--format`` selects, in the chunks ``main``
+    writes; ``results``, ``table`` and ``csv_lines`` are zero-argument
+    callables, and only the selected one runs, as the chunks are written.
 
-    ``results`` returns finished record texts, each written from a fixed
+    ``results`` yields finished record texts, each written from a fixed
     template and indented for the "results" list; ``json.dumps`` encodes
     every string in them.  The document is canonical JSON (sorted keys,
     indent 2): keys sort command < inputs < results < schema_version, so
-    the head is the envelope's first two keys without its closing brace."""
+    the head is the envelope's first two keys without its closing brace.
+    ``csv_lines`` yields the header line, then one chunk per row; ``table``
+    returns the whole table, one chunk, since its column widths need every
+    row."""
     if args.format == "json":
         head = _json_object({"command": args.command, "inputs": inputs}, "")[:-2]
-        return (f'{head},\n  "results": {_json_list(results(), "  ")},\n'
-                f'  "schema_version": {SCHEMA_VERSION}\n}}\n'), code
-    if args.format == "csv":
-        return csv_text(), code
-    return table(), code
+        yield f'{head},\n  "results": ['
+        separator = "\n"
+        for record in results():
+            yield separator + record
+            separator = ",\n"
+        close = "]" if separator == "\n" else "\n  ]"
+        yield f'{close},\n  "schema_version": {SCHEMA_VERSION}\n}}\n'
+    elif args.format == "csv":
+        yield from csv_lines()
+    else:
+        yield table()
 
 
 def _json_object(fields: dict, indent: str) -> str:
@@ -87,10 +101,12 @@ def _json_list(items: list[str], indent: str) -> str:
     return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
 
 
-def _csv(header: list[str], rows) -> str:
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerows([header, *rows])
-    return buffer.getvalue()
+# csv.writer's writerow returns what its file's write returns: here the line
+_CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+
+
+def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
+    return map(_CSV_LINE, itertools.chain([header], rows))
 
 
 def _columns(rows: list[list[str]]) -> str:
@@ -104,36 +120,37 @@ def _bundle_dict(inv: BundleInvariants) -> dict:
 
 
 def _emit_rational(args, inputs: dict, value, header: list[str],
-                   row: list) -> tuple[str, int]:
+                   row: list) -> tuple[Iterator[str], int]:
     return _emit(
         args, inputs,
         results=lambda: [f'    {{\n      "denominator": {value.denominator},\n'
                          f'      "numerator": {value.numerator},\n'
                          f'      "value": {json.dumps(str(value))}\n    }}'],
         table=lambda: f"{value}\n",
-        csv_text=lambda: _csv(header, [[*row, str(value)]]),
-    )
+        csv_lines=lambda: _csv(header, [[*row, str(value)]]),
+    ), 0
 
 
-def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[str, int]:
+def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[Iterator[str], int]:
     """Render extension rows, (c1, c2, c3, left_c1, left_c2, right_c1,
     right_c2, ...) as :func:`extensions.extension_rows` and
     :func:`extensions.decompose_rows` give them; the result's rank is 4."""
     return _emit(
         args, inputs,
-        results=lambda: [
+        results=lambda: (
             f'    {{\n      "left": {{\n        "c1": {row[3]},\n'
             f'        "c2": {row[4]}\n      }},\n      "result": {{\n'
             f'        "c1": {row[0]},\n        "c2": {row[1]},\n'
             f'        "c3": {row[2]},\n        "k": 4\n      }},\n'
             f'      "right": {{\n        "c1": {row[5]},\n'
-            f'        "c2": {row[6]}\n      }}\n    }}' for row in rows],
+            f'        "c2": {row[6]}\n      }}\n    }}' for row in rows),
         table=table,
         # integer cells only, which csv never quotes
-        csv_text=lambda: "left_c1,left_c2,right_c1,right_c2,k,c1,c2,c3\n" + "".join([
-            f"{row[3]},{row[4]},{row[5]},{row[6]},4,{row[0]},{row[1]},{row[2]}\n"
-            for row in rows]),
-    )
+        csv_lines=lambda: itertools.chain(
+            ["left_c1,left_c2,right_c1,right_c2,k,c1,c2,c3\n"],
+            (f"{row[3]},{row[4]},{row[5]},{row[6]},4,{row[0]},{row[1]},{row[2]}\n"
+             for row in rows)),
+    ), 0
 
 
 def _load_source(args, r: int) -> extensions.Catalog | None:
@@ -141,7 +158,7 @@ def _load_source(args, r: int) -> extensions.Catalog | None:
     return None if args.catalog is None else extensions.load_catalog(args.catalog, r)
 
 
-def cmd_chi(args) -> tuple[str, int]:
+def cmd_chi(args) -> tuple[Iterator[str], int]:
     ctx = HypersurfaceContext(args.r)
     if args.line and args.bundle is not None:
         raise UsageError("--line and --bundle are mutually exclusive")
@@ -162,7 +179,7 @@ def cmd_chi(args) -> tuple[str, int]:
     raise UsageError("chi needs either --line with -a, or --bundle k,c1,c2,c3")
 
 
-def cmd_twist(args) -> tuple[str, int]:
+def cmd_twist(args) -> tuple[Iterator[str], int]:
     ctx = HypersurfaceContext(args.r)
     inv = BundleInvariants(*args.bundle)
     result = twist(ctx, inv, args.n)
@@ -171,11 +188,11 @@ def cmd_twist(args) -> tuple[str, int]:
         results=lambda: [f'    {{\n      "c1": {result.c1},\n      "c2": {result.c2},\n'
                          f'      "c3": {result.c3},\n      "k": {result.k}\n    }}'],
         table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
-        csv_text=lambda: _csv(["k", "c1", "c2", "c3"], [result.quadruple()]),
-    )
+        csv_lines=lambda: _csv(["k", "c1", "c2", "c3"], [result.quadruple()]),
+    ), 0
 
 
-def cmd_genus(args) -> tuple[str, int]:
+def cmd_genus(args) -> tuple[Iterator[str], int]:
     ctx = HypersurfaceContext(args.r)
     inv = BundleInvariants(*args.bundle)
     return _emit_rational(args, {"r": args.r, "bundle": _bundle_dict(inv)},
@@ -219,28 +236,37 @@ def _enumerate_record(row: constraints.EnumerationRow) -> str:
             f'      "upper": {row.interval.upper}\n    }}')
 
 
-def _enumerate_csv(rows: list[constraints.EnumerationRow]) -> str:
-    # integer cells only, which csv never quotes
-    lines = ["k,c1,c2,c3,g\n"]
+def _progression(start: int, step: int, count: int) -> Iterable[int]:
+    return range(start, start + step * count, step) if step else itertools.repeat(start, count)
+
+
+def _enumerate_csv(rows: list[constraints.EnumerationRow]) -> Iterator[str]:
+    """The header line, then one chunk per non-empty row, written by one
+    ``%`` format over the row's three progressions: c2 steps by 1, c3 and
+    the genus by their slopes.  Integer cells only, which csv never quotes."""
+    yield "k,c1,c2,c3,g\n"
     for row in rows:
+        lower, count = row.interval.lower, row.interval.upper - row.interval.lower + 1
+        if count <= 0:
+            continue
         (s3, t3), (sg, tg) = row.c3_form, row.genus_form
-        head = f"{row.k},{row.c1},"
-        lines += [f"{head}{c2},{s3 * c2 + t3},{sg * c2 + tg}\n" for c2 in row.c2_values]
-    return "".join(lines)
+        yield (f"{row.k},{row.c1},%d,%d,%d\n" * count) % tuple(itertools.chain.from_iterable(
+            zip(range(lower, lower + count), _progression(s3 * lower + t3, s3, count),
+                _progression(sg * lower + tg, sg, count))))
 
 
-def cmd_enumerate(args) -> tuple[str, int]:
+def cmd_enumerate(args) -> tuple[Iterator[str], int]:
     rows = constraints.enumerate_acm_r4(args.k)
     return _emit(
         args, {"k": args.k},
-        results=lambda: list(map(_enumerate_record, rows)),
+        results=lambda: map(_enumerate_record, rows),
         table=lambda: _columns([["k", "c1", "c2", "c3", "g"],
                                 *map(_enumerate_cells, rows)]),
-        csv_text=lambda: _enumerate_csv(rows),
-    )
+        csv_lines=lambda: _enumerate_csv(rows),
+    ), 0
 
 
-def cmd_extensions(args) -> tuple[str, int]:
+def cmd_extensions(args) -> tuple[Iterator[str], int]:
     rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args, args.r))
     return _emit_witnesses(
         args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, rows,
@@ -250,7 +276,7 @@ def cmd_extensions(args) -> tuple[str, int]:
     )
 
 
-def cmd_decompose(args) -> tuple[str, int]:
+def cmd_decompose(args) -> tuple[Iterator[str], int]:
     source = _load_source(args, args.r)
     target = BundleInvariants(*args.target)
     rows = extensions.decompose_rows(args.r, target, args.pool, source=source)
@@ -280,19 +306,19 @@ def _coverage_record(item: extensions.CoverageItem) -> str:
             f'      "witnesses": {pairs}\n    }}')
 
 
-def cmd_coverage(args) -> tuple[str, int]:
+def cmd_coverage(args) -> tuple[Iterator[str], int]:
     items = extensions.coverage_report(args.k, source=_load_source(args, 4)).items
     header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
     return _emit(
         args, {"k": args.k, "catalog": args.catalog},
-        results=lambda: list(map(_coverage_record, items)),
+        results=lambda: map(_coverage_record, items),
         table=lambda: _columns([header, *(
             [*map(str, item.invariants.quadruple()), str(item.genus), item.status,
              item.origin or "-"] for item in items)]),
-        csv_text=lambda: _csv(header, [
+        csv_lines=lambda: _csv(header, (
             [*item.invariants.quadruple(), item.genus, item.status, item.origin]
-            for item in items]),
-    )
+            for item in items)),
+    ), 0
 
 
 def _selfcheck_table(results: list[selfcheck.CheckResult]) -> str:
@@ -303,19 +329,18 @@ def _selfcheck_table(results: list[selfcheck.CheckResult]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_selfcheck(args) -> tuple[str, int]:
+def cmd_selfcheck(args) -> tuple[Iterator[str], int]:
     results = selfcheck.run_all()
     return _emit(
         args, {},
-        results=lambda: [f'    {{\n      "detail": {json.dumps(r.detail)},\n'
+        results=lambda: (f'    {{\n      "detail": {json.dumps(r.detail)},\n'
                          f'      "name": {json.dumps(r.name)},\n'
                          f'      "passed": {"true" if r.passed else "false"}\n    }}'
-                         for r in results],
+                         for r in results),
         table=lambda: _selfcheck_table(results),
-        csv_text=lambda: _csv(["name", "passed", "detail"], [
-            [r.name, "true" if r.passed else "false", r.detail] for r in results]),
-        code=0 if all(r.passed for r in results) else 1,
-    )
+        csv_lines=lambda: _csv(["name", "passed", "detail"], (
+            [r.name, "true" if r.passed else "false", r.detail] for r in results)),
+    ), 0 if all(r.passed for r in results) else 1
 
 
 def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
@@ -432,22 +457,30 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        text, code = globals()[f"cmd_{args.command}"](args)
+        return _write(*globals()[f"cmd_{args.command}"](args))
     except (UsageError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        message, code = str(exc), 2 if isinstance(exc, UsageError) else 1
     except MemoryError:
-        print("error: out of memory", file=sys.stderr)
-        return 1
+        message, code = "out of memory", 1
+    # written once the except block has dropped the traceback, and with it
+    # the frames the error passed through and what they held
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
+def _write(chunks: Iterable[str], code: int) -> int:
+    """Write the chunks a handler returned, then return its exit code.  The
+    handler has already computed and checked everything, so only rendering
+    runs here, and a domain error has left stdout empty."""
     try:
-        sys.stdout.write(text)
+        write = sys.stdout.write
+        for chunk in chunks:
+            write(chunk)
         sys.stdout.flush()
-    except (OSError, MemoryError) as exc:
+    except (OSError, MemoryError):
         # the output is lost; the flush at interpreter exit must not retry it
         sys.stdout = open(os.devnull, "w")
-        print("error: out of memory" if isinstance(exc, MemoryError) else f"error: {exc}",
-              file=sys.stderr)
-        return 1
+        raise
     return code
 
 

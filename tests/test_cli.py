@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -166,7 +167,7 @@ def test_handler_is_looked_up_by_name(capsys, monkeypatch):
 
     def stub(args):
         seen.append(args.a)
-        return "stub\n", 0
+        return iter(["st", "ub\n"]), 0
 
     monkeypatch.setattr(cli, "cmd_chi", stub)
     assert run_cli(capsys, "chi", "--r", "4", "--line", "-a", "2") == (0, "stub\n", "")
@@ -496,12 +497,18 @@ class TestUsage:
 
 
 class _FailingStdout(io.StringIO):
-    def __init__(self, exc):
+    """A stdout whose write raises ``exc`` once ``writes`` writes have
+    succeeded."""
+
+    def __init__(self, exc, writes=0):
         super().__init__()
-        self.exc = exc
+        self.exc, self.writes = exc, writes
 
     def write(self, text):
-        raise self.exc
+        if self.writes == 0:
+            raise self.exc
+        self.writes -= 1
+        return super().write(text)
 
 
 class TestWriteErrors:
@@ -535,6 +542,61 @@ class TestWriteErrors:
         assert capsys.readouterr().err == "error: out of memory\n"
         assert sys.stdout.name == os.devnull
         sys.stdout.close()
+
+    @pytest.mark.parametrize("argv", [
+        ["enumerate", "--k", "20", "--format", "json"],
+        ["enumerate", "--k", "20", "--format", "csv"],
+        ["extensions", "--r", "4", "--pool", "normalized", "--format", "json"],
+    ])
+    def test_write_error_mid_stream_exits_cleanly(self, capsys, monkeypatch, argv):
+        # the first chunk is written, the second write fails
+        exc = BrokenPipeError(errno.EPIPE, "Broken pipe")
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(exc, writes=1))
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.splitlines() == [f"error: {exc}"]
+        assert "Traceback" not in err
+        assert sys.stdout.name == os.devnull
+        sys.stdout.close()
+
+    @pytest.mark.parametrize("stage", ["handler", "rendering"])
+    def test_out_of_memory_is_reported_after_release(self, capsys, monkeypatch, stage):
+        # the error line is written only once the frames the MemoryError
+        # passed through, and what they held, are gone
+        class Partial:
+            pass
+
+        held = []
+
+        def chunks(partial):
+            yield "partial\n"
+            raise MemoryError
+
+        def exhausted(args):
+            partial = Partial()
+            held.append(weakref.ref(partial))
+            if stage == "handler":
+                raise MemoryError
+            return chunks(partial), 0
+
+        class Stderr(io.StringIO):
+            def write(self, text):
+                assert held[0]() is None
+                return super().write(text)
+
+        stderr = Stderr()
+        monkeypatch.setattr(cli, "cmd_enumerate", exhausted)
+        monkeypatch.setattr(sys, "stderr", stderr)
+        assert cli.main(["enumerate", "--k", "3"]) == 1
+        assert stderr.getvalue() == "error: out of memory\n"
+        out = capsys.readouterr().out
+        if stage == "handler":
+            assert out == ""
+        else:
+            assert out == "partial\n"
+            assert sys.stdout.name == os.devnull
+            sys.stdout.close()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_as_a_process(self):

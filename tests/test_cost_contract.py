@@ -1,19 +1,22 @@
 """Cost contracts as exact counts: the Python lines the library runs grow
 linearly with a catalog file and with the rank it enumerates, and the pair
-listing quadratically with the file.
+listing quadratically with the file; the memory ``enumerate`` holds while
+it writes grows with its largest row, not with the document.
 
 Each count is the number of ``sys.settrace`` line events in code under the
 package's own directory, so it is exact and repeats from run to run, unlike
-a timing.  The contracts are ratios between a file and one twice its size,
-not absolute counts, because the events a line yields may differ between
-Python versions."""
+a timing; each memory figure is a ``tracemalloc`` peak.  The contracts are
+ratios between an input and one twice its size, not absolute counts,
+because the events a line yields, and the size of an object, may differ
+between Python versions."""
 
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from acmbundles import extensions
+from acmbundles import cli, extensions
 from acmbundles.chern import BundleInvariants
 from acmbundles.constraints import enumerate_acm_r4
 from acmbundles.extensions import (
@@ -106,3 +109,36 @@ def test_enumerate_grows_linearly_in_rows():
     # k = 20 and 40 give 30 and 60 rows but 480 and 1,860 entries, so the
     # count follows the rows only while nothing is built per entry
     assert_ratio([line_events(lambda: enumerate_acm_r4(k)) for k in (20, 40)])
+
+
+class _Discard:
+    """A stdout that keeps nothing it is given."""
+
+    def write(self, text: str) -> int:
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def peak_bytes(monkeypatch, argv: list[str]) -> int:
+    """The ``tracemalloc`` peak while ``cli.main(argv)`` runs and writes to
+    a stdout that keeps nothing."""
+    monkeypatch.setattr(sys, "stdout", _Discard())
+    tracemalloc.start()
+    try:
+        assert cli.main(argv) == 0
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_enumerate_memory_grows_with_the_largest_row(monkeypatch, fmt):
+    # k = 100 and 200 give 11,400 and 45,300 entries but rows of at most
+    # 151 and 301, so the peak follows the rows only while the document is
+    # written in chunks; a first call builds the parser outside the count
+    peak_bytes(monkeypatch, ["enumerate", "--k", "3", "--format", fmt])
+    peaks = [peak_bytes(monkeypatch, ["enumerate", "--k", str(k), "--format", fmt])
+             for k in (100, 200)]
+    assert peaks[1] / peaks[0] < 2.5, peaks
