@@ -133,7 +133,7 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
 
 def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[Iterator[str], int]:
     """Render extension rows, (c1, c2, c3, left_c1, left_c2, right_c1,
-    right_c2, ...) as :func:`extensions.extension_rows` and
+    right_c2) as :func:`extensions.extension_rows` and
     :func:`extensions.decompose_rows` give them; the result's rank is 4."""
     return _emit(
         args, inputs,
@@ -272,7 +272,7 @@ def cmd_extensions(args) -> tuple[Iterator[str], int]:
         args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, rows,
         lambda: _columns([["left", "right", "result"], *(
             [f"({left_c1},{left_c2})", f"({right_c1},{right_c2})", f"(4;{c1},{c2},{c3})"]
-            for c1, c2, c3, left_c1, left_c2, right_c1, right_c2, _, _, _ in rows)]),
+            for c1, c2, c3, left_c1, left_c2, right_c1, right_c2 in rows)]),
     )
 
 

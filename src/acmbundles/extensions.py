@@ -82,15 +82,19 @@ class Rank2CatalogEntry:
     def pair(self) -> tuple[int, int]:
         return (self.c1, self.c2)
 
-    def __str__(self) -> str:
-        return f"({self.c1},{self.c2})"
-
 
 @dataclass(frozen=True)
 class Catalog:
-    """An immutable collection of rank-two classes, keyed by ambient degree."""
+    """An immutable set of rank-two classes, keyed by ambient degree: a class
+    (r, c1, c2) comes at most once."""
 
     entries: tuple[Rank2CatalogEntry, ...]
+
+    def __post_init__(self) -> None:
+        keys = [(entry.r, entry.c1, entry.c2) for entry in self.entries]
+        if len(set(keys)) != len(keys):
+            repeat = next(key for i, key in enumerate(keys) if key in keys[:i])
+            raise DomainError(f"catalog repeats the class {repeat}")
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({entry.r for entry in self.entries}))
@@ -215,11 +219,13 @@ POOL_NORMALIZED = "normalized"  # the full classification list
 POOL_STAR = "star"              # only classes satisfying the star condition
 
 
-def _pool_entries(entries: list[Rank2CatalogEntry], pool: str) -> list[Rank2CatalogEntry]:
+def _pool_classes(r: int, pool: str, source: Catalog | None) -> list[tuple[int, int]]:
+    """The (c1, c2) classes of the degree-r pool, in catalog order."""
+    entries = catalog(r, source)
     if pool == POOL_STAR:
-        return [entry for entry in entries if entry.satisfies_star]
+        return [entry.pair for entry in entries if entry.satisfies_star]
     if pool == POOL_NORMALIZED:
-        return list(entries)
+        return [entry.pair for entry in entries]
     raise DomainError(f"unknown pool {pool!r}; expected 'star' or 'normalized'")
 
 
@@ -229,55 +235,43 @@ def extension_rows(
     """Every unordered pair (repetition allowed) of the pool's classes, with
     its extension's invariants, as sorted integer rows
 
-    (c1, c2, c3, left_c1, left_c2, right_c1, right_c2, position, left, right)
+    (c1, c2, c3, left_c1, left_c2, right_c1, right_c2)
 
-    (c1, c2, c3) are the extension's invariants (its rank is 4), left <= right
-    in (c1, c2) order, and ``position`` is the pair's index in
-    ``combinations_with_replacement`` order over the pool.  A position is
-    unique, so it settles ties (a Catalog built directly may repeat a class)
-    in that order, and rows never compare the entries.
+    (c1, c2, c3) are the extension's invariants (its rank is 4), and left <=
+    right in (c1, c2) order.  A catalog holds each class once, so the seven
+    integers name a pair and no two rows tie.
     """
     ctx = HypersurfaceContext(r)
-    entries = _pool_entries(catalog(r, source), pool)
-    n = len(entries)
-    # by (c1, c2), then pool index i; the pair (i, j), i <= j, is at start_i + j
-    ranked = sorted([(e.c1, e.c2, i, i * n - i * (i + 1) // 2, e)
-                     for i, e in enumerate(entries)])
-    # each class with those ranked at or after it: left <= right, in a run
+    classes = sorted(_pool_classes(r, pool, source))
+    # each class with those at or after it: left <= right, in a run
     # ascending in (c1, c2, c3, right), so the sort only merges the n runs
-    rows = [(a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2, a1, a2, b1, b2,
-             start_i + j if i <= j else start_j + i, a, b)
-            for p, (a1, a2, i, start_i, a) in enumerate(ranked)
-            for b1, b2, j, start_j, b in ranked[p:]]
+    rows = [(a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2, a1, a2, b1, b2)
+            for p, (a1, a2) in enumerate(classes)
+            for b1, b2 in classes[p:]]
     rows.sort()
     return rows
 
 
-def _forced_pairs(ctx: HypersurfaceContext, entries, quads) -> list[list[tuple]]:
-    """For each quadruple in ``quads``, the rows of ``entries`` extending to
-    it, as :func:`extension_rows` has them.  A class (a1, a2) forces its partner,
-    b1 = c1 - a1 and b2 = c2 - a2 - r a1 b1, so one index of the pool by class
-    serves every quadruple at O(n) lookups, and only c3 is left to check."""
-    # positions rather than one entry per class: a Catalog built directly
-    # may repeat a class, and each copy is its own witness
-    positions: dict[tuple[int, int], list[int]] = {}
-    for j, entry in enumerate(entries):
-        positions.setdefault(entry.pair, []).append(j)
-    n = len(entries)
+def _forced_pairs(ctx: HypersurfaceContext, classes, quads) -> list[list[tuple]]:
+    """For each quadruple in ``quads``, the rows of the pool ``classes``
+    extending to it, as :func:`extension_rows` has them.  A class (a1, a2)
+    forces its partner, b1 = c1 - a1 and b2 = c2 - a2 - r a1 b1, so one set
+    of the classes serves every quadruple at O(n) lookups, and only c3 is
+    left to check."""
+    index = set(classes)
     found = []
     for quad in quads:
         _, c1, c2, c3 = quad
         rows = []
-        for i, a in enumerate(entries):
-            b1 = c1 - a.c1
-            partner = (b1, c2 - a.c2 - ctx.r * a.c1 * b1)
-            # j >= i yields each unordered pair once, the self-pair included
-            for j in positions.get(partner, ()):
-                if j >= i and extend_rank2(ctx, a.pair, partner).quadruple() == quad:
-                    left, right = (entries[j], a) if partner < a.pair else (a, entries[j])
-                    rows.append((c1, c2, c3, left.c1, left.c2, right.c1, right.c2,
-                                 i * n - i * (i + 1) // 2 + j, left, right))
-        found.append(sorted(rows))  # one quadruple: by left, right, position
+        for a1, a2 in classes:
+            b1 = c1 - a1
+            partner = (b1, c2 - a2 - ctx.r * a1 * b1)
+            # (a1, a2) <= partner yields each unordered pair once, the self-pair
+            # included
+            if (partner in index and (a1, a2) <= partner
+                    and extend_rank2(ctx, (a1, a2), partner).quadruple() == quad):
+                rows.append((c1, c2, c3, a1, a2, *partner))
+        found.append(sorted(rows))  # one quadruple: by left, then right
     return found
 
 
@@ -290,8 +284,7 @@ def decompose_rows(r: int, target: BundleInvariants, pool: str = POOL_STAR,
         raise RankUnsupported(f"decomposition into two rank-two pieces needs rank 4, "
                               f"got {target.k}")
     ctx = HypersurfaceContext(r)
-    entries = _pool_entries(catalog(r, source), pool)
-    return _forced_pairs(ctx, entries, [target.quadruple()])[0]
+    return _forced_pairs(ctx, _pool_classes(r, pool, source), [target.quadruple()])[0]
 
 
 STATUS_EXTENSION = "realized-by-extension"
@@ -314,8 +307,9 @@ CURVE_REALIZED: dict[tuple[int, int, int, int], str] = {
 
 @dataclass(frozen=True)
 class CoverageItem:
-    """One admissible quadruple with its realization status and evidence,
-    its star-pool rows as :func:`decompose_rows` gives them."""
+    """One admissible quadruple with its realization status and evidence:
+    ``witnesses`` holds its star-pool rows, seven integers each, as
+    :func:`decompose_rows` gives them."""
 
     invariants: BundleInvariants
     genus: int
@@ -348,13 +342,14 @@ def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
              for (s3, t3), (sg, tg) in [(row.c3_form, row.genus_form)]
              for c2 in row.c2_values]
     quads = [inv.quadruple() for inv, _ in cells]
-    entries = _pool_entries(catalog(4, source), POOL_STAR) if k == 4 else []
-    found = _forced_pairs(HypersurfaceContext(4), entries, quads)
+    classes = _pool_classes(4, POOL_STAR, source) if k == 4 else []
+    found = _forced_pairs(HypersurfaceContext(4), classes, quads)
     items = []
     for (inv, genus), quad, rows in zip(cells, quads, found):
         if rows:
             status = STATUS_EXTENSION
-            origin = "extension: " + "; ".join([f"{row[8]}+{row[9]}" for row in rows])
+            origin = "extension: " + "; ".join(["({},{})+({},{})".format(*row[3:])
+                                                 for row in rows])
         elif quad in CURVE_REALIZED:
             status = STATUS_CURVE
             origin = CURVE_REALIZED[quad]

@@ -314,7 +314,7 @@ def _check_known_negative_decomposition(rng: random.Random) -> CheckResult:
     if pairs != 28:
         return CheckResult("known-negative-decomposition", False, f"{pairs} pairs")
     if hits:
-        detail = f"unexpected witness {hits[0][8]}+{hits[0][9]}"
+        detail = "unexpected witness ({},{})+({},{})".format(*hits[0][3:])
         return CheckResult("known-negative-decomposition", False, detail)
     return CheckResult("known-negative-decomposition", True, "28 pairs, no witness")
 

@@ -50,9 +50,13 @@ def result(row: tuple) -> BundleInvariants:
 
 
 def pair_dict(row: tuple) -> dict:
-    left, right = row[8], row[9]
-    return {"left": {"c1": left.c1, "c2": left.c2},
-            "right": {"c1": right.c1, "c2": right.c2}}
+    _, _, _, left_c1, left_c2, right_c1, right_c2 = row
+    return {"left": {"c1": left_c1, "c2": left_c2},
+            "right": {"c1": right_c1, "c2": right_c2}}
+
+
+def pair_texts(row: tuple) -> list[str]:
+    return [str(row[3:5]).replace(" ", ""), str(row[5:7]).replace(" ", "")]
 
 
 def witness_dicts(rows) -> list[dict]:
@@ -117,8 +121,7 @@ def enumerate_csv(k: int) -> str:
 
 def witness_csv(rows) -> str:
     return csv_text([["left_c1", "left_c2", "right_c1", "right_c2", "k", "c1", "c2", "c3"]]
-                    + [[*row[8].pair, *row[9].pair, *result(row).quadruple()]
-                       for row in rows])
+                    + [[*row[3:], *result(row).quadruple()] for row in rows])
 
 
 def _source(path: str | None) -> extensions.Catalog | None:
@@ -140,7 +143,7 @@ def extensions_csv(r: int, pool: str, path: str | None) -> str:
 
 def extensions_table(r: int, pool: str, path: str | None) -> str:
     cells = [["left", "right", "result"]] + [
-        [str(row[8]), str(row[9]), str(result(row))] for row in _extensions(r, pool, path)]
+        [*pair_texts(row), str(result(row))] for row in _extensions(r, pool, path)]
     widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
                    + "\n" for row in cells)
@@ -164,7 +167,7 @@ def decompose_csv(r: int, target: BundleInvariants, pool: str,
 
 def decompose_table(r: int, target: BundleInvariants, pool: str,
                     path: str | None) -> str:
-    return "".join(f"{row[8]}+{row[9]} -> {result(row)}\n"
+    return "".join("+".join(pair_texts(row)) + f" -> {result(row)}\n"
                    for row in _decompose(r, target, pool, path)) \
         or "no decomposition\n"
 

@@ -5,12 +5,12 @@
 ``decompose_rows`` and ``coverage_report`` solve for the partner each left
 class forces, and ``extension_rows`` pairs each class with those after it in
 (c1, c2) order and merges the runs.  This oracle instead filters the pool
-itself, tries every unordered pair of it (repetition allowed) in
+itself, tries every unordered pair of its classes (repetition allowed) in
 ``combinations_with_replacement`` order, the way the extension formulas
-read, orients each pair itself and stably sorts the rows by quadruple, then
-left and right class, so a slip in the partner arithmetic, the c3 check, the
-orientation, the tie order, the positions or the pair bookkeeping shows as a
-mismatch.  ``decompose`` and ``coverage`` slice those rows.
+read, orients each pair itself and sorts the seven-integer rows, so a slip
+in the partner arithmetic, the c3 check, the orientation, the tie order or
+the pair bookkeeping shows as a mismatch.  ``decompose`` and ``coverage``
+slice those rows.
 """
 
 from __future__ import annotations
@@ -36,18 +36,16 @@ from acmbundles.extensions import (
 def extension_rows(
     r: int, pool: str = POOL_STAR, source: Catalog | None = None
 ) -> list[tuple]:
-    """The rows of ``extensions.extension_rows``: each pool pair's extension,
-    left <= right in (c1, c2) order (the scan's first class stays left of an
-    equal one), its index in ``combinations_with_replacement`` order and its
-    entries, stably sorted from that order by (c1, c2, c3, left, right)."""
+    """The rows of ``extensions.extension_rows``: each pool pair's extension
+    and its classes, left <= right in (c1, c2) order, sorted."""
     ctx = HypersurfaceContext(r)
     entries = [e for e in catalog(r, source) if e.satisfies_star or pool == POOL_NORMALIZED]
     rows = []
-    for position, (a, b) in enumerate(combinations_with_replacement(entries, 2)):
-        left, right = (b, a) if b.pair < a.pair else (a, b)
-        _, c1, c2, c3 = extend_rank2(ctx, left.pair, right.pair).quadruple()
-        rows.append((c1, c2, c3, *left.pair, *right.pair, position, left, right))
-    rows.sort(key=lambda row: row[:7])
+    for a, b in combinations_with_replacement(entries, 2):
+        left, right = sorted([a.pair, b.pair])
+        _, c1, c2, c3 = extend_rank2(ctx, left, right).quadruple()
+        rows.append((c1, c2, c3, *left, *right))
+    rows.sort()
     return rows
 
 

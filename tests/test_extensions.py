@@ -112,7 +112,7 @@ class TestCatalog:
         assert entry != Rank2CatalogEntry(4, 2, 8, False, gg)
         assert entry != (4, 2, 8, True, gg)
         assert hash(entry) == hash((4, 2, 8, True, gg))
-        assert (entry.pair, str(entry)) == ((2, 8), "(2,8)")
+        assert entry.pair == (2, 8)
         assert entry in BUILTIN_CATALOG.entries
         names = ["r", "c1", "c2", "satisfies_star", "globally_generated"]
         assert [f.name for f in dataclasses.fields(entry)] == names
@@ -205,16 +205,12 @@ class TestExtensionQuadruples:
     @pytest.mark.parametrize("pool", [POOL_STAR, POOL_NORMALIZED])
     def test_rows_carry_the_witnesses(self, pool):
         rows = extension_rows(4, pool)
-        # the integers are the entries' classes and their extension
-        for c1, c2, c3, *classes, _, left, right in rows:
-            assert classes == [*left.pair, *right.pair]
-            assert extend_rank2(X4, left.pair, right.pair) == BundleInvariants(4, c1, c2, c3)
-        # a row's position is its pair's index in combinations_with_replacement
-        entries = [e for e in catalog(4) if pool == POOL_NORMALIZED or e.satisfies_star]
-        pool_pairs = list(combinations_with_replacement(entries, 2))
-        assert sorted(row[7] for row in rows) == list(range(len(pool_pairs)))
-        for *_, position, left, right in rows:
-            assert {left, right} == set(pool_pairs[position])
+        # the integers are two classes and their extension
+        for row, (left, right) in zip(rows, pairs(rows)):
+            assert extend_rank2(X4, left, right) == BundleInvariants(4, *row[:3])
+        # one row for each unordered pair of the pool's classes, left <= right
+        classes = sorted(e.pair for e in catalog(4) if pool == POOL_NORMALIZED or e.satisfies_star)
+        assert sorted(pairs(rows)) == list(combinations_with_replacement(classes, 2))
 
 
 class TestDecompose:

@@ -1,22 +1,27 @@
 """``decompose_rows`` and ``coverage_report``, which solve for the forced
 partner of each class, and ``extension_rows``, which merges runs of integer
 rows, against the exhaustive pair scan in ``pair_oracles``: the same rows in
-the same order and with the same multiplicity, on hand-built catalogs that
-may repeat a class and on targets that are, nearly are, or are not pair
-sums."""
+the same order, on hand-built catalogs whose pairs collide on a quadruple
+and on targets that are, nearly are, or are not pair sums.  A catalog
+holds each class once."""
 
+from pathlib import Path
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pair_oracles as oracle
-from acmbundles.chern import BundleInvariants, HypersurfaceContext
+from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext
 from acmbundles.extensions import (
+    BUILTIN_CATALOG,
     POOL_NORMALIZED,
     POOL_STAR,
     Catalog,
     GlobalGeneration,
     Rank2CatalogEntry,
     catalog,
+    load_catalog,
     coverage_report,
     decompose_rows,
     extend_rank2,
@@ -30,34 +35,27 @@ def entry(r, c1, c2, star=True):
     return Rank2CatalogEntry(r, c1, c2, star, GlobalGeneration.NO)
 
 
-def assert_same_rows(got, want):
-    # integers, positions and order by ==, the entries by identity
-    assert [row[:8] for row in got] == [row[:8] for row in want]
-    assert all(g[8] is w[8] and g[9] is w[9] for g, w in zip(got, want))
-
-
-def test_repeated_class_yields_each_copy():
-    # a Catalog built directly may repeat a class; load_catalog never does
-    source = Catalog((entry(4, 1, 3), entry(4, 1, 3), entry(4, 2, 8)))
-    target = extend_rank2(HypersurfaceContext(4), (1, 3), (1, 3))
-    found = decompose_rows(4, target, POOL_STAR, source)
-    assert [row[7] for row in found] == [0, 1, 3]  # copies (0, 0), (0, 1), (1, 1)
-    assert_same_rows(found, oracle.decompose(4, target, POOL_STAR, source))
+def test_repeated_class_is_rejected():
+    with pytest.raises(DomainError, match=r"repeats the class \(4, 1, 3\)"):
+        Catalog((entry(4, 1, 3), entry(4, 2, 8), entry(4, 1, 3, star=False)))
+    # a class is (r, c1, c2): the same (c1, c2) at two degrees is two classes
+    assert Catalog((entry(3, 1, 3), entry(4, 1, 3))).degrees() == (3, 4)
+    assert BUILTIN_CATALOG.degrees() == (3, 4)
+    assert load_catalog(Path(__file__).parent / "catalog_345.txt").degrees() == (3, 4, 5)
 
 
 @st.composite
 def catalogs(draw):
     r = draw(st.integers(1, 8))
     cls = st.tuples(st.integers(-6, 6), st.integers(-20, 40))
-    classes = draw(st.lists(cls, min_size=1, max_size=12))
-    repeats = draw(st.lists(st.sampled_from(classes), max_size=4))
+    classes = draw(st.lists(cls, min_size=1, max_size=12, unique=True))
     entries = [
         Rank2CatalogEntry(
             r, c1, c2, draw(st.booleans()), draw(st.sampled_from(GlobalGeneration))
         )
-        for c1, c2 in classes + repeats
+        for c1, c2 in classes
     ]
-    others = [entry(r + 1, c1, c2) for c1, c2 in draw(st.lists(cls, max_size=3))]
+    others = [entry(r + 1, c1, c2) for c1, c2 in draw(st.lists(cls, max_size=3, unique=True))]
     return r, draw(st.permutations(entries + others))
 
 
@@ -86,8 +84,7 @@ def cases(draw):
 @given(cases())
 def test_decompose_matches_pair_scan(case):
     r, source, target, pool = case
-    assert_same_rows(decompose_rows(r, target, pool, source),
-                     oracle.decompose(r, target, pool, source))
+    assert decompose_rows(r, target, pool, source) == oracle.decompose(r, target, pool, source)
 
 
 @settings(max_examples=300, deadline=None)
@@ -97,58 +94,51 @@ def test_extension_quadruples_match_pair_scan(case, pool):
     # (r up to 8, random flags, other degrees) against the pair scan
     r, entries = case
     source = Catalog(tuple(entries))
-    assert_same_rows(extension_rows(r, pool, source),
-                     oracle.extension_rows(r, pool, source))
+    assert extension_rows(r, pool, source) == oracle.extension_rows(r, pool, source)
 
 
 @st.composite
-def repeating_catalogs(draw):
+def colliding_catalogs(draw):
     # few cells, so pairs collide on a quadruple, sometimes planted as
-    # (x, u) + (x, v) and (x, u + d) + (x, v - d), which always do; every
-    # class comes once, twice or three times with one star flag, so copies
-    # meet in both pools
+    # (x, u) + (x, v) and (x, u + d) + (x, v - d), which always do; a planted
+    # class already drawn keeps its star flag
     r = draw(st.integers(1, 5))
-    cls = st.tuples(st.integers(-3, 3), st.integers(-6, 12), st.booleans())
-    classes = draw(st.lists(cls, min_size=1, max_size=9))
+    cls = st.tuples(st.integers(-3, 3), st.integers(-6, 12))
+    flags = draw(st.dictionaries(cls, st.booleans(), min_size=1, max_size=9))
     if draw(st.booleans()):
         x, u = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         v, d = draw(st.integers(4, 9)), draw(st.integers(1, 2))
-        classes += [(x, u, True), (x, v, True), (x, u + d, True), (x, v - d, True)]
-    flags = {}
-    for c1, c2, star in classes:
-        flags.setdefault((c1, c2), star)
-    entries = [entry(r, c1, c2, star)
-               for (c1, c2), star in flags.items() for _ in range(draw(st.integers(1, 3)))]
-    others = [entry(r + 1, c1, c2) for c1, c2, _ in draw(st.lists(cls, max_size=3))]
+        for pair in [(x, u), (x, v), (x, u + d), (x, v - d)]:
+            flags.setdefault(pair, True)
+    entries = [entry(r, c1, c2, star) for (c1, c2), star in flags.items()]
+    others = [entry(r + 1, c1, c2) for c1, c2 in draw(st.lists(cls, max_size=3, unique=True))]
     return r, Catalog(tuple(draw(st.permutations(entries + others))))
 
 
 @settings(max_examples=300, deadline=None)
-@given(repeating_catalogs(), st.sampled_from(POOLS))
+@given(colliding_catalogs(), st.sampled_from(POOLS))
 def test_extension_rows_match_pair_scan(case, pool):
-    # repeated classes tie on every integer and pairs collide on a
-    # quadruple, so this pins the tie order
+    # pairs collide on a quadruple, so this pins the tie order within one
     r, source = case
     rows = extension_rows(r, pool, source)
-    assert_same_rows(rows, oracle.extension_rows(r, pool, source))
+    assert rows == oracle.extension_rows(r, pool, source)
     # decompose_rows is the listing's slice for each quadruple it holds
     for c1, c2, c3 in {row[:3] for row in rows}:
         target = BundleInvariants(4, c1, c2, c3)
-        assert_same_rows(decompose_rows(r, target, pool, source),
-                         [row for row in rows if row[:3] == (c1, c2, c3)])
+        assert decompose_rows(r, target, pool, source) == [
+            row for row in rows if row[:3] == (c1, c2, c3)]
 
 
 @st.composite
 def quartic_catalogs(draw):
     # the built-in star classes planted, so every built-in witness recurs,
-    # and random classes near them, some repeated and some outside the star
-    # pool, so that new pairs land on admissible quadruples too
+    # and other random classes near them, some outside the star pool, so
+    # that new pairs land on admissible quadruples too
     planted = [e.pair for e in catalog(4) if e.satisfies_star]
-    cls = st.tuples(st.integers(-1, 5), st.integers(0, 30))
-    drawn = draw(st.lists(cls, max_size=12))
-    repeats = draw(st.lists(st.sampled_from(planted + drawn), max_size=4))
+    cls = st.tuples(st.integers(-1, 5), st.integers(0, 30)).filter(lambda c: c not in planted)
+    drawn = draw(st.lists(cls, max_size=12, unique=True))
     entries = [entry(4, c1, c2) for c1, c2 in planted] + [
-        entry(4, c1, c2, draw(st.booleans())) for c1, c2 in drawn + repeats]
+        entry(4, c1, c2, draw(st.booleans())) for c1, c2 in drawn]
     return Catalog(tuple(draw(st.permutations(entries))))
 
 

@@ -106,6 +106,17 @@ def test_repeated_decompose_hit_is_caught(monkeypatch):
     assert "decompose-exhaustive" in failed_checks()
 
 
+def test_unexpected_negative_witness_is_caught(monkeypatch):
+    # a planted hit for (4,1,6,4) fails the check, which names its pair
+    real = extensions.decompose_rows
+    planted = {(4, 1, 6, 4): [(1, 6, 4, 0, 2, 1, 4)]}
+    monkeypatch.setattr(extensions, "decompose_rows", lambda r, target, *args, **kwargs:
+                        planted.get(target.quadruple()) or real(r, target, *args, **kwargs))
+    result, = [check for check in selfcheck.run_all()
+               if check.name == "known-negative-decomposition"]
+    assert (result.passed, result.detail) == (False, "unexpected witness (0,2)+(1,4)")
+
+
 def test_quartic_chi_under_twisting_is_caught(monkeypatch):
     # c1 -> c1 + k n makes c1^4 quartic in n: a nonzero fourth difference
     real = chern.chi_bundle
