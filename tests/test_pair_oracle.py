@@ -21,11 +21,11 @@ from acmbundles.extensions import (
     GlobalGeneration,
     Rank2CatalogEntry,
     catalog,
-    load_catalog,
     coverage_report,
     decompose_rows,
     extend_rank2,
     extension_rows,
+    load_catalog,
 )
 
 POOLS = (POOL_STAR, POOL_NORMALIZED)
