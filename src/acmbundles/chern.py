@@ -24,7 +24,6 @@ __all__ = [
     "HypersurfaceContext",
     "BundleInvariants",
     "CurveInvariants",
-    "require_integer",
     "chi_line_bundle",
     "chi_bundle",
     "twist",
@@ -50,14 +49,6 @@ class NonIntegral(DomainError):
         if context:
             message = f"{context}: {message}"
         super().__init__(message)
-
-
-def require_integer(x: Fraction | int, context: str | None = None) -> int:
-    """Return ``x`` as an int, raising :class:`NonIntegral` if it is not one."""
-    frac = Fraction(x)
-    if frac.denominator != 1:
-        raise NonIntegral(frac, context)
-    return int(frac)
 
 
 @dataclass(frozen=True)
@@ -135,7 +126,7 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Fraction:
                 + (r/24) (5-r) (r^2-5r+10)
 
     The value is an integer for every integer a; it is returned as an exact
-    fraction so callers can push it through :func:`require_integer`.
+    fraction, as :func:`chi_bundle` returns its value.
     """
     r = ctx.r
     return Fraction(

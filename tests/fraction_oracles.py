@@ -15,8 +15,15 @@ from acmbundles.chern import (
     BundleInvariants,
     DomainError,
     HypersurfaceContext,
-    require_integer,
+    NonIntegral,
 )
+
+
+def _require_integer(value: Fraction, context: str) -> int:
+    # the library's integrality check, copied so the oracle owns it
+    if value.denominator != 1:
+        raise NonIntegral(value, context)
+    return int(value)
 
 
 def _theta(r: int) -> int:
@@ -58,8 +65,8 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     return BundleInvariants(
         k,
         c1 + k * n,
-        require_integer(new_c2, "twisted c2"),
-        require_integer(new_c3, "twisted c3"),
+        _require_integer(new_c2, "twisted c2"),
+        _require_integer(new_c3, "twisted c3"),
     )
 
 
@@ -92,7 +99,7 @@ def c3_from_acm(k: int, c1: int, c2: int) -> int:
         + (c1 - 1) * c2
         + 2 * k
     )
-    return require_integer(value, "quartic ACM c3")
+    return _require_integer(value, "quartic ACM c3")
 
 
 def genus_from_acm(k: int, c1: int, c2: int) -> int:
@@ -104,4 +111,4 @@ def genus_from_acm(k: int, c1: int, c2: int) -> int:
         + (c1 - 1) * c2
         + k
     )
-    return require_integer(value, "quartic ACM genus")
+    return _require_integer(value, "quartic ACM genus")

@@ -12,12 +12,10 @@ from acmbundles.chern import (
     CurveInvariants,
     DomainError,
     HypersurfaceContext,
-    NonIntegral,
     chi_bundle,
     chi_line_bundle,
     genus_general,
     genus_r4,
-    require_integer,
     twist,
 )
 
@@ -181,13 +179,3 @@ class TestGenus:
     def test_c1_one_collapses_to_half_c3(self, k, c2, c3):
         assert genus_r4(BundleInvariants(k, 1, c2, c3)) == 1 + Fraction(c3, 2)
 
-
-class TestRequireInteger:
-    def test_integral_values(self):
-        assert require_integer(Fraction(5, 1)) == 5
-        assert require_integer(Fraction(203, 1)) == 203
-
-    def test_fractional_value_raises_with_payload(self):
-        with pytest.raises(NonIntegral) as excinfo:
-            require_integer(Fraction(7, 2))
-        assert excinfo.value.value == Fraction(7, 2)

@@ -230,14 +230,6 @@ class TestDecompose:
         assert decompose_rows(4, target, POOL_STAR) == []
         assert pairs(decompose_rows(4, target, POOL_NORMALIZED)) == [((1, 5), (3, 14))]
 
-    def test_exhaustive_over_witnesses(self):
-        for r in (3, 4):
-            for pool in (POOL_STAR, POOL_NORMALIZED):
-                listing = extension_rows(r, pool)
-                for row in listing:
-                    expected = [other for other in listing if other[:3] == row[:3]]
-                    assert decompose_rows(r, BundleInvariants(4, *row[:3]), pool) == expected
-
     def test_rank_and_degree_errors(self):
         with pytest.raises(RankUnsupported):
             decompose_rows(4, BundleInvariants(3, 1, 5, 2), POOL_STAR)

@@ -1,32 +1,32 @@
-"""The CLI's template-written schema-v1 JSON, ``enumerate`` CSV and witness
-listings against the whole-document ``json.dumps``, ``csv.writer`` and
-``str`` renderings in ``json_oracles``, byte for byte: every rank k in
-2..60; random catalog files, behind a path with non-ASCII characters and
-JSON escapes, for ``extensions`` and ``decompose`` in every format and
-``coverage`` as JSON; random chi, genus and twist queries; selfcheck
-results, passing and failing; and the envelope head's writer."""
+"""The CLI's output against ``oracles`` (``bench/oracles.py``), byte for
+byte: every rank k in 2..60; the built-in catalog and random catalog files,
+behind a path with non-ASCII characters and JSON escapes, for
+``extensions``, ``decompose`` and ``coverage``; random chi, genus and twist
+queries; and selfcheck, each in every format.  ``oracles`` imports nothing
+from ``acmbundles``: it transcribes the formulas and the c2 clauses again,
+copies the classification as data, lists pairs by
+``combinations_with_replacement`` and rebuilds each document with the
+standard library, so a slip in a template or in the values behind it shows
+as a mismatch.  Also here: a failing selfcheck document and the envelope
+head's writer against ``json.dumps``."""
 
 import contextlib
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import json_oracles as oracle
+import oracles
 from acmbundles import cli, selfcheck
-from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext
-from acmbundles.extensions import POOL_NORMALIZED, POOL_STAR, extend_rank2
 
 # a catalog file name that json.dumps must escape: non-ASCII, a quote and a
 # backslash
 CATALOG_NAME = 'katalog é∂ "q" \\ .txt'
-
-# format -> the oracle's rendering of each witness listing
-EXTENSIONS = {"json": oracle.extensions_json, "csv": oracle.extensions_csv,
-              "table": oracle.extensions_table}
-DECOMPOSE = {"json": oracle.decompose_json, "csv": oracle.decompose_csv,
-             "table": oracle.decompose_table}
+FORMATS = ("table", "json", "csv")
 
 
 def run(*argv) -> tuple[int, str]:
@@ -36,73 +36,104 @@ def run(*argv) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def expected(render, *args) -> tuple[int, str]:
-    """The oracle's document, or the domain-error exit with empty stdout."""
-    try:
-        return 0, render(*args)
-    except DomainError:
-        return 1, ""
+def check(expect, *argv) -> None:
+    """The command exits 0 with the stdout ``expect`` accepts."""
+    code, out = run(*argv)
+    assert (code, expect(out)) == (0, None), argv
+
+
+def test_oracles_import_without_the_library():
+    # a fresh interpreter in which any import of acmbundles fails
+    bench = str(Path(oracles.__file__).parent)
+    source = (f"import sys; sys.modules['acmbundles'] = None; "
+              f"sys.path.insert(0, {bench!r}); import oracles")
+    done = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
 
 
 def test_enumerate_matches_oracle():
     for k in range(2, 61):
-        assert run("enumerate", "--k", k, "--format", "json") == (0, oracle.enumerate_json(k)), k
-        assert run("enumerate", "--k", k, "--format", "csv") == (0, oracle.enumerate_csv(k)), k
+        for fmt in FORMATS:
+            check(oracles.expect_enumerate(k, fmt), "enumerate", "--k", k, "--format", fmt)
 
 
 def test_builtin_catalog_matches_oracle():
     # the built-in catalog gives coverage items with extension witnesses,
     # which random catalogs seldom do
-    for r in (3, 4):
-        for pool in (POOL_STAR, POOL_NORMALIZED):
-            assert run("extensions", "--r", r, "--pool", pool, "--format", "json") == (
-                0, oracle.extensions_json(r, pool, None))
-            for quad in ((4, 5, 46, 52), (4, 4, 31, 29), (4, 1, 6, 4)):
-                target = ",".join(map(str, quad))
-                assert run("decompose", "--r", r, "--target", target, "--pool", pool,
-                           "--format", "json") == (
-                    0, oracle.decompose_json(r, BundleInvariants(*quad), pool, None))
-    for k in (3, 4):
-        assert run("coverage", "--k", k, "--format", "json") == (0, oracle.coverage_json(k, None))
+    for fmt in FORMATS:
+        for r in (3, 4):
+            for pool in ("star", "normalized"):
+                witnesses = oracles.all_witnesses(
+                    r, oracles.pool_pairs(oracles.BUILTIN_CLASSES[r], pool))
+                check(oracles.expect_extensions(r, pool, None, witnesses, fmt),
+                      "extensions", "--r", r, "--pool", pool, "--format", fmt)
+                for quad in ((4, 5, 46, 52), (4, 4, 31, 29), (4, 1, 6, 4)):
+                    hits = [w for w in witnesses if w[0] == quad]
+                    check(oracles.expect_decompose(r, quad, pool, None, hits, fmt),
+                          "decompose", "--r", r, "--target", ",".join(map(str, quad)),
+                          "--pool", pool, "--format", fmt)
+        star = oracles.pool_pairs(oracles.BUILTIN_CLASSES[4], "star")
+        for k in (3, 4):
+            check(oracles.expect_coverage(k, None, star, fmt),
+                  "coverage", "--k", k, "--format", fmt)
 
 
 @st.composite
 def catalog_cases(draw):
+    """(r, file text, target quadruple, pool, coverage rank, the file's
+    classes as (r, c1, c2, star))."""
     r = draw(st.integers(3, 5))
-    classes = draw(st.lists(
+    keys = draw(st.lists(
         st.tuples(st.sampled_from((r, r, r, 3, 4, 5)), st.integers(-3, 6),
                   st.integers(-10, 40)),
         min_size=1, max_size=14, unique=True))
-    lines = [f"{cr} {c1} {c2} {draw(st.sampled_from('01'))} "
-             f"{draw(st.sampled_from(('always', 'generic', 'no')))}"
-             for cr, c1, c2 in classes]
-    own = [(c1, c2) for cr, c1, c2 in classes if cr == r]
+    lines, classes = [], []
+    for cr, c1, c2 in keys:
+        star = draw(st.sampled_from("01"))
+        gg = draw(st.sampled_from(("always", "generic", "no")))
+        lines.append(f"{cr} {c1} {c2} {star} {gg}")
+        classes.append((cr, c1, c2, star == "1"))
+    own = [(c1, c2) for cr, c1, c2 in keys if cr == r]
     if own and draw(st.booleans()):
-        a, b = draw(st.sampled_from(own)), draw(st.sampled_from(own))
-        target = extend_rank2(HypersurfaceContext(r), a, b)
+        target = oracles.extend(r, draw(st.sampled_from(own)), draw(st.sampled_from(own)))
     else:
-        target = BundleInvariants(4, *draw(st.tuples(
+        target = (4, *draw(st.tuples(
             st.integers(-6, 12), st.integers(-20, 80), st.integers(-60, 60))))
-    pool = draw(st.sampled_from((POOL_STAR, POOL_NORMALIZED)))
-    return r, "\n".join(lines) + "\n", target, pool, draw(st.sampled_from((3, 4)))
+    pool = draw(st.sampled_from(("star", "normalized")))
+    return r, "\n".join(lines) + "\n", target, pool, draw(st.sampled_from((3, 4))), classes
 
 
 @settings(max_examples=150, deadline=None)
 @given(case=catalog_cases())
 def test_catalog_commands_match_oracle(tmp_path_factory, case):
-    r, text, target, pool, k = case
+    r, text, target, pool, k, classes = case
     path = tmp_path_factory.getbasetemp() / CATALOG_NAME
     path.write_text(text, encoding="utf-8")
     catalog = str(path)
-    quad = ",".join(map(str, target.quadruple()))
-    for fmt in EXTENSIONS:
-        assert run("extensions", "--r", r, "--pool", pool, "--catalog", catalog,
-                   "--format", fmt) == expected(EXTENSIONS[fmt], r, pool, catalog)
-        assert run("decompose", "--r", r, "--target", quad, "--pool", pool,
-                   "--catalog", catalog, "--format", fmt) == expected(
-            DECOMPOSE[fmt], r, target, pool, catalog)
-    assert run("coverage", "--k", k, "--catalog", catalog,
-               "--format", "json") == expected(oracle.coverage_json, k, catalog)
+    extensions = ("extensions", "--r", r, "--pool", pool, "--catalog", catalog)
+    decompose = ("decompose", "--r", r, "--target", ",".join(map(str, target)),
+                 "--pool", pool, "--catalog", catalog)
+    coverage = ("coverage", "--k", k, "--catalog", catalog)
+    own = [(c1, c2, star) for cr, c1, c2, star in classes if cr == r]
+    quartic = [(c1, c2, star) for cr, c1, c2, star in classes if cr == 4]
+    witnesses = oracles.all_witnesses(r, oracles.pool_pairs(own, pool))
+    hits = [w for w in witnesses if w[0] == target]
+    for fmt in FORMATS:
+        # a file without degree-r classes has no classification to search
+        if own:
+            check(oracles.expect_extensions(r, pool, catalog, witnesses, fmt),
+                  *extensions, "--format", fmt)
+            check(oracles.expect_decompose(r, target, pool, catalog, hits, fmt),
+                  *decompose, "--format", fmt)
+        else:
+            assert run(*extensions, "--format", fmt) == (1, "")
+            assert run(*decompose, "--format", fmt) == (1, "")
+        # only rank 4 reads the degree-4 star pool
+        if quartic or k == 3:
+            check(oracles.expect_coverage(k, catalog, oracles.pool_pairs(quartic, "star"), fmt),
+                  *coverage, "--format", fmt)
+        else:
+            assert run(*coverage, "--format", fmt) == (1, "")
 
 
 @settings(max_examples=200, deadline=None)
@@ -110,26 +141,37 @@ def test_catalog_commands_match_oracle(tmp_path_factory, case):
        quad=st.tuples(st.integers(1, 6), st.integers(-12, 12),
                       st.integers(-60, 60), st.integers(-60, 60)))
 def test_small_queries_match_oracle(r, a, n, quad):
-    inv = BundleInvariants(*quad)
     bundle = ",".join(map(str, quad))
-    assert run("chi", "--r", r, "--line", "-a", a, "--format", "json") == expected(
-        oracle.chi_line_json, r, a)
-    assert run("chi", "--r", r, "--bundle", bundle, "--format", "json") == expected(
-        oracle.chi_bundle_json, r, inv)
-    assert run("genus", "--r", r, "--bundle", bundle, "--format", "json") == expected(
-        oracle.genus_json, r, inv)
-    assert run("twist", "--r", r, "--bundle", bundle, "-n", n, "--format", "json") == expected(
-        oracle.twist_json, r, inv, n)
+    for fmt in FORMATS:
+        check(oracles.expect_chi_line(r, a, fmt),
+              "chi", "--r", r, "--line", "-a", a, "--format", fmt)
+        check(oracles.expect_chi_bundle(r, quad, fmt),
+              "chi", "--r", r, "--bundle", bundle, "--format", fmt)
+        check(oracles.expect_twist(r, quad, n, fmt),
+              "twist", "--r", r, "--bundle", bundle, "-n", n, "--format", fmt)
+        # the dependency locus needs a bundle of rank at least 2
+        if quad[0] == 1:
+            assert run("genus", "--r", r, "--bundle", bundle, "--format", fmt) == (1, "")
+        else:
+            check(oracles.expect_genus(r, quad, fmt),
+                  "genus", "--r", r, "--bundle", bundle, "--format", fmt)
 
 
 def test_selfcheck_matches_oracle(monkeypatch):
+    def document(results) -> str:
+        return json.dumps({"schema_version": 1, "command": "selfcheck", "inputs": {}, "results": [
+            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]},
+            indent=2, sort_keys=True) + "\n"
+
+    for fmt in FORMATS:
+        check(oracles.expect_selfcheck(fmt), "selfcheck", "--format", fmt)
     results = selfcheck.run_all()
-    assert run("selfcheck", "--format", "json") == (0, oracle.selfcheck_json(results))
+    assert run("selfcheck", "--format", "json") == (0, document(results))
     # a failed check, with a detail that json.dumps must escape
     failing = [selfcheck.CheckResult("twist-roundtrip", False, 'é∂ "q" \\ at (4;1,6,4)'),
                *results[1:]]
     monkeypatch.setattr(selfcheck, "run_all", lambda: failing)
-    assert run("selfcheck", "--format", "json") == (1, oracle.selfcheck_json(failing))
+    assert run("selfcheck", "--format", "json") == (1, document(failing))
 
 
 # the values an envelope head holds: ints, bools, None, strings (JSON escapes

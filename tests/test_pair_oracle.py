@@ -1,9 +1,10 @@
 """``decompose_rows`` and ``coverage_report``, which solve for the forced
 partner of each class, and ``extension_rows``, which merges runs of integer
-rows, against the exhaustive pair scan in ``pair_oracles``: the same rows in
-the same order, on hand-built catalogs whose pairs collide on a quadruple
-and on targets that are, nearly are, or are not pair sums.  A catalog
-holds each class once."""
+rows, against the exhaustive pair scan in ``oracles`` (``bench/oracles.py``,
+which imports nothing from ``acmbundles``): the same rows in the same order,
+on hand-built catalogs whose pairs collide on a quadruple and on targets
+that are, nearly are, or are not pair sums.  A catalog holds each class
+once."""
 
 from pathlib import Path
 
@@ -11,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import pair_oracles as oracle
-from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext
+import oracles
+from acmbundles.chern import BundleInvariants, DomainError
 from acmbundles.extensions import (
     BUILTIN_CATALOG,
     POOL_NORMALIZED,
@@ -20,10 +21,8 @@ from acmbundles.extensions import (
     Catalog,
     GlobalGeneration,
     Rank2CatalogEntry,
-    catalog,
     coverage_report,
     decompose_rows,
-    extend_rank2,
     extension_rows,
     load_catalog,
 )
@@ -33,6 +32,18 @@ POOLS = (POOL_STAR, POOL_NORMALIZED)
 
 def entry(r, c1, c2, star=True):
     return Rank2CatalogEntry(r, c1, c2, star, GlobalGeneration.NO)
+
+
+def as_row(witness) -> tuple:
+    """The oracle's (quadruple, left, right) as the library's seven integers."""
+    (_, c1, c2, c3), left, right = witness
+    return (c1, c2, c3, *left, *right)
+
+
+def listing(r: int, pool: str, source: Catalog) -> list[tuple]:
+    """The oracle's rows for every pair of the degree-r pool of ``source``."""
+    classes = [(e.c1, e.c2, e.satisfies_star) for e in source.entries if e.r == r]
+    return [as_row(w) for w in oracles.all_witnesses(r, oracles.pool_pairs(classes, pool))]
 
 
 def test_repeated_class_is_rejected():
@@ -65,7 +76,7 @@ def cases(draw):
     own = [e for e in entries if e.r == r]
     a = draw(st.sampled_from(own))
     b = draw(st.one_of(st.just(a), st.sampled_from(own)))
-    k, c1, c2, c3 = extend_rank2(HypersurfaceContext(r), a.pair, b.pair).quadruple()
+    k, c1, c2, c3 = oracles.extend(r, a.pair, b.pair)
     shift = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
     kind = draw(st.sampled_from(("sum", "c2", "c3", "random")))
     if kind == "c2":
@@ -84,7 +95,8 @@ def cases(draw):
 @given(cases())
 def test_decompose_matches_pair_scan(case):
     r, source, target, pool = case
-    assert decompose_rows(r, target, pool, source) == oracle.decompose(r, target, pool, source)
+    assert decompose_rows(r, target, pool, source) == [
+        row for row in listing(r, pool, source) if (4, *row[:3]) == target.quadruple()]
 
 
 @settings(max_examples=300, deadline=None)
@@ -94,7 +106,7 @@ def test_extension_quadruples_match_pair_scan(case, pool):
     # (r up to 8, random flags, other degrees) against the pair scan
     r, entries = case
     source = Catalog(tuple(entries))
-    assert extension_rows(r, pool, source) == oracle.extension_rows(r, pool, source)
+    assert extension_rows(r, pool, source) == listing(r, pool, source)
 
 
 @st.composite
@@ -121,7 +133,7 @@ def test_extension_rows_match_pair_scan(case, pool):
     # pairs collide on a quadruple, so this pins the tie order within one
     r, source = case
     rows = extension_rows(r, pool, source)
-    assert rows == oracle.extension_rows(r, pool, source)
+    assert rows == listing(r, pool, source)
     # decompose_rows is the listing's slice for each quadruple it holds
     for c1, c2, c3 in {row[:3] for row in rows}:
         target = BundleInvariants(4, c1, c2, c3)
@@ -134,7 +146,7 @@ def quartic_catalogs(draw):
     # the built-in star classes planted, so every built-in witness recurs,
     # and other random classes near them, some outside the star pool, so
     # that new pairs land on admissible quadruples too
-    planted = [e.pair for e in catalog(4) if e.satisfies_star]
+    planted = oracles.pool_pairs(oracles.BUILTIN_CLASSES[4], "star")
     cls = st.tuples(st.integers(-1, 5), st.integers(0, 30)).filter(lambda c: c not in planted)
     drawn = draw(st.lists(cls, max_size=12, unique=True))
     entries = [entry(4, c1, c2) for c1, c2 in planted] + [
@@ -145,4 +157,8 @@ def quartic_catalogs(draw):
 @settings(max_examples=200, deadline=None)
 @given(quartic_catalogs())
 def test_coverage_matches_pair_scan(source):
-    assert coverage_report(4, source).items == tuple(oracle.coverage(4, source))
+    star = oracles.pool_pairs([(e.c1, e.c2, e.satisfies_star) for e in source.entries], "star")
+    assert [(item.invariants.quadruple(), item.genus, item.status, item.origin, item.witnesses)
+            for item in coverage_report(4, source).items] == [
+        (quad, genus, status, origin, tuple(map(as_row, found)))
+        for quad, genus, status, origin, found in oracles.coverage_items(4, star)]
