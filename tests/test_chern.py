@@ -178,4 +178,3 @@ class TestGenus:
     )
     def test_c1_one_collapses_to_half_c3(self, k, c2, c3):
         assert genus_r4(BundleInvariants(k, 1, c2, c3)) == 1 + Fraction(c3, 2)
-

@@ -159,9 +159,9 @@ def test_small_queries_match_oracle(r, a, n, quad):
 
 def test_selfcheck_matches_oracle(monkeypatch):
     def document(results) -> str:
-        return json.dumps({"schema_version": 1, "command": "selfcheck", "inputs": {}, "results": [
-            {"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]},
-            indent=2, sort_keys=True) + "\n"
+        records = [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results]
+        doc = {"schema_version": 1, "command": "selfcheck", "inputs": {}, "results": records}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     for fmt in FORMATS:
         check(oracles.expect_selfcheck(fmt), "selfcheck", "--format", fmt)
