@@ -153,9 +153,8 @@ def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[Iterator[str], int
     ), 0
 
 
-def _load_source(args, r: int) -> extensions.Catalog | None:
-    # every line is checked, but only the degree the command reads is built
-    return None if args.catalog is None else extensions.load_catalog(args.catalog, r)
+def _load_source(args) -> extensions.Catalog | None:
+    return None if args.catalog is None else extensions.load_catalog(args.catalog)
 
 
 def cmd_chi(args) -> tuple[Iterator[str], int]:
@@ -267,7 +266,7 @@ def cmd_enumerate(args) -> tuple[Iterator[str], int]:
 
 
 def cmd_extensions(args) -> tuple[Iterator[str], int]:
-    rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args, args.r))
+    rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args))
     return _emit_witnesses(
         args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, rows,
         lambda: _columns([["left", "right", "result"], *(
@@ -277,7 +276,7 @@ def cmd_extensions(args) -> tuple[Iterator[str], int]:
 
 
 def cmd_decompose(args) -> tuple[Iterator[str], int]:
-    source = _load_source(args, args.r)
+    source = _load_source(args)
     target = BundleInvariants(*args.target)
     rows = extensions.decompose_rows(args.r, target, args.pool, source=source)
     if not rows and args.expect_witness:
@@ -307,7 +306,7 @@ def _coverage_record(item: extensions.CoverageItem) -> str:
 
 
 def cmd_coverage(args) -> tuple[Iterator[str], int]:
-    items = extensions.coverage_report(args.k, source=_load_source(args, 4)).items
+    items = extensions.coverage_report(args.k, source=_load_source(args)).items
     header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
     return _emit(
         args, {"k": args.k, "catalog": args.catalog},

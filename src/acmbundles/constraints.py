@@ -18,7 +18,6 @@ from .chern import (
 __all__ = [
     "QUARTIC",
     "C2Interval",
-    "RowEntry",
     "EnumerationRow",
     "c1_bounds",
     "c2_upper_general",
@@ -176,21 +175,13 @@ def c2_interval_r4(k: int, c1: int) -> C2Interval:
 
 
 @dataclass(frozen=True)
-class RowEntry:
-    """One admissible point of a table row: c2 with its forced c3 and genus."""
-
-    c2: int
-    c3: int
-    genus: int
-
-
-@dataclass(frozen=True)
 class EnumerationRow:
     """All admissible invariants for one (k, c1) on the quartic.
 
     Along a row the forced c3 and the genus are affine in c2: ``c3_form``
-    and ``genus_form`` are their (slope, intercept) pairs.  ``entries`` is
-    computed from the two forms over ``interval`` on each access.
+    and ``genus_form`` are their (slope, intercept) pairs.  ``entries``, the
+    row's admissible points as (c2, c3, genus) integer triples, is computed
+    from the two forms over ``interval`` on each access.
     """
 
     k: int
@@ -201,9 +192,9 @@ class EnumerationRow:
     provenance: tuple[str, ...]
 
     @property
-    def entries(self) -> tuple[RowEntry, ...]:
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
         (s3, t3), (sg, tg) = self.c3_form, self.genus_form
-        return tuple(RowEntry(c2, s3 * c2 + t3, sg * c2 + tg) for c2 in self.c2_values)
+        return tuple((c2, s3 * c2 + t3, sg * c2 + tg) for c2 in self.c2_values)
 
     @property
     def c2_values(self) -> list[int]:

@@ -10,7 +10,6 @@ supplied for exploring hypothetical catalogs at other degrees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 from . import constraints
@@ -20,8 +19,6 @@ __all__ = [
     "UnsupportedDegree",
     "RankUnsupported",
     "CatalogParseError",
-    "GlobalGeneration",
-    "Rank2CatalogEntry",
     "Catalog",
     "BUILTIN_CATALOG",
     "load_catalog",
@@ -53,54 +50,27 @@ class CatalogParseError(DomainError):
     """A catalog override file failed to parse; the message carries the line number."""
 
 
-class GlobalGeneration(str, Enum):
-    """Whether bundles in a catalog class are generated by global sections."""
-
-    ALWAYS = "always"
-    GENERIC = "generic"  # the general member is; not asserted for all members
-    NO = "no"
-
-
-@dataclass(frozen=True)
-class Rank2CatalogEntry:
-    """A normalized undecomposable rank-two ACM class (c1, c2) on a degree-r
-    hypersurface, with its star and global-generation flags."""
-
-    r: int
-    c1: int
-    c2: int
-    satisfies_star: bool
-    globally_generated: GlobalGeneration
-
-    def __init__(self, r: int, c1: int, c2: int, satisfies_star: bool,
-                 globally_generated: GlobalGeneration) -> None:
-        # written out, as chern.HypersurfaceContext's is
-        self.__dict__.update(r=r, c1=c1, c2=c2, satisfies_star=satisfies_star,
-                             globally_generated=globally_generated)
-
-    @property
-    def pair(self) -> tuple[int, int]:
-        return (self.c1, self.c2)
-
-
 @dataclass(frozen=True)
 class Catalog:
-    """An immutable set of rank-two classes, keyed by ambient degree: a class
-    (r, c1, c2) comes at most once."""
+    """An immutable set of rank-two classes, as integer rows (r, c1, c2, star)
+    on the degree-r hypersurface: a class (r, c1, c2) comes at most once."""
 
-    entries: tuple[Rank2CatalogEntry, ...]
+    entries: tuple[tuple[int, int, int, bool], ...]
 
     def __post_init__(self) -> None:
-        keys = [(entry.r, entry.c1, entry.c2) for entry in self.entries]
-        if len(set(keys)) != len(keys):
-            repeat = next(key for i, key in enumerate(keys) if key in keys[:i])
-            raise DomainError(f"catalog repeats the class {repeat}")
+        if len({row[:3] for row in self.entries}) < len(self.entries):
+            seen = set()
+            for key in (row[:3] for row in self.entries):
+                if key in seen:
+                    raise DomainError(f"catalog repeats the class {key}")
+                seen.add(key)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({entry.r for entry in self.entries}))
+        return tuple(sorted({row[0] for row in self.entries}))
 
-    def for_degree(self, r: int) -> list[Rank2CatalogEntry]:
-        found = [entry for entry in self.entries if entry.r == r]
+    def for_degree(self, r: int) -> list[tuple[int, int, bool]]:
+        """The (c1, c2, star) classes of degree r, in catalog order."""
+        found = [(c1, c2, star) for degree, c1, c2, star in self.entries if degree == r]
         if not found:
             known = ", ".join(map(str, self.degrees())) or "none"
             raise UnsupportedDegree(
@@ -109,41 +79,40 @@ class Catalog:
         return found
 
 
-#: The complete normalized rank-two classification for degrees 3 and 4.
-#: Star fails exactly for (0,1) at r=3 and for (-1,1), (0,2), (1,5) at r=4;
-#: on the quartic, (3,14) is always globally generated and the general (2,8)
-#: is ("generic" records that without claiming every member).
+#: The complete normalized rank-two classification for degrees 3 and 4, as
+#: rows (r, c1, c2, star).  Star fails exactly for (0,1) at r=3 and for
+#: (-1,1), (0,2), (1,5) at r=4.  On the quartic, (3,14) is always globally
+#: generated and the general (2,8) is; no other class is.
 BUILTIN_CATALOG = Catalog(
     (
-        Rank2CatalogEntry(3, 0, 1, False, GlobalGeneration.NO),
-        Rank2CatalogEntry(3, 1, 2, True, GlobalGeneration.NO),
-        Rank2CatalogEntry(3, 2, 5, True, GlobalGeneration.NO),
-        Rank2CatalogEntry(4, -1, 1, False, GlobalGeneration.NO),
-        Rank2CatalogEntry(4, 0, 2, False, GlobalGeneration.NO),
-        Rank2CatalogEntry(4, 1, 3, True, GlobalGeneration.NO),
-        Rank2CatalogEntry(4, 1, 4, True, GlobalGeneration.NO),
-        Rank2CatalogEntry(4, 1, 5, False, GlobalGeneration.NO),
-        Rank2CatalogEntry(4, 2, 8, True, GlobalGeneration.GENERIC),
-        Rank2CatalogEntry(4, 3, 14, True, GlobalGeneration.ALWAYS),
+        (3, 0, 1, False),
+        (3, 1, 2, True),
+        (3, 2, 5, True),
+        (4, -1, 1, False),
+        (4, 0, 2, False),
+        (4, 1, 3, True),
+        (4, 1, 4, True),
+        (4, 1, 5, False),
+        (4, 2, 8, True),
+        (4, 3, 14, True),
     )
 )
 
 
 _STAR = {"0": False, "1": True}
-_GG = {gg.value: gg for gg in GlobalGeneration}
+_GG = dict.fromkeys(("always", "generic", "no"), True)
 
 
-def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
+def load_catalog(path: str | Path) -> Catalog:
     """Parse a catalog override file.
 
-    One entry per line, whitespace separated: ``r c1 c2 star gg`` with
+    One class per line, whitespace separated: ``r c1 c2 star gg`` with
     star in {0, 1} and gg in {always, generic, no}.  Lines starting with
     ``#`` and blank lines are skipped.  UTF-8 only.  A class (r, c1, c2)
     may appear only once.
 
-    Every line is checked.  With ``r`` given, only degree-r classes become
-    entries, unless there are none: then all do, for ``for_degree``'s message.
-    The file is parsed whole; :func:`_first_fault` words a failure.
+    Every field of every line is checked; gg is not kept.  The file is
+    parsed whole; :func:`_first_fault` words a failure.
     """
     data = Path(path).read_bytes()
     try:
@@ -155,16 +124,15 @@ def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
         raise CatalogParseError(f"{path}: line {lineno}: not valid UTF-8") from None
     lines = text.splitlines()
     try:
-        # a wrong field count fails the unpacking, a bad field int() or a lookup
-        rows = [(int(a), int(b), int(c), _STAR[star], _GG[gg])
+        # a wrong field count fails the unpacking, a bad field int() or a
+        # lookup (gg's, a filter true for every valid gg), and a repeated
+        # class the Catalog
+        rows = [(int(a), int(b), int(c), _STAR[star])
                 for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#"
-                for a, b, c, star, gg in (tokens,)]
+                for a, b, c, star, gg in (tokens,) if _GG[gg]]
+        return Catalog(tuple(rows))
     except (ValueError, KeyError):
-        rows = None
-    if rows is None or len({(a, b, c) for a, b, c, _, _ in rows}) != len(rows):
-        raise CatalogParseError(_first_fault(path, lines))
-    wanted = [row for row in rows if row[0] == r] or rows
-    return Catalog(tuple(Rank2CatalogEntry(*row) for row in wanted))
+        raise CatalogParseError(_first_fault(path, lines)) from None
 
 
 def _first_fault(path: str | Path, lines: list[str]) -> str:
@@ -191,8 +159,9 @@ def _first_fault(path: str | Path, lines: list[str]) -> str:
             return f"{where} duplicate class {key}, first on line {first}"
 
 
-def catalog(r: int, source: Catalog | None = None) -> list[Rank2CatalogEntry]:
-    """All normalized rank-two ACM classes on the degree-r hypersurface."""
+def catalog(r: int, source: Catalog | None = None) -> list[tuple[int, int, bool]]:
+    """All normalized rank-two ACM classes on the degree-r hypersurface, as
+    (c1, c2, star) triples."""
     return (source or BUILTIN_CATALOG).for_degree(r)
 
 
@@ -221,11 +190,11 @@ POOL_STAR = "star"              # only classes satisfying the star condition
 
 def _pool_classes(r: int, pool: str, source: Catalog | None) -> list[tuple[int, int]]:
     """The (c1, c2) classes of the degree-r pool, in catalog order."""
-    entries = catalog(r, source)
+    classes = catalog(r, source)
     if pool == POOL_STAR:
-        return [entry.pair for entry in entries if entry.satisfies_star]
+        return [(c1, c2) for c1, c2, star in classes if star]
     if pool == POOL_NORMALIZED:
-        return [entry.pair for entry in entries]
+        return [(c1, c2) for c1, c2, _ in classes]
     raise DomainError(f"unknown pool {pool!r}; expected 'star' or 'normalized'")
 
 

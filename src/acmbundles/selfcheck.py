@@ -218,10 +218,10 @@ def _check_whitney_oracle(rng: random.Random) -> CheckResult:
     cases = 0
     for r in (3, 4):
         ctx = chern.HypersurfaceContext(r)
-        pairs = list(combinations_with_replacement(extensions.catalog(r), 2))
-        for a, b in pairs:
-            direct = extensions.extend_rank2(ctx, a.pair, b.pair)
-            if _ring_product(r, a.pair, b.pair) != (direct.c1, direct.c2, direct.c3):
+        classes = [(c1, c2) for c1, c2, _ in extensions.catalog(r)]
+        for a, b in combinations_with_replacement(classes, 2):
+            direct = extensions.extend_rank2(ctx, a, b)
+            if _ring_product(r, a, b) != (direct.c1, direct.c2, direct.c3):
                 return CheckResult("whitney-oracle", False, f"r={r}, {a}+{b}")
             cases += 1
     for _ in range(500):
@@ -247,8 +247,8 @@ def _check_extension_symmetry(rng: random.Random) -> CheckResult:
 
 
 def _check_star_extensions_admissible(rng: random.Random) -> CheckResult:
-    admissible = {(row.c1, entry.c2, entry.c3)
-                  for row in constraints.enumerate_acm_r4(4) for entry in row.entries}
+    admissible = {(row.c1, c2, c3)
+                  for row in constraints.enumerate_acm_r4(4) for c2, c3, _ in row.entries}
     witnesses = extensions.extension_rows(4, extensions.POOL_STAR)
     for c1, c2, c3, *_ in witnesses:
         if (c1, c2, c3) not in admissible:

@@ -13,18 +13,13 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from acmbundles.extensions import (
-    Catalog,
-    CatalogParseError,
-    GlobalGeneration,
-    Rank2CatalogEntry,
-)
+from acmbundles.extensions import Catalog, CatalogParseError
 
 _STAR = {"0": False, "1": True}
-_GG = {gg.value: gg for gg in GlobalGeneration}
+_GG = ("always", "generic", "no")
 
 
-def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
+def load_catalog(path: str | Path) -> Catalog:
     """``extensions.load_catalog``'s contract, one line at a time."""
     rows = []
     first_lines: dict[tuple[int, int, int], int] = {}
@@ -56,8 +51,7 @@ def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
             raise CatalogParseError(
                 f"{path}: line {lineno}: star must be 0 or 1, got {tokens[3]!r}"
             )
-        gg = _GG.get(tokens[4])
-        if gg is None:
+        if tokens[4] not in _GG:
             raise CatalogParseError(
                 f"{path}: line {lineno}: gg must be one of always/generic/no, "
                 f"got {tokens[4]!r}"
@@ -67,6 +61,5 @@ def load_catalog(path: str | Path, r: int | None = None) -> Catalog:
             raise CatalogParseError(
                 f"{path}: line {lineno}: duplicate class {key}, first on line {first}"
             )
-        rows.append((*key, star, gg))
-    wanted = [row for row in rows if row[0] == r] or rows
-    return Catalog(tuple(Rank2CatalogEntry(*row) for row in wanted))
+        rows.append((*key, star))
+    return Catalog(tuple(rows))

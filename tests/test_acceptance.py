@@ -235,9 +235,10 @@ def test_criterion_5f_whitney_oracle(capsys):
     ok = True
     for r in (3, 4):
         ctx = HypersurfaceContext(r)
-        for a, b in combinations_with_replacement(catalog(r), 2):
-            result = extend_rank2(ctx, a.pair, b.pair)
-            if ring_product(r, a.pair, b.pair) != (result.c1, result.c2, result.c3):
+        classes = [(c1, c2) for c1, c2, _ in catalog(r)]
+        for a, b in combinations_with_replacement(classes, 2):
+            result = extend_rank2(ctx, a, b)
+            if ring_product(r, a, b) != (result.c1, result.c2, result.c3):
                 ok = False
     rng = random.Random(506)
     for _ in range(500):
@@ -263,7 +264,7 @@ def test_criterion_5_total_runtime(capsys):
 
 
 def test_criterion_6_cross_module_containment(capsys):
-    admissible = {(row.c1, e.c2, e.c3) for row in enumerate_acm_r4(4) for e in row.entries}
+    admissible = {(row.c1, c2, c3) for row in enumerate_acm_r4(4) for c2, c3, _ in row.entries}
     contained = all(row[:3] in admissible for row in extension_rows(4, POOL_STAR))
 
     labels_ok = True

@@ -134,29 +134,27 @@ class TestEnumeration:
         assert [(row.c1, row.interval.lower, row.interval.upper) for row in rows] == [
             (1, 5, 5), (2, 8, 11), (3, 17, 18), (4, 27, 28),
         ]
-        first = rows[0].entries[0]
-        assert (first.c2, first.c3, first.genus) == (5, 2, 2)
+        assert rows[0].entries[0] == (5, 2, 2)
 
     def test_rank4_rows(self):
         rows = enumerate_acm_r4(4)
         assert [(row.c1, row.interval.lower, row.interval.upper) for row in rows] == [
             (1, 6, 6), (2, 8, 12), (3, 16, 22), (4, 28, 32), (5, 44, 46), (6, 64, 64),
         ]
-        last = rows[-1].entries[0]
-        assert (last.c2, last.c3, last.genus) == (64, 84, 203)
+        assert rows[-1].entries[0] == (64, 84, 203)
         c1_three = rows[2]
         assert c1_three.c2_values == list(range(16, 23))
-        assert [e.c3 for e in c1_three.entries] == [8, 10, 12, 14, 16, 18, 20]
-        assert [e.genus for e in c1_three.entries] == [21, 23, 25, 27, 29, 31, 33]
+        assert [c3 for _, c3, _ in c1_three.entries] == [8, 10, 12, 14, 16, 18, 20]
+        assert [genus for _, _, genus in c1_three.entries] == [21, 23, 25, 27, 29, 31, 33]
 
     def test_rows_satisfy_defining_relations(self):
         for k in (3, 4):
             for row in enumerate_acm_r4(k):
-                for entry in row.entries:
-                    inv = BundleInvariants(k, row.c1, entry.c2, entry.c3)
+                for c2, c3, genus in row.entries:
+                    inv = BundleInvariants(k, row.c1, c2, c3)
                     assert chi_bundle(QUARTIC, twist(QUARTIC, inv, -1)) == 0
-                    assert chi_bundle(QUARTIC, inv) == -entry.c2 + 2 * row.c1**2 + 2 * k
-                    assert genus_r4(inv) == entry.genus
+                    assert chi_bundle(QUARTIC, inv) == -c2 + 2 * row.c1**2 + 2 * k
+                    assert genus_r4(inv) == genus
 
     def test_refined_ranks_not_flagged(self):
         for k in (3, 4):

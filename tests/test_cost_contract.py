@@ -83,24 +83,24 @@ def files(tmp_path) -> list[Path]:
 
 
 def test_load_catalog_grows_linearly(files):
-    assert_ratio([line_events(lambda: load_catalog(path, 4)) for path in files])
+    assert_ratio([line_events(lambda: load_catalog(path)) for path in files])
 
 
 def test_decompose_rows_grows_linearly(files):
-    sources = [load_catalog(path, 4) for path in files]
+    sources = [load_catalog(path) for path in files]
     assert all(decompose_rows(4, TARGET, POOL_NORMALIZED, source=s) for s in sources)
     assert_ratio([line_events(lambda: decompose_rows(4, TARGET, POOL_NORMALIZED, source=s))
                   for s in sources])
 
 
 def test_coverage_report_grows_linearly(files):
-    sources = [load_catalog(path, 4) for path in files]
+    sources = [load_catalog(path) for path in files]
     assert all(coverage_report(4, source=s).realized() for s in sources)
     assert_ratio([line_events(lambda: coverage_report(4, source=s)) for s in sources])
 
 
 def test_extension_rows_grow_quadratically(files):
-    sources = [load_catalog(path, 4) for path in files]
+    sources = [load_catalog(path) for path in files]
     assert_ratio([line_events(lambda: extension_rows(4, POOL_NORMALIZED, source=s))
                   for s in sources], QUADRATIC)
 

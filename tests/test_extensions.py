@@ -1,16 +1,22 @@
 """Catalog data, extension arithmetic against a ring oracle, decomposability
 search, the coverage report, and the catalog override file format."""
 
-import dataclasses
 import re
+import time
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from test_json_oracle import catalog_cases
-from acmbundles.chern import BundleInvariants, DomainError, HypersurfaceContext, genus_r4
+from acmbundles.chern import (
+    BundleInvariants,
+    DomainError,
+    HypersurfaceContext,
+    chi_bundle,
+    genus_r4,
+    twist,
+)
 from acmbundles.constraints import c3_from_acm, enumerate_acm_r4
 from acmbundles.extensions import (
     BUILTIN_CATALOG,
@@ -19,9 +25,8 @@ from acmbundles.extensions import (
     STATUS_CURVE,
     STATUS_EXTENSION,
     STATUS_OPEN,
+    Catalog,
     CatalogParseError,
-    GlobalGeneration,
-    Rank2CatalogEntry,
     RankUnsupported,
     UnsupportedDegree,
     catalog,
@@ -75,57 +80,38 @@ def ring_product(r, left, right):
 
 class TestCatalog:
     def test_quartic_entries(self):
-        entries = catalog(4)
-        assert len(entries) == 7
-        assert {e.pair for e in entries} == {
+        classes = catalog(4)
+        assert len(classes) == 7
+        assert {(c1, c2) for c1, c2, _ in classes} == {
             (-1, 1), (0, 2), (1, 3), (1, 4), (1, 5), (2, 8), (3, 14),
         }
-        starless = {e.pair for e in entries if not e.satisfies_star}
+        starless = {(c1, c2) for c1, c2, star in classes if not star}
         assert starless == {(-1, 1), (0, 2), (1, 5)}
-        by_pair = {e.pair: e for e in entries}
-        assert by_pair[(3, 14)].globally_generated is GlobalGeneration.ALWAYS
-        assert by_pair[(2, 8)].globally_generated is GlobalGeneration.GENERIC
-        assert all(
-            by_pair[p].globally_generated is GlobalGeneration.NO
-            for p in by_pair
-            if p not in {(3, 14), (2, 8)}
-        )
 
     def test_cubic_entries(self):
-        entries = catalog(3)
-        assert {e.pair for e in entries} == {(0, 1), (1, 2), (2, 5)}
-        assert {e.pair for e in entries if not e.satisfies_star} == {(0, 1)}
+        assert catalog(3) == [(0, 1, False), (1, 2, True), (2, 5, True)]
 
     def test_unclassified_degree_rejected(self):
         with pytest.raises(UnsupportedDegree):
             catalog(5)
 
-    def test_entries_keep_the_dataclass_behaviour(self, tmp_path):
-        # the class writes its own __init__; what the dataclass generates
-        # must stay as it was
-        gg = GlobalGeneration.GENERIC
-        entry = Rank2CatalogEntry(4, 2, 8, True, gg)
-        assert repr(entry) == (f"Rank2CatalogEntry(r=4, c1=2, c2=8, satisfies_star=True, "
-                               f"globally_generated={gg!r})")
-        assert entry == Rank2CatalogEntry(r=4, c1=2, c2=8, satisfies_star=True,
-                                          globally_generated=gg)
-        assert entry != Rank2CatalogEntry(4, 2, 8, False, gg)
-        assert entry != (4, 2, 8, True, gg)
-        assert hash(entry) == hash((4, 2, 8, True, gg))
-        assert entry.pair == (2, 8)
-        assert entry in BUILTIN_CATALOG.entries
-        names = ["r", "c1", "c2", "satisfies_star", "globally_generated"]
-        assert [f.name for f in dataclasses.fields(entry)] == names
-        for name in names:
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(entry, name, 0)
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                delattr(entry, name)
-        assert dataclasses.replace(entry, c2=9) == Rank2CatalogEntry(4, 2, 9, True, gg)
-        path = tmp_path / "catalog.txt"
-        path.write_text("4 2 8 1 generic\n", encoding="utf-8")
-        loaded, = load_catalog(path).entries
-        assert loaded == entry and loaded.globally_generated is gg
+    def test_star_flags_follow_from_riemann_roch(self):
+        # star is chi(E(-1)) = 0, the relation that forces c3 on an ACM
+        # bundle, and chi(E) >= 2, from h^0(E) >= rank; c3 = 0 at rank two
+        for r, c1, c2, star in BUILTIN_CATALOG.entries:
+            ctx = HypersurfaceContext(r)
+            bundle = BundleInvariants(2, c1, c2, 0)
+            derived = chi_bundle(ctx, twist(ctx, bundle, -1)) == 0 and chi_bundle(ctx, bundle) >= 2
+            assert star == derived, (r, c1, c2)
+
+    def test_late_repeat_is_found_in_one_pass(self):
+        # 100,000 classes, then the first again: a search that rescans the
+        # classes before each one takes minutes at this size
+        rows = tuple((4, c1, 0, True) for c1 in range(100_000))
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match=re.escape("catalog repeats the class (4, 0, 0)")):
+            Catalog((*rows, rows[0]))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestExtendRank2:
@@ -158,9 +144,10 @@ class TestExtendRank2:
 
     def test_catalog_pairs_match_ring_oracle(self):
         for r, ctx in ((3, X3), (4, X4)):
-            for a, b in combinations_with_replacement(catalog(r), 2):
-                result = extend_rank2(ctx, a.pair, b.pair)
-                assert ring_product(r, a.pair, b.pair) == (
+            classes = [(c1, c2) for c1, c2, _ in catalog(r)]
+            for a, b in combinations_with_replacement(classes, 2):
+                result = extend_rank2(ctx, a, b)
+                assert ring_product(r, a, b) == (
                     result.c1, result.c2, result.c3,
                 )
 
@@ -209,7 +196,8 @@ class TestExtensionQuadruples:
         for row, (left, right) in zip(rows, pairs(rows)):
             assert extend_rank2(X4, left, right) == BundleInvariants(4, *row[:3])
         # one row for each unordered pair of the pool's classes, left <= right
-        classes = sorted(e.pair for e in catalog(4) if pool == POOL_NORMALIZED or e.satisfies_star)
+        classes = sorted((c1, c2) for c1, c2, star in catalog(4)
+                         if pool == POOL_NORMALIZED or star)
         assert sorted(pairs(rows)) == list(combinations_with_replacement(classes, 2))
 
 
@@ -303,11 +291,8 @@ class TestCatalogFile:
         )
         loaded = load_catalog(path)
         assert loaded.degrees() == (4, 5)
-        degree5 = catalog(5, loaded)
-        assert [(e.pair, e.satisfies_star) for e in degree5] == [
-            ((1, 4), True), ((2, 9), False),
-        ]
-        assert degree5[1].globally_generated is GlobalGeneration.GENERIC
+        assert catalog(5, loaded) == [(1, 4, True), (2, 9, False)]
+        assert loaded.entries == ((5, 1, 4, True), (5, 2, 9, False), (4, 3, 14, True))
 
     def test_override_threads_through_searches(self, tmp_path):
         path = tmp_path / "catalog.txt"
@@ -361,50 +346,3 @@ class TestCatalogFile:
         message = f"{path}: line {lineno}: not valid UTF-8"
         with pytest.raises(CatalogParseError, match=re.escape(message)):
             load_catalog(path)
-
-
-# one broken line: a wrong field count, a bad integer, star or gg, a
-# repeated class, or a byte that is not UTF-8
-BAD_TOKENS = {
-    "fields": lambda tokens: tokens[:4],
-    "int": lambda tokens: [tokens[0], "x", *tokens[2:]],
-    "star": lambda tokens: [*tokens[:3], "2", tokens[4]],
-    "gg": lambda tokens: [*tokens[:4], "maybe"],
-}
-CORRUPTIONS = (*BAD_TOKENS, "duplicate", "utf8")
-
-
-def _corrupt(lines: list[str], index: int, how: str) -> bytes:
-    """The file's bytes with line ``index`` broken the way ``how`` names."""
-    encoded = [line.encode("utf-8") for line in lines]
-    if how == "duplicate":
-        encoded.append(encoded[index])
-    elif how == "utf8":
-        encoded[index] = b"\xff" + encoded[index]
-    else:
-        encoded[index] = " ".join(BAD_TOKENS[how](lines[index].split())).encode("utf-8")
-    return b"\n".join(encoded) + b"\n"
-
-
-@settings(max_examples=100, deadline=None)
-@given(case=catalog_cases(), data=st.data())
-def test_degree_argument_only_filters(tmp_path_factory, case, data):
-    """load_catalog(path, r) holds the same degree-r classes as the whole
-    file, all of them when the file has no degree r, and raises the same
-    error as load_catalog(path) on a file with one broken line."""
-    text = case[1]
-    path = tmp_path_factory.getbasetemp() / "filtered-catalog.txt"
-    path.write_text(text, encoding="utf-8")
-    full = load_catalog(path)
-    for r in full.degrees():
-        assert catalog(r, load_catalog(path, r)) == catalog(r, full)
-    assert load_catalog(path, 9) == full
-    lines = text.splitlines()
-    index = data.draw(st.integers(0, len(lines) - 1))
-    path.write_bytes(_corrupt(lines, index, data.draw(st.sampled_from(CORRUPTIONS))))
-    with pytest.raises(CatalogParseError) as whole:
-        load_catalog(path)
-    for r in (*full.degrees(), 9):
-        with pytest.raises(CatalogParseError) as one:
-            load_catalog(path, r)
-        assert str(one.value) == str(whole.value)

@@ -19,8 +19,6 @@ from acmbundles.extensions import (
     POOL_NORMALIZED,
     POOL_STAR,
     Catalog,
-    GlobalGeneration,
-    Rank2CatalogEntry,
     coverage_report,
     decompose_rows,
     extension_rows,
@@ -28,10 +26,6 @@ from acmbundles.extensions import (
 )
 
 POOLS = (POOL_STAR, POOL_NORMALIZED)
-
-
-def entry(r, c1, c2, star=True):
-    return Rank2CatalogEntry(r, c1, c2, star, GlobalGeneration.NO)
 
 
 def as_row(witness) -> tuple:
@@ -42,15 +36,15 @@ def as_row(witness) -> tuple:
 
 def listing(r: int, pool: str, source: Catalog) -> list[tuple]:
     """The oracle's rows for every pair of the degree-r pool of ``source``."""
-    classes = [(e.c1, e.c2, e.satisfies_star) for e in source.entries if e.r == r]
+    classes = [(c1, c2, star) for degree, c1, c2, star in source.entries if degree == r]
     return [as_row(w) for w in oracles.all_witnesses(r, oracles.pool_pairs(classes, pool))]
 
 
 def test_repeated_class_is_rejected():
     with pytest.raises(DomainError, match=r"repeats the class \(4, 1, 3\)"):
-        Catalog((entry(4, 1, 3), entry(4, 2, 8), entry(4, 1, 3, star=False)))
+        Catalog(((4, 1, 3, True), (4, 2, 8, True), (4, 1, 3, False)))
     # a class is (r, c1, c2): the same (c1, c2) at two degrees is two classes
-    assert Catalog((entry(3, 1, 3), entry(4, 1, 3))).degrees() == (3, 4)
+    assert Catalog(((3, 1, 3, True), (4, 1, 3, True))).degrees() == (3, 4)
     assert BUILTIN_CATALOG.degrees() == (3, 4)
     assert load_catalog(Path(__file__).parent / "catalog_345.txt").degrees() == (3, 4, 5)
 
@@ -60,23 +54,18 @@ def catalogs(draw):
     r = draw(st.integers(1, 8))
     cls = st.tuples(st.integers(-6, 6), st.integers(-20, 40))
     classes = draw(st.lists(cls, min_size=1, max_size=12, unique=True))
-    entries = [
-        Rank2CatalogEntry(
-            r, c1, c2, draw(st.booleans()), draw(st.sampled_from(GlobalGeneration))
-        )
-        for c1, c2 in classes
-    ]
-    others = [entry(r + 1, c1, c2) for c1, c2 in draw(st.lists(cls, max_size=3, unique=True))]
+    entries = [(r, c1, c2, draw(st.booleans())) for c1, c2 in classes]
+    others = [(r + 1, c1, c2, True) for c1, c2 in draw(st.lists(cls, max_size=3, unique=True))]
     return r, draw(st.permutations(entries + others))
 
 
 @st.composite
 def cases(draw):
     r, entries = draw(catalogs())
-    own = [e for e in entries if e.r == r]
+    own = [(c1, c2) for degree, c1, c2, _ in entries if degree == r]
     a = draw(st.sampled_from(own))
     b = draw(st.one_of(st.just(a), st.sampled_from(own)))
-    k, c1, c2, c3 = oracles.extend(r, a.pair, b.pair)
+    k, c1, c2, c3 = oracles.extend(r, a, b)
     shift = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
     kind = draw(st.sampled_from(("sum", "c2", "c3", "random")))
     if kind == "c2":
@@ -122,8 +111,8 @@ def colliding_catalogs(draw):
         v, d = draw(st.integers(4, 9)), draw(st.integers(1, 2))
         for pair in [(x, u), (x, v), (x, u + d), (x, v - d)]:
             flags.setdefault(pair, True)
-    entries = [entry(r, c1, c2, star) for (c1, c2), star in flags.items()]
-    others = [entry(r + 1, c1, c2) for c1, c2 in draw(st.lists(cls, max_size=3, unique=True))]
+    entries = [(r, c1, c2, star) for (c1, c2), star in flags.items()]
+    others = [(r + 1, c1, c2, True) for c1, c2 in draw(st.lists(cls, max_size=3, unique=True))]
     return r, Catalog(tuple(draw(st.permutations(entries + others))))
 
 
@@ -149,15 +138,15 @@ def quartic_catalogs(draw):
     planted = oracles.pool_pairs(oracles.BUILTIN_CLASSES[4], "star")
     cls = st.tuples(st.integers(-1, 5), st.integers(0, 30)).filter(lambda c: c not in planted)
     drawn = draw(st.lists(cls, max_size=12, unique=True))
-    entries = [entry(4, c1, c2) for c1, c2 in planted] + [
-        entry(4, c1, c2, draw(st.booleans())) for c1, c2 in drawn]
+    entries = [(4, c1, c2, True) for c1, c2 in planted] + [
+        (4, c1, c2, draw(st.booleans())) for c1, c2 in drawn]
     return Catalog(tuple(draw(st.permutations(entries))))
 
 
 @settings(max_examples=200, deadline=None)
 @given(quartic_catalogs())
 def test_coverage_matches_pair_scan(source):
-    star = oracles.pool_pairs([(e.c1, e.c2, e.satisfies_star) for e in source.entries], "star")
+    star = oracles.pool_pairs([row[1:] for row in source.entries], "star")
     assert [(item.invariants.quadruple(), item.genus, item.status, item.origin, item.witnesses)
             for item in coverage_report(4, source).items] == [
         (quad, genus, status, origin, tuple(map(as_row, found)))

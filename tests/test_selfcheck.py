@@ -177,8 +177,9 @@ def test_draws_follow_randint(monkeypatch):
     assert ranges == {
         (1, 8), (2, 8), (-10, 10), (-20, 20), (-30, 30), (-50, 50), (-60, 60), (-80, 80)
     }
-    for lo, hi in sorted(ranges):
-        drawn, expected = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
-        assert [real(drawn, lo, hi) for _ in range(5000)] == [
-            expected.randint(lo, hi) for _ in range(5000)
-        ]
+    # 100,000 draws from one seed, cycling through those ranges and wider ones
+    cycle = [*sorted(ranges), (0, 1), (5, 5), (-10**6, 10**6), (0, 2**40)]
+    bounds = [cycle[i % len(cycle)] for i in range(100_000)]
+    drawn, expected = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
+    assert ([real(drawn, lo, hi) for lo, hi in bounds]
+            == [expected.randint(lo, hi) for lo, hi in bounds])
