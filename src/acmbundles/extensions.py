@@ -125,8 +125,8 @@ def load_catalog(path: str | Path) -> Catalog:
     lines = text.splitlines()
     try:
         # a wrong field count fails the unpacking, a bad field int() or a
-        # lookup (gg's, a filter true for every valid gg), and a repeated
-        # class the Catalog
+        # lookup (gg's is the filter, true for every known gg), and a
+        # repeated class the Catalog
         rows = [(int(a), int(b), int(c), _STAR[star])
                 for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#"
                 for a, b, c, star, gg in (tokens,) if _GG[gg]]
