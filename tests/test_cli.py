@@ -23,7 +23,8 @@ CATALOG = "tests/catalog_345.txt"
 # one golden file per README invocation and format: tests/golden/NAME.EXT;
 # enumerate_k5 adds an unrefined rank, whose rows print a constant c3/genus
 # and a bare "c2"; decompose_none prints an empty "results" list and a
-# header-only CSV; the *_catalog cases read CATALOG, and decompose_catalog's
+# header-only CSV; coverage_k3 is the curve-only rank, with no extension
+# evidence; the *_catalog cases read CATALOG, and decompose_catalog's
 # target has three star-pool witnesses
 GOLDEN_CASES = {
     "chi_line": ["chi", "--r", "4", "--line", "-a", "1"],
@@ -40,6 +41,7 @@ GOLDEN_CASES = {
                        "--pool", "normalized"],
     "decompose_tie": ["decompose", "--r", "4", "--target", "4,2,12,8",
                       "--pool", "normalized"],
+    "coverage_k3": ["coverage", "--k", "3"],
     "coverage_k4": ["coverage", "--k", "4"],
     "extensions_r5_catalog": ["extensions", "--r", "5", "--pool", "normalized",
                               "--catalog", CATALOG],

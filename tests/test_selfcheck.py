@@ -117,6 +117,20 @@ def test_unexpected_negative_witness_is_caught(monkeypatch):
     assert (result.passed, result.detail) == (False, "unexpected witness (0,2)+(1,4)")
 
 
+@pytest.mark.parametrize("quad, kept", [((4, 1, 6, 4), False), ((3, 2, 8, 2), True)],
+                         ids=["dropped", "extra"])
+def test_corrupted_curve_evidence_is_caught(monkeypatch, quad, kept):
+    # a curve construction lost, or one claimed for an open quadruple,
+    # changes the realized set of that rank
+    curves = {q: origin for q, origin in extensions.CURVE_REALIZED.items() if q != quad}
+    if kept:
+        curves[quad] = "curve construction: planted"
+    monkeypatch.setattr(extensions, "CURVE_REALIZED", curves)
+    result, = [check for check in selfcheck.run_all() if check.name == "coverage-realized"]
+    assert not result.passed
+    assert result.detail.startswith(f"k={quad[0]}: ")
+
+
 def test_quartic_chi_under_twisting_is_caught(monkeypatch):
     # c1 -> c1 + k n makes c1^4 quartic in n: a nonzero fourth difference
     real = chern.chi_bundle
