@@ -57,13 +57,9 @@ class HypersurfaceContext:
 
     r: int
 
-    # written out to fill __dict__ in one update, where the generated one
-    # calls object.__setattr__ per field and then __post_init__; repr, ==,
-    # hash and the frozen __setattr__ are still generated
-    def __init__(self, r: int) -> None:
-        if r < 1:
-            raise DomainError(f"hypersurface degree must be >= 1, got {r}")
-        self.__dict__.update(r=r)
+    def __post_init__(self) -> None:
+        if self.r < 1:
+            raise DomainError(f"hypersurface degree must be >= 1, got {self.r}")
 
 
 @dataclass(frozen=True)
@@ -81,7 +77,9 @@ class BundleInvariants:
     c3: int
 
     def __init__(self, k: int, c1: int, c2: int, c3: int) -> None:
-        # written out, as HypersurfaceContext's is
+        # written out to fill __dict__ in one update, where the generated one
+        # calls object.__setattr__ per field and then __post_init__; repr, ==,
+        # hash and the frozen __setattr__ are still generated
         if k < 1:
             raise DomainError(f"rank must be >= 1, got {k}")
         self.__dict__.update(k=k, c1=c1, c2=c2, c3=c3)

@@ -291,32 +291,29 @@ def cmd_decompose(args) -> tuple[Iterator[str], int]:
     )
 
 
-def _coverage_record(item: extensions.CoverageItem) -> str:
-    inv = item.invariants
-    pairs = _json_list([f'        {{\n          "left": {{\n            "c1": {row[3]},\n'
-                        f'            "c2": {row[4]}\n          }},\n'
-                        f'          "right": {{\n            "c1": {row[5]},\n'
-                        f'            "c2": {row[6]}\n          }}\n        }}'
-                        for row in item.witnesses], "      ")
-    return (f'    {{\n      "c1": {inv.c1},\n      "c2": {inv.c2},\n'
-            f'      "c3": {inv.c3},\n      "genus": {item.genus},\n      "k": {inv.k},\n'
-            f'      "origin": {json.dumps(item.origin)},\n'
-            f'      "status": {json.dumps(item.status)},\n'
+def _coverage_record(row: tuple) -> str:
+    k, c1, c2, c3, genus, status, origin, witnesses = row
+    pairs = _json_list([f'        {{\n          "left": {{\n            "c1": {w[3]},\n'
+                        f'            "c2": {w[4]}\n          }},\n'
+                        f'          "right": {{\n            "c1": {w[5]},\n'
+                        f'            "c2": {w[6]}\n          }}\n        }}'
+                        for w in witnesses], "      ")
+    return (f'    {{\n      "c1": {c1},\n      "c2": {c2},\n'
+            f'      "c3": {c3},\n      "genus": {genus},\n      "k": {k},\n'
+            f'      "origin": {json.dumps(origin)},\n'
+            f'      "status": {json.dumps(status)},\n'
             f'      "witnesses": {pairs}\n    }}')
 
 
 def cmd_coverage(args) -> tuple[Iterator[str], int]:
-    items = extensions.coverage_report(args.k, source=_load_source(args)).items
+    report = extensions.coverage_report(args.k, source=_load_source(args))
     header = ["k", "c1", "c2", "c3", "g", "status", "origin"]
     return _emit(
         args, {"k": args.k, "catalog": args.catalog},
-        results=lambda: map(_coverage_record, items),
-        table=lambda: _columns([header, *(
-            [*map(str, item.invariants.quadruple()), str(item.genus), item.status,
-             item.origin or "-"] for item in items)]),
-        csv_lines=lambda: _csv(header, (
-            [*item.invariants.quadruple(), item.genus, item.status, item.origin]
-            for item in items)),
+        results=lambda: map(_coverage_record, report),
+        table=lambda: _columns([header, *([*map(str, row[:5]), row[5], row[6] or "-"]
+                                          for row in report)]),
+        csv_lines=lambda: _csv(header, (row[:7] for row in report)),
     ), 0
 
 

@@ -29,8 +29,6 @@ __all__ = [
     "POOL_NORMALIZED",
     "POOL_STAR",
     "CURVE_REALIZED",
-    "CoverageItem",
-    "CoverageReport",
     "coverage_report",
     "STATUS_EXTENSION",
     "STATUS_CURVE",
@@ -70,7 +68,12 @@ class Catalog:
 
     def for_degree(self, r: int) -> list[tuple[int, int, bool]]:
         """The (c1, c2, star) classes of degree r, in catalog order."""
-        found = [(c1, c2, star) for degree, c1, c2, star in self.entries if degree == r]
+        try:
+            found = [(c1, c2, star) for degree, c1, c2, star in self.entries if degree == r]
+        except ValueError:
+            row = next(row for row in self.entries if len(row) != 4)
+            raise DomainError(f"catalog row {row} has {len(row)} fields, "
+                              f"expected 4 (r, c1, c2, star)") from None
         if not found:
             known = ", ".join(map(str, self.degrees())) or "none"
             raise UnsupportedDegree(
@@ -80,8 +83,9 @@ class Catalog:
 
 
 #: The complete normalized rank-two classification for degrees 3 and 4, as
-#: rows (r, c1, c2, star).  Star fails exactly for (0,1) at r=3 and for
-#: (-1,1), (0,2), (1,5) at r=4.  On the quartic, (3,14) is always globally
+#: rows (r, c1, c2, star).  Star, chi(E(-1)) = 0 and chi(E) >= 2 for E of
+#: class (2; c1, c2, 0), fails exactly for (0,1) at r=3 and for (-1,1),
+#: (0,2), (1,5) at r=4.  On the quartic, (3,14) is always globally
 #: generated and the general (2,8) is; no other class is.
 BUILTIN_CATALOG = Catalog(
     (
@@ -229,17 +233,15 @@ def _forced_pairs(ctx: HypersurfaceContext, classes, quads) -> list[list[tuple]]
     left to check."""
     index = set(classes)
     found = []
-    for quad in quads:
-        _, c1, c2, c3 = quad
+    for _, c1, c2, c3 in quads:
         rows = []
         for a1, a2 in classes:
             b1 = c1 - a1
-            partner = (b1, c2 - a2 - ctx.r * a1 * b1)
-            # (a1, a2) <= partner yields each unordered pair once, the self-pair
-            # included
-            if (partner in index and (a1, a2) <= partner
-                    and extend_rank2(ctx, (a1, a2), partner).quadruple() == quad):
-                rows.append((c1, c2, c3, a1, a2, *partner))
+            b2 = c2 - a2 - ctx.r * a1 * b1
+            # (a1, a2) <= (b1, b2) yields each unordered pair once, the
+            # self-pair included
+            if (b1, b2) in index and (a1, a2) <= (b1, b2) and a2 * b1 + a1 * b2 == c3:
+                rows.append((c1, c2, c3, a1, a2, b1, b2))
         found.append(sorted(rows))  # one quadruple: by left, then right
     return found
 
@@ -274,56 +276,33 @@ CURVE_REALIZED: dict[tuple[int, int, int, int], str] = {
 }
 
 
-@dataclass(frozen=True)
-class CoverageItem:
-    """One admissible quadruple with its realization status and evidence:
-    ``witnesses`` holds its star-pool rows, seven integers each, as
-    :func:`decompose_rows` gives them."""
-
-    invariants: BundleInvariants
-    genus: int
-    status: str
-    origin: str
-    witnesses: tuple[tuple, ...]
-
-
-@dataclass(frozen=True)
-class CoverageReport:
-    """Realization labels for every admissible rank-k quadruple on the quartic."""
-
-    k: int
-    items: tuple[CoverageItem, ...]
-
-    def realized(self) -> list[CoverageItem]:
-        return [item for item in self.items if item.status != STATUS_OPEN]
-
-
-def coverage_report(k: int, source: Catalog | None = None) -> CoverageReport:
+def coverage_report(k: int, source: Catalog | None = None) -> list[tuple]:
     """Label every admissible rank-k quadruple on the quartic as realized
-    (by a star-pool extension or by a known curve construction) or open.
+    (by a star-pool extension or by a known curve construction) or open, as
+    one row per quadruple in table order
 
-    Extension evidence exists only at rank four; rank-three realizations come
-    solely from the curve list, since a nontrivial extension needs both
-    pieces of rank at least two.
+    (k, c1, c2, c3, genus, status, origin, witnesses)
+
+    ``witnesses`` holds the quadruple's star-pool rows, seven integers each,
+    as :func:`decompose_rows` gives them.  Extension evidence exists only at
+    rank four; rank-three realizations come solely from the curve list,
+    since a nontrivial extension needs both pieces of rank at least two.
     """
-    cells = [(BundleInvariants(k, row.c1, c2, s3 * c2 + t3), sg * c2 + tg)
+    cells = [(k, row.c1, c2, s3 * c2 + t3, sg * c2 + tg)
              for row in constraints.enumerate_acm_r4(k)
              for (s3, t3), (sg, tg) in [(row.c3_form, row.genus_form)]
              for c2 in row.c2_values]
-    quads = [inv.quadruple() for inv, _ in cells]
     classes = _pool_classes(4, POOL_STAR, source) if k == 4 else []
-    found = _forced_pairs(HypersurfaceContext(4), classes, quads)
-    items = []
-    for (inv, genus), quad, rows in zip(cells, quads, found):
+    found = _forced_pairs(HypersurfaceContext(4), classes, [cell[:4] for cell in cells])
+    report = []
+    for cell, rows in zip(cells, found):
         if rows:
             status = STATUS_EXTENSION
             origin = "extension: " + "; ".join(["({},{})+({},{})".format(*row[3:])
                                                  for row in rows])
-        elif quad in CURVE_REALIZED:
-            status = STATUS_CURVE
-            origin = CURVE_REALIZED[quad]
+        elif cell[:4] in CURVE_REALIZED:
+            status, origin = STATUS_CURVE, CURVE_REALIZED[cell[:4]]
         else:
-            status = STATUS_OPEN
-            origin = ""
-        items.append(CoverageItem(inv, genus, status, origin, tuple(rows)))
-    return CoverageReport(k, tuple(items))
+            status, origin = STATUS_OPEN, ""
+        report.append((*cell, status, origin, tuple(rows)))
+    return report

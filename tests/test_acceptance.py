@@ -270,14 +270,12 @@ def test_criterion_6_cross_module_containment(capsys):
     labels_ok = True
     for k in (3, 4):
         report = coverage_report(k)
-        realized = {item.invariants.quadruple() for item in report.realized()}
+        realized = {row[:4] for row in report if row[5] != STATUS_OPEN}
         if realized != EXPECTED_REALIZED[k]:
             labels_ok = False
-        for item in report.items:
-            expected_open = item.invariants.quadruple() not in EXPECTED_REALIZED[k]
-            if expected_open != (item.status == STATUS_OPEN):
+        for row in report:
+            expected_open = row[:4] not in EXPECTED_REALIZED[k]
+            if expected_open != (row[5] == STATUS_OPEN):
                 labels_ok = False
-    counts_ok = (
-        len(coverage_report(4).items) == 22 and len(coverage_report(3).items) == 9
-    )
+    counts_ok = len(coverage_report(4)) == 22 and len(coverage_report(3)) == 9
     _verdict(capsys, "6 cross-module containment", contained and labels_ok and counts_ok)

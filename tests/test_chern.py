@@ -63,7 +63,7 @@ class TestDomainTypes:
             BundleInvariants(0, 1, 5, 2)
 
     def test_value_types_keep_the_dataclass_behaviour(self):
-        # both classes write their own __init__; what the dataclass
+        # BundleInvariants writes its own __init__; what the dataclass
         # generates must stay as it was
         inv = twist(X4, BundleInvariants(4, 1, 6, 4), -1)
         assert repr(inv) == "BundleInvariants(k=4, c1=-3, c2=18, c3=-12)"

@@ -3,7 +3,7 @@ search, the coverage report, and the catalog override file format."""
 
 import re
 import time
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given
@@ -113,6 +113,14 @@ class TestCatalog:
             Catalog((*rows, rows[0]))
         assert time.perf_counter() - start < 2.0
 
+    @pytest.mark.parametrize("bad", [(4, 1, 3), (3, 1, 2, True, "no")], ids=["short", "long"])
+    def test_malformed_row_is_named(self, bad):
+        # every row is unpacked, so one of another degree is found too
+        source = Catalog(((4, 2, 8, True), bad, (4, 3)))
+        with pytest.raises(DomainError, match=re.escape(
+                f"catalog row {bad} has {len(bad)} fields, expected 4 (r, c1, c2, star)")):
+            catalog(4, source)
+
 
 class TestExtendRank2:
     def test_known_extensions(self):
@@ -150,6 +158,23 @@ class TestExtendRank2:
                 assert ring_product(r, a, b) == (
                     result.c1, result.c2, result.c3,
                 )
+
+    def test_chi_is_additive_on_a_grid(self):
+        # Riemann-Roch is additive on extensions: chi(E(n)) = chi(A(n)) +
+        # chi(B(n)).  Both sides are polynomials of degree at most 4 in r and
+        # 3 in each of a1, a2, b1, b2, n (read off chern's formulas), so five
+        # points per axis fix them and agreement there is agreement on every
+        # integer point; the last point checks wide integers besides
+        axis = range(-2, 3)
+        points = [*product(range(1, 6), axis, axis, axis, axis, axis),
+                  (7, 10**6 + 3, -10**9, 123_457, 10**12 + 1, -999_983)]
+        assert len(points) == 5**6 + 1
+        for r, a1, a2, b1, b2, n in points:
+            ctx = HypersurfaceContext(r)
+            left, right, whole = (chi_bundle(ctx, twist(ctx, inv, n)) for inv in (
+                BundleInvariants(2, a1, a2, 0), BundleInvariants(2, b1, b2, 0),
+                extend_rank2(ctx, (a1, a2), (b1, b2))))
+            assert whole == left + right, (r, a1, a2, b1, b2, n)
 
 
 def pairs(rows):
@@ -258,24 +283,24 @@ class TestCrossModule:
 class TestCoverage:
     def test_rank4_report(self):
         report = coverage_report(4)
-        assert len(report.items) == 22
-        realized = {item.invariants.quadruple() for item in report.realized()}
-        assert realized == REALIZED_K4
-        by_quad = {item.invariants.quadruple(): item for item in report.items}
-        assert by_quad[(4, 1, 6, 4)].status == STATUS_CURVE
-        assert by_quad[(4, 6, 64, 84)].status == STATUS_EXTENSION
-        assert by_quad[(4, 2, 8, 4)].status == STATUS_OPEN
-        assert by_quad[(4, 6, 64, 84)].origin == "extension: (3,14)+(3,14)"
+        assert len(report) == 22
+        assert {row[:4] for row in report if row[5] != STATUS_OPEN} == REALIZED_K4
+        by_quad = {row[:4]: row for row in report}
+        assert by_quad[(4, 1, 6, 4)][5] == STATUS_CURVE
+        assert by_quad[(4, 2, 8, 4)][5] == STATUS_OPEN
+        assert by_quad[(4, 6, 64, 84)] == (4, 6, 64, 84, 203, STATUS_EXTENSION,
+                                           "extension: (3,14)+(3,14)",
+                                           ((6, 64, 84, 3, 14, 3, 14),))
 
     def test_rank3_report(self):
         report = coverage_report(3)
-        assert len(report.items) == 9
-        realized = {item.invariants.quadruple() for item in report.realized()}
-        assert realized == {(3, 1, 5, 2)}
-        statuses = {item.invariants.quadruple(): item.status for item in report.items}
+        assert len(report) == 9
+        assert {row[:4] for row in report if row[5] != STATUS_OPEN} == {(3, 1, 5, 2)}
+        statuses = {row[:4]: row[5] for row in report}
         assert statuses[(3, 1, 5, 2)] == STATUS_CURVE
         assert statuses[(3, 2, 8, 2)] == STATUS_OPEN
-        assert sum(item.status == STATUS_OPEN for item in report.items) == 8
+        assert sum(row[5] == STATUS_OPEN for row in report) == 8
+        assert all(row[7] == () for row in report)
 
 
 class TestCatalogFile:
