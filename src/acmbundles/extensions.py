@@ -72,8 +72,8 @@ class Catalog:
             found = [(c1, c2, star) for degree, c1, c2, star in self.entries if degree == r]
         except ValueError:
             row = next(row for row in self.entries if len(row) != 4)
-            raise DomainError(f"catalog row {row} has {len(row)} fields, "
-                              f"expected 4 (r, c1, c2, star)") from None
+            raise DomainError(f"catalog row {row} does not have the four fields "
+                              f"r, c1, c2, star") from None
         if not found:
             known = ", ".join(map(str, self.degrees())) or "none"
             raise UnsupportedDegree(

@@ -118,7 +118,7 @@ class TestCatalog:
         # every row is unpacked, so one of another degree is found too
         source = Catalog(((4, 2, 8, True), bad, (4, 3)))
         with pytest.raises(DomainError, match=re.escape(
-                f"catalog row {bad} has {len(bad)} fields, expected 4 (r, c1, c2, star)")):
+                f"catalog row {bad} does not have the four fields r, c1, c2, star")):
             catalog(4, source)
 
 

@@ -117,13 +117,13 @@ def test_unexpected_negative_witness_is_caught(monkeypatch):
     assert (result.passed, result.detail) == (False, "unexpected witness (0,2)+(1,4)")
 
 
-@pytest.mark.parametrize("quad, kept", [((4, 1, 6, 4), False), ((3, 2, 8, 2), True)],
+@pytest.mark.parametrize("quad, planted", [((4, 1, 6, 4), False), ((3, 2, 8, 2), True)],
                          ids=["dropped", "extra"])
-def test_corrupted_curve_evidence_is_caught(monkeypatch, quad, kept):
+def test_corrupted_curve_evidence_is_caught(monkeypatch, quad, planted):
     # a curve construction lost, or one claimed for an open quadruple,
     # changes the realized set of that rank
     curves = {q: origin for q, origin in extensions.CURVE_REALIZED.items() if q != quad}
-    if kept:
+    if planted:
         curves[quad] = "curve construction: planted"
     monkeypatch.setattr(extensions, "CURVE_REALIZED", curves)
     result, = [check for check in selfcheck.run_all() if check.name == "coverage-realized"]
