@@ -77,12 +77,15 @@ class BundleInvariants:
     c3: int
 
     def __init__(self, k: int, c1: int, c2: int, c3: int) -> None:
-        # written out to fill __dict__ in one update, where the generated one
-        # calls object.__setattr__ per field and then __post_init__; repr, ==,
-        # hash and the frozen __setattr__ are still generated
+        # stores into __dict__, unlike the generated one's object.__setattr__
+        # calls; repr, ==, hash and the frozen __setattr__ are still generated
         if k < 1:
             raise DomainError(f"rank must be >= 1, got {k}")
-        self.__dict__.update(k=k, c1=c1, c2=c2, c3=c3)
+        fields = self.__dict__
+        fields["k"] = k
+        fields["c1"] = c1
+        fields["c2"] = c2
+        fields["c3"] = c3
 
     def quadruple(self) -> tuple[int, int, int, int]:
         return (self.k, self.c1, self.c2, self.c3)
@@ -101,11 +104,6 @@ class CurveInvariants:
     def __post_init__(self) -> None:
         if self.degree < 1:
             raise DomainError(f"curve degree must be >= 1, got {self.degree}")
-
-
-def _theta(r: int) -> int:
-    # coefficient (r-5)^2 + (r^2 - 5r + 10) shared by both chi formulas
-    return (r - 5) ** 2 + (r * r - 5 * r + 10)
 
 
 def _divide_exact(numerator: int, denominator: int, context: str) -> int:
@@ -127,8 +125,9 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Fraction:
     fraction, as :func:`chi_bundle` returns its value.
     """
     r = ctx.r
+    # 24 chi in Horner form in a, with (r-5)^2 + (r^2-5r+10) = 2r^2 - 15r + 35
     return Fraction(
-        4 * r * a**3 + 6 * r * (5 - r) * a * a + 2 * r * _theta(r) * a
+        2 * r * a * (a * (2 * a + 3 * (5 - r)) + 2 * r * r - 15 * r + 35)
         + r * (5 - r) * (r * r - 5 * r + 10),
         24,
     )
@@ -141,12 +140,11 @@ def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
            - ((5-r)/2) c2 + (r/12) ((r-5)^2 + (r^2-5r+10)) c1
            + (r k/24) (5-r) (r^2-5r+10)
     """
-    r = ctx.r
-    k, c1, c2 = inv.k, inv.c1, inv.c2
+    r, c1, c2 = ctx.r, inv.c1, inv.c2
+    # 24 chi, its c1-only terms in Horner form as in chi_line_bundle
     return Fraction(
-        4 * r * c1**3 - 12 * c1 * c2 + 12 * inv.c3 + 6 * r * (5 - r) * c1 * c1
-        - 12 * (5 - r) * c2 + 2 * r * _theta(r) * c1
-        + r * k * (5 - r) * (r * r - 5 * r + 10),
+        2 * r * c1 * (c1 * (2 * c1 + 3 * (5 - r)) + 2 * r * r - 15 * r + 35)
+        - 12 * ((c1 + 5 - r) * c2 - inv.c3) + r * inv.k * (5 - r) * (r * r - 5 * r + 10),
         24,
     )
 
@@ -162,16 +160,13 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     exact division by 2 and by 6 stays in as a guard against coefficient
     typos.
     """
-    r = ctx.r
     k, c1, c2 = inv.k, inv.c1, inv.c2
-    new_c2 = _divide_exact(2 * c2 + r * n * (k - 1) * (2 * c1 + n * k), 2, "twisted c2")
-    new_c3 = _divide_exact(
-        6 * inv.c3
-        + (k - 2) * n * (6 * c2 + 3 * (k - 1) * n * r * c1 + r * n * n * k * (k - 1)),
-        6,
-        "twisted c3",
-    )
-    return BundleInvariants(k, c1 + k * n, new_c2, new_c3)
+    nk = n * k
+    step = ctx.r * n * (k - 1)  # r n (k-1), a factor of both numerators
+    new_c2 = _divide_exact(2 * c2 + step * (2 * c1 + nk), 2, "twisted c2")
+    new_c3 = _divide_exact(6 * inv.c3 + (k - 2) * n * (6 * c2 + step * (3 * c1 + nk)),
+                           6, "twisted c3")
+    return BundleInvariants(k, c1 + nk, new_c2, new_c3)
 
 
 def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:

@@ -56,7 +56,16 @@ class Catalog:
     entries: tuple[tuple[int, int, int, bool], ...]
 
     def __post_init__(self) -> None:
-        if len({row[:3] for row in self.entries}) < len(self.entries):
+        try:
+            classes = {row[:3] for row in self.entries}
+        except TypeError:
+            for row in self.entries:  # looked for only on failure
+                try:
+                    hash(row[:3])
+                except TypeError:
+                    raise DomainError(f"catalog row {row!r} is not a sequence "
+                                      f"of hashable fields") from None
+        if len(classes) < len(self.entries):
             seen = set()
             for key in (row[:3] for row in self.entries):
                 if key in seen:

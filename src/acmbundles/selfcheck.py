@@ -51,9 +51,18 @@ class CheckResult:
     detail: str
 
 
+# the sampled checks pick their degree as _CONTEXTS[_draw(rng, 1, 8) - 1]
+_CONTEXTS = tuple(chern.HypersurfaceContext(r) for r in range(1, 9))
+
+
 def _draw(rng: random.Random, lo: int, hi: int) -> int:
-    # the stream of rng.randint(lo, hi), without randint's argument checks
-    return lo + rng.randrange(hi - lo + 1)
+    # the stream of rng.randint(lo, hi): CPython's _randbelow loop, inlined
+    n = hi - lo + 1
+    bits = n.bit_length()
+    value = rng.getrandbits(bits)
+    while value >= n:
+        value = rng.getrandbits(bits)
+    return lo + value
 
 
 def _rand_invariants(rng: random.Random, kmin: int = 1, kmax: int = 8) -> chern.BundleInvariants:
@@ -84,9 +93,8 @@ def _ring_product(r: int, left: tuple[int, int], right: tuple[int, int]) -> tupl
 
 
 def _check_twist_roundtrip(rng: random.Random) -> CheckResult:
-    contexts = [chern.HypersurfaceContext(r) for r in range(1, 9)]
     for _ in range(SAMPLE_COUNT):
-        ctx = rng.choice(contexts)
+        ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         inv = _rand_invariants(rng)
         n = _draw(rng, -10, 10)
         back = chern.twist(ctx, chern.twist(ctx, inv, n), -n)
@@ -96,9 +104,8 @@ def _check_twist_roundtrip(rng: random.Random) -> CheckResult:
 
 
 def _check_twist_additive(rng: random.Random) -> CheckResult:
-    contexts = [chern.HypersurfaceContext(r) for r in range(1, 9)]
     for _ in range(SAMPLE_COUNT):
-        ctx = rng.choice(contexts)
+        ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         inv = _rand_invariants(rng)
         m, n = _draw(rng, -10, 10), _draw(rng, -10, 10)
         stepped = chern.twist(ctx, chern.twist(ctx, inv, m), n)
@@ -111,7 +118,7 @@ def _check_twist_additive(rng: random.Random) -> CheckResult:
 def _check_chi_twist_cubic(rng: random.Random) -> CheckResult:
     cases = 200
     for _ in range(cases):
-        ctx = chern.HypersurfaceContext(_draw(rng, 1, 8))
+        ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         inv = _rand_invariants(rng)
         chis = [chern.chi_bundle(ctx, chern.twist(ctx, inv, n)) for n in range(-5, 6)]
         if any(24 % chi.denominator for chi in chis):
@@ -225,20 +232,19 @@ def _check_whitney_oracle(rng: random.Random) -> CheckResult:
                 return CheckResult("whitney-oracle", False, f"r={r}, {a}+{b}")
             cases += 1
     for _ in range(500):
-        r = _draw(rng, 1, 8)
-        ctx = chern.HypersurfaceContext(r)
+        ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         e1 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         e2 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         direct = extensions.extend_rank2(ctx, e1, e2)
-        if _ring_product(r, e1, e2) != (direct.c1, direct.c2, direct.c3):
-            return CheckResult("whitney-oracle", False, f"r={r}, {e1}+{e2}")
+        if _ring_product(ctx.r, e1, e2) != (direct.c1, direct.c2, direct.c3):
+            return CheckResult("whitney-oracle", False, f"r={ctx.r}, {e1}+{e2}")
         cases += 1
     return CheckResult("whitney-oracle", True, f"{cases} cases")
 
 
 def _check_extension_symmetry(rng: random.Random) -> CheckResult:
     for _ in range(500):
-        ctx = chern.HypersurfaceContext(_draw(rng, 1, 8))
+        ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         e1 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         e2 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         if extensions.extend_rank2(ctx, e1, e2) != extensions.extend_rank2(ctx, e2, e1):

@@ -121,6 +121,17 @@ class TestCatalog:
                 f"catalog row {bad} does not have the four fields r, c1, c2, star")):
             catalog(4, source)
 
+    @pytest.mark.parametrize("rows, bad", [
+        ((4,), 4),
+        ((None,), None),
+        (((4, 1, 3, True), 5), 5),
+        (((4, 1, 3, True), ([4], 1, 3, True)), ([4], 1, 3, True)),
+    ], ids=["int", "none", "int-after-a-row", "unhashable-field"])
+    def test_row_that_is_not_a_sequence_is_named(self, rows, bad):
+        with pytest.raises(DomainError, match=re.escape(
+                f"catalog row {bad!r} is not a sequence of hashable fields")):
+            Catalog(rows)
+
 
 class TestExtendRank2:
     def test_known_extensions(self):

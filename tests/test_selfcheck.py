@@ -197,3 +197,51 @@ def test_draws_follow_randint(monkeypatch):
     drawn, expected = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
     assert ([real(drawn, lo, hi) for lo, hi in bounds]
             == [expected.randint(lo, hi) for lo, hi in bounds])
+
+
+def test_context_lookup_follows_choice():
+    # twist-roundtrip and twist-additive once drew with rng.choice; the
+    # lookup by a draw must give the same contexts from the same stream
+    eight = [chern.HypersurfaceContext(r) for r in range(1, 9)]
+    assert selfcheck._CONTEXTS == tuple(eight)
+    drawn, twin = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
+    assert ([selfcheck._CONTEXTS[selfcheck._draw(drawn, 1, 8) - 1] for _ in range(10_000)]
+            == [twin.choice(eight) for _ in range(10_000)])
+
+
+def record_degrees(monkeypatch):
+    # the degrees that twist, chi_bundle and extend_rank2 are called with
+    seen = {"twist": set(), "chi_bundle": set(), "extend_rank2": set()}
+
+    def recording(module, name):
+        real = getattr(module, name)
+
+        def wrapper(ctx, *args):
+            seen[name].add(ctx.r)
+            return real(ctx, *args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(chern, "twist")
+    recording(chern, "chi_bundle")
+    recording(extensions, "extend_rank2")
+    return seen
+
+
+def test_sampled_checks_reach_every_degree(monkeypatch):
+    # an index off by one drops a degree or raises on the last one
+    seen = record_degrees(monkeypatch)
+    assert all(result.passed for result in selfcheck.run_all())
+    assert seen == {name: set(range(1, 9)) for name in seen}
+
+
+@pytest.mark.parametrize("end", ["lo", "hi"])
+def test_degree_draw_picks_that_degree(monkeypatch, end):
+    # every draw pinned to one end of its range: besides the quartic and the
+    # two catalog degrees, the sampled checks see degree 1 or 8 alone, so an
+    # index that is off by one, or rotated, shows
+    seen = record_degrees(monkeypatch)
+    monkeypatch.setattr(selfcheck, "_draw", lambda rng, lo, hi: lo if end == "lo" else hi)
+    selfcheck.run_all()
+    r = 1 if end == "lo" else 8
+    assert seen == {"twist": {r, 4}, "chi_bundle": {r, 4}, "extend_rank2": {r, 3, 4}}
