@@ -200,8 +200,8 @@ def test_draws_follow_randint(monkeypatch):
 
 
 def test_context_lookup_follows_choice():
-    # twist-roundtrip and twist-additive once drew with rng.choice; the
-    # lookup by a draw must give the same contexts from the same stream
+    # for eight items rng.choice draws _randbelow(8), so the lookup by a
+    # draw picks what rng.choice over the eight contexts picks
     eight = [chern.HypersurfaceContext(r) for r in range(1, 9)]
     assert selfcheck._CONTEXTS == tuple(eight)
     drawn, twin = random.Random(selfcheck.SEED), random.Random(selfcheck.SEED)
@@ -235,13 +235,12 @@ def test_sampled_checks_reach_every_degree(monkeypatch):
     assert seen == {name: set(range(1, 9)) for name in seen}
 
 
-@pytest.mark.parametrize("end", ["lo", "hi"])
-def test_degree_draw_picks_that_degree(monkeypatch, end):
+@pytest.mark.parametrize("end, r", [("lo", 1), ("hi", 8)])
+def test_degree_draw_picks_that_degree(monkeypatch, end, r):
     # every draw pinned to one end of its range: besides the quartic and the
     # two catalog degrees, the sampled checks see degree 1 or 8 alone, so an
     # index that is off by one, or rotated, shows
     seen = record_degrees(monkeypatch)
     monkeypatch.setattr(selfcheck, "_draw", lambda rng, lo, hi: lo if end == "lo" else hi)
     selfcheck.run_all()
-    r = 1 if end == "lo" else 8
     assert seen == {"twist": {r, 4}, "chi_bundle": {r, 4}, "extend_rank2": {r, 3, 4}}
