@@ -2,75 +2,11 @@
 hypersurfaces in P^4: Riemann-Roch, twisting, genus, admissibility bounds,
 the rank-3/rank-4 invariant tables, and extension-realizability search."""
 
-from .chern import (
-    BundleInvariants,
-    CurveInvariants,
-    DomainError,
-    HypersurfaceContext,
-    NonIntegral,
-    chi_bundle,
-    chi_line_bundle,
-    genus_general,
-    genus_r4,
-    twist,
-)
-from .constraints import (
-    C2Interval,
-    EnumerationRow,
-    c1_bounds,
-    c2_interval_r4,
-    c2_upper_general,
-    c3_from_acm,
-    enumerate_acm_r4,
-    genus_from_acm,
-    hs_sufficient_condition,
-)
-from .extensions import (
-    BUILTIN_CATALOG,
-    Catalog,
-    CatalogParseError,
-    RankUnsupported,
-    UnsupportedDegree,
-    catalog,
-    coverage_report,
-    decompose_rows,
-    extend_rank2,
-    extension_rows,
-    load_catalog,
-)
+from . import chern, constraints, extensions
+from .chern import *
+from .constraints import *
+from .extensions import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "BundleInvariants",
-    "CurveInvariants",
-    "DomainError",
-    "HypersurfaceContext",
-    "NonIntegral",
-    "chi_bundle",
-    "chi_line_bundle",
-    "genus_general",
-    "genus_r4",
-    "twist",
-    "C2Interval",
-    "EnumerationRow",
-    "c1_bounds",
-    "c2_interval_r4",
-    "c2_upper_general",
-    "c3_from_acm",
-    "enumerate_acm_r4",
-    "genus_from_acm",
-    "hs_sufficient_condition",
-    "BUILTIN_CATALOG",
-    "Catalog",
-    "CatalogParseError",
-    "RankUnsupported",
-    "UnsupportedDegree",
-    "catalog",
-    "coverage_report",
-    "decompose_rows",
-    "extend_rank2",
-    "extension_rows",
-    "load_catalog",
-]
+__all__ = ["__version__", *chern.__all__, *constraints.__all__, *extensions.__all__]

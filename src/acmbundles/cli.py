@@ -210,7 +210,7 @@ def _affine_text(form: tuple[int, int]) -> str:
 
 def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
     head = [str(row.k), str(row.c1)]
-    lower, upper = row.interval.lower, row.interval.upper
+    lower, upper = row.lower, row.upper
     forms = (row.c3_form, row.genus_form)
     if row.is_empty:
         return head + ["(empty)", "-", "-"]
@@ -231,8 +231,8 @@ def _enumerate_record(row: constraints.EnumerationRow) -> str:
     return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {c2_values},\n'
             f'      "empty": {"true" if row.is_empty else "false"},\n'
             f'      "entries": {entries},\n      "k": {row.k},\n'
-            f'      "lower": {row.interval.lower},\n      "provenance": {tags},\n'
-            f'      "upper": {row.interval.upper}\n    }}')
+            f'      "lower": {row.lower},\n      "provenance": {tags},\n'
+            f'      "upper": {row.upper}\n    }}')
 
 
 def _progression(start: int, step: int, count: int) -> Iterable[int]:
@@ -245,7 +245,7 @@ def _enumerate_csv(rows: list[constraints.EnumerationRow]) -> Iterator[str]:
     the genus by their slopes.  Integer cells only, which csv never quotes."""
     yield "k,c1,c2,c3,g\n"
     for row in rows:
-        lower, count = row.interval.lower, row.interval.upper - row.interval.lower + 1
+        lower, count = row.lower, row.upper - row.lower + 1
         if count <= 0:
             continue
         (s3, t3), (sg, tg) = row.c3_form, row.genus_form

@@ -17,7 +17,6 @@ from .chern import (
 
 __all__ = [
     "QUARTIC",
-    "C2Interval",
     "EnumerationRow",
     "c1_bounds",
     "c2_upper_general",
@@ -63,31 +62,6 @@ _C2_CLAUSES = (
     (UPPER_SECTIONS, "upper", None, None, 0, 1, 0),
     (UPPER_RANK3, "upper", (3,), 3, -4, 0, 12),
 )
-
-
-@dataclass(frozen=True)
-class C2Interval:
-    """Closed integer interval of admissible c2 values; empty iff lower > upper.
-
-    ``lower_tags``/``upper_tags`` record which bound clauses set each endpoint
-    (every clause achieving the max/min is listed).
-    """
-
-    lower: int
-    upper: int
-    lower_tags: tuple[str, ...] = ()
-    upper_tags: tuple[str, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lower > self.upper
-
-    def values(self) -> list[int]:
-        """All integer points, ascending; empty list for an empty interval."""
-        return list(range(self.lower, self.upper + 1))
-
-    def __contains__(self, c2: int) -> bool:
-        return self.lower <= c2 <= self.upper
 
 
 def c1_bounds(ctx: HypersurfaceContext, k: int) -> tuple[int, int]:
@@ -150,16 +124,19 @@ def genus_from_acm(k: int, c1: int, c2: int) -> int:
     return slope * c2 + intercept
 
 
-def c2_interval_r4(k: int, c1: int) -> C2Interval:
-    """Intersection of the ``_C2_CLAUSES`` bounds that apply at (k, c1):
-    lower bounds combine by max, upper bounds by min.  For k in {3, 4},
-    c1 = 1 instead pins c2 = k + 2.  Other ranks k >= 2 get only the generic
-    clauses; callers should treat those intervals as unrefined supersets.
+def c2_interval_r4(k: int, c1: int) -> tuple[int, int, tuple[str, ...], tuple[str, ...]]:
+    """Intersection of the ``_C2_CLAUSES`` bounds that apply at (k, c1), as
+    (lower, upper, lower_tags, upper_tags): the closed integer interval of
+    admissible c2, empty iff lower > upper, and the tags of every clause that
+    sets each endpoint, in clause order.  Lower bounds combine by max, upper
+    bounds by min.  For k in {3, 4}, c1 = 1 instead pins c2 = k + 2.  Other
+    ranks k >= 2 get only the generic clauses; callers should treat those
+    intervals as unrefined supersets.
     """
     if k < 2:
         raise DomainError(f"c2 interval needs rank >= 2, got {k}")
     if c1 == 1 and k in _REFINED_RANKS:
-        return C2Interval(k + 2, k + 2, (EXACT_C1_ONE,), (EXACT_C1_ONE,))
+        return k + 2, k + 2, (EXACT_C1_ONE,), (EXACT_C1_ONE,)
     square = 2 * c1 * c1
     ends = {}  # side -> (value, tags) of the tightest bound so far
     for tag, side, ranks, c1_min, a, b, d in _C2_CLAUSES:
@@ -171,7 +148,7 @@ def c2_interval_r4(k: int, c1: int) -> C2Interval:
             elif value > best if side == "lower" else value < best:
                 ends[side] = (value, (tag,))
     (lower, lower_tags), (upper, upper_tags) = ends["lower"], ends["upper"]
-    return C2Interval(lower, upper, lower_tags, upper_tags)
+    return lower, upper, lower_tags, upper_tags
 
 
 @dataclass(frozen=True)
@@ -181,12 +158,14 @@ class EnumerationRow:
     Along a row the forced c3 and the genus are affine in c2: ``c3_form``
     and ``genus_form`` are their (slope, intercept) pairs.  ``entries``, the
     row's admissible points as (c2, c3, genus) integer triples, is computed
-    from the two forms over ``interval`` on each access.
+    from the two forms over the closed interval ``lower``..``upper`` of c2
+    on each access; the row is empty iff lower > upper.
     """
 
     k: int
     c1: int
-    interval: C2Interval
+    lower: int
+    upper: int
     c3_form: tuple[int, int]
     genus_form: tuple[int, int]
     provenance: tuple[str, ...]
@@ -198,11 +177,11 @@ class EnumerationRow:
 
     @property
     def c2_values(self) -> list[int]:
-        return self.interval.values()
+        return list(range(self.lower, self.upper + 1))
 
     @property
     def is_empty(self) -> bool:
-        return self.interval.is_empty
+        return self.lower > self.upper
 
 
 def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
@@ -218,13 +197,12 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     lo, hi = c1_bounds(QUARTIC, k)
     rows = []
     for c1 in range(lo, hi + 1):
-        interval = c2_interval_r4(k, c1)
-        c3_form, genus_form = _acm_affine(k, c1)
-        tags = list(interval.lower_tags)
-        tags += [tag for tag in interval.upper_tags if tag not in tags]
+        lower, upper, lower_tags, upper_tags = c2_interval_r4(k, c1)
+        tags = list(lower_tags)
+        tags += [tag for tag in upper_tags if tag not in tags]
         if k not in _REFINED_RANKS:
             tags.append(UNREFINED)
-        rows.append(EnumerationRow(k, c1, interval, c3_form, genus_form, tuple(tags)))
+        rows.append(EnumerationRow(k, c1, lower, upper, *_acm_affine(k, c1), tuple(tags)))
     return rows
 
 

@@ -56,6 +56,9 @@ class Catalog:
     entries: tuple[tuple[int, int, int, bool], ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.entries, tuple):
+            raise DomainError(f"catalog entries must be a tuple of rows, "
+                              f"got {type(self.entries).__name__}")
         try:
             classes = {row[:3] for row in self.entries}
         except TypeError:
@@ -74,21 +77,6 @@ class Catalog:
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({row[0] for row in self.entries}))
-
-    def for_degree(self, r: int) -> list[tuple[int, int, bool]]:
-        """The (c1, c2, star) classes of degree r, in catalog order."""
-        try:
-            found = [(c1, c2, star) for degree, c1, c2, star in self.entries if degree == r]
-        except ValueError:
-            row = next(row for row in self.entries if len(row) != 4)
-            raise DomainError(f"catalog row {row} does not have the four fields "
-                              f"r, c1, c2, star") from None
-        if not found:
-            known = ", ".join(map(str, self.degrees())) or "none"
-            raise UnsupportedDegree(
-                f"no rank-two classification for degree {r} (available: {known})"
-            )
-        return found
 
 
 #: The complete normalized rank-two classification for degrees 3 and 4, as
@@ -174,8 +162,20 @@ def _first_fault(path: str | Path, lines: list[str]) -> str:
 
 def catalog(r: int, source: Catalog | None = None) -> list[tuple[int, int, bool]]:
     """All normalized rank-two ACM classes on the degree-r hypersurface, as
-    (c1, c2, star) triples."""
-    return (source or BUILTIN_CATALOG).for_degree(r)
+    (c1, c2, star) triples in catalog order."""
+    source = source or BUILTIN_CATALOG
+    try:
+        found = [(c1, c2, star) for degree, c1, c2, star in source.entries if degree == r]
+    except ValueError:
+        row = next(row for row in source.entries if len(row) != 4)
+        raise DomainError(f"catalog row {row} does not have the four fields "
+                          f"r, c1, c2, star") from None
+    if not found:
+        known = ", ".join(map(str, source.degrees())) or "none"
+        raise UnsupportedDegree(
+            f"no rank-two classification for degree {r} (available: {known})"
+        )
+    return found
 
 
 def extend_rank2(

@@ -191,10 +191,10 @@ def _check_interval_within_general_bound(rng: random.Random) -> CheckResult:
     for k in range(2, 9):
         lo, hi = constraints.c1_bounds(constraints.QUARTIC, k)
         for c1 in range(lo, hi + 1):
-            interval = constraints.c2_interval_r4(k, c1)
-            if interval.is_empty:
+            lower, upper, _, _ = constraints.c2_interval_r4(k, c1)
+            if lower > upper:
                 continue
-            if interval.upper > constraints.c2_upper_general(constraints.QUARTIC, k, c1):
+            if upper > constraints.c2_upper_general(constraints.QUARTIC, k, c1):
                 return CheckResult("interval-within-general-bound", False, f"k={k}, c1={c1}")
     return CheckResult("interval-within-general-bound", True, "k in [2,8]")
 
@@ -204,7 +204,7 @@ def _check_classification_table(rng: random.Random) -> CheckResult:
     for k, expected in _EXPECTED_TABLE.items():
         rows = constraints.enumerate_acm_r4(k)
         row_at.update(((row.k, row.c1), row) for row in rows)
-        got = tuple((row.c1, row.interval.lower, row.interval.upper) for row in rows)
+        got = tuple((row.c1, row.lower, row.upper) for row in rows)
         if got != expected:
             return CheckResult("classification-table", False, f"k={k}: {got}")
         if any(constraints.UNREFINED in row.provenance for row in rows):

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 import bound_oracles as oracle
+from oracles import c2_clauses
 from acmbundles import constraints
 from acmbundles.chern import (
     BundleInvariants,
@@ -26,7 +27,7 @@ from acmbundles.constraints import (
     UPPER_RANK3,
     UPPER_RESTRICTION,
     UPPER_SECTIONS,
-    C2Interval,
+    EnumerationRow,
     c1_bounds,
     c2_interval_r4,
     c2_upper_general,
@@ -89,8 +90,7 @@ class TestC2Interval:
     def test_full_table(self):
         for k, per_c1 in EXPECTED_INTERVALS.items():
             for c1, (lower, upper) in per_c1.items():
-                interval = c2_interval_r4(k, c1)
-                assert (interval.lower, interval.upper) == (lower, upper)
+                assert c2_interval_r4(k, c1)[:2] == (lower, upper)
 
     def test_endpoint_tags(self):
         # tags come in clause order; every clause attaining an endpoint is listed
@@ -101,27 +101,38 @@ class TestC2Interval:
             (4, 6): ((LOWER_BASE,), (UPPER_RESTRICTION,)),
         }
         for (k, c1), tags in expected.items():
-            interval = c2_interval_r4(k, c1)
-            assert (interval.lower_tags, interval.upper_tags) == tags, (k, c1)
+            assert c2_interval_r4(k, c1)[2:] == tags, (k, c1)
+
+    def test_tags_match_clause_oracle(self):
+        # the per-side tags of every window, refined ranks or not, against
+        # the library-free transcription of the clauses
+        for k in range(2, 61):
+            for c1 in range(-2, 3 * k // 2 + 3):
+                lower, upper, lower_tags, upper_tags = c2_clauses(k, c1)
+                assert c2_interval_r4(k, c1) == (
+                    lower, upper, tuple(lower_tags), tuple(upper_tags)), (k, c1)
 
     def test_rank_two_gets_generic_clauses_only(self):
         # without the c1 = 1 override, rank 2 keeps the whole window [2, 4]
-        interval = c2_interval_r4(2, 1)
-        assert (interval.lower, interval.upper) == (2, 4)
+        assert c2_interval_r4(2, 1)[:2] == (2, 4)
 
     def test_upper_never_exceeds_general_bound(self):
         for k in range(2, 9):
             lo, hi = c1_bounds(QUARTIC, k)
             for c1 in range(lo, hi + 1):
-                interval = c2_interval_r4(k, c1)
-                if not interval.is_empty:
-                    assert interval.upper <= c2_upper_general(QUARTIC, k, c1)
+                lower, upper, _, _ = c2_interval_r4(k, c1)
+                if lower <= upper:
+                    assert upper <= c2_upper_general(QUARTIC, k, c1)
 
     def test_emptiness_is_representable(self):
-        empty = C2Interval(5, 4)
-        assert empty.is_empty
-        assert empty.values() == []
-        assert 5 not in empty
+        # just past the top of c1_bounds the rank-4 window is empty, and a
+        # row over it has no points
+        lower, upper, _, _ = c2_interval_r4(4, 7)
+        assert (lower, upper) == (88, 86)
+        row = EnumerationRow(4, 7, lower, upper, (6, 0), (6, 0), ())
+        assert row.is_empty
+        assert row.c2_values == []
+        assert row.entries == ()
 
     def test_rank_below_two_rejected(self):
         with pytest.raises(DomainError):
@@ -131,14 +142,14 @@ class TestC2Interval:
 class TestEnumeration:
     def test_rank3_rows(self):
         rows = enumerate_acm_r4(3)
-        assert [(row.c1, row.interval.lower, row.interval.upper) for row in rows] == [
+        assert [(row.c1, row.lower, row.upper) for row in rows] == [
             (1, 5, 5), (2, 8, 11), (3, 17, 18), (4, 27, 28),
         ]
         assert rows[0].entries[0] == (5, 2, 2)
 
     def test_rank4_rows(self):
         rows = enumerate_acm_r4(4)
-        assert [(row.c1, row.interval.lower, row.interval.upper) for row in rows] == [
+        assert [(row.c1, row.lower, row.upper) for row in rows] == [
             (1, 6, 6), (2, 8, 12), (3, 16, 22), (4, 28, 32), (5, 44, 46), (6, 64, 64),
         ]
         assert rows[-1].entries[0] == (64, 84, 203)
@@ -164,7 +175,7 @@ class TestEnumeration:
     def test_rank_two_is_unrefined_superset_of_catalog(self):
         rows = {row.c1: row for row in enumerate_acm_r4(2)}
         for c1, c2 in [(1, 3), (1, 4), (2, 8), (3, 14)]:
-            assert c2 in rows[c1].interval
+            assert rows[c1].lower <= c2 <= rows[c1].upper
         for row in rows.values():
             assert UNREFINED in row.provenance
 

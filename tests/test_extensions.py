@@ -132,6 +132,17 @@ class TestCatalog:
                 f"catalog row {bad!r} is not a sequence of hashable fields")):
             Catalog(rows)
 
+    @pytest.mark.parametrize("entries, name", [
+        (5, "int"),
+        (iter([(4, 1, 3, True)]), "list_iterator"),
+        ([(4, 1, 3, True)], "list"),
+    ], ids=["int", "iterator", "list"])
+    def test_entries_that_are_not_a_tuple_are_named(self, entries, name):
+        # a list would leave the frozen catalog mutable and unhashable
+        with pytest.raises(DomainError, match=re.escape(
+                f"catalog entries must be a tuple of rows, got {name}")):
+            Catalog(entries)
+
 
 class TestExtendRank2:
     def test_known_extensions(self):
@@ -281,7 +292,7 @@ class TestCrossModule:
     def test_star_quadruples_are_admissible(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}
         for c1, c2, c3, *_ in extension_rows(4, POOL_STAR):
-            assert c2 in rows[c1].interval
+            assert rows[c1].lower <= c2 <= rows[c1].upper
             assert c3_from_acm(4, c1, c2) == c3
 
     def test_star_quadruples_have_nonnegative_integer_genus(self):

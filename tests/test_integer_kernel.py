@@ -63,7 +63,7 @@ def test_enumeration_entries_match_fraction_oracle():
         for row in constraints.enumerate_acm_r4(k):
             # each row's affine forms hold off the interval too
             (s3, t3), (sg, tg) = row.c3_form, row.genus_form
-            for c2 in (row.interval.lower - 1, 0, row.interval.upper + 1):
+            for c2 in (row.lower - 1, 0, row.upper + 1):
                 assert same(s3 * c2 + t3, oracle.c3_from_acm(k, row.c1, c2))
                 assert same(sg * c2 + tg, oracle.genus_from_acm(k, row.c1, c2))
             assert row.c2_values == [c2 for c2, _, _ in row.entries]

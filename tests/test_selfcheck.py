@@ -43,11 +43,8 @@ def test_corrupted_bound_clause_is_caught(monkeypatch):
     real = constraints.c2_interval_r4
 
     def widened(k, c1):
-        interval = real(k, c1)
-        return constraints.C2Interval(
-            interval.lower, interval.upper + 1,
-            interval.lower_tags, interval.upper_tags,
-        )
+        lower, upper, lower_tags, upper_tags = real(k, c1)
+        return lower, upper + 1, lower_tags, upper_tags
 
     monkeypatch.setattr(constraints, "c2_interval_r4", widened)
     assert "classification-table" in failed_checks()
