@@ -10,12 +10,13 @@ vector bundle on a degree-r hypersurface X is reduced to the integer
 quadruple (k; c1, c2, c3) via the usual degree identifications: c1(E) is
 c1 times the hyperplane class, c2(E) has degree c2, and c3(E) is c3 points.
 
-All operations are pure functions on immutable values.
+All operations are pure functions on immutable values.  The records are
+named tuples: each compares, hashes, orders and unpacks as its plain tuple.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 __all__ = [
@@ -51,19 +52,26 @@ class NonIntegral(DomainError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class HypersurfaceContext:
+def _record(name: str, fields: str) -> type:
+    """A named-tuple base whose ``_make``, and so ``_replace``, calls the
+    subclass's constructor and with it the subclass's check."""
+    base = namedtuple(name, fields)
+    base._make = classmethod(lambda cls, iterable: cls(*iterable))
+    return base
+
+
+class HypersurfaceContext(_record("HypersurfaceContext", "r")):
     """The ambient datum: a smooth degree-r hypersurface X in P^4, r >= 1."""
 
-    r: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise DomainError(f"hypersurface degree must be >= 1, got {self.r}")
+    def __new__(cls, r: int) -> HypersurfaceContext:
+        if r < 1:
+            raise DomainError(f"hypersurface degree must be >= 1, got {r}")
+        return tuple.__new__(cls, (r,))
 
 
-@dataclass(frozen=True)
-class BundleInvariants:
+class BundleInvariants(_record("BundleInvariants", "k c1 c2 c3")):
     """The quadruple (k; c1, c2, c3) attached to a rank-k bundle.
 
     Only k >= 1 is enforced; c1, c2, c3 are raw integers.  Rank-1 bundles
@@ -71,39 +79,26 @@ class BundleInvariants:
     :func:`chi_line_bundle`, never through :func:`chi_bundle`.
     """
 
-    k: int
-    c1: int
-    c2: int
-    c3: int
+    __slots__ = ()
 
-    def __init__(self, k: int, c1: int, c2: int, c3: int) -> None:
-        # stores into __dict__, unlike the generated one's object.__setattr__
-        # calls; repr, ==, hash and the frozen __setattr__ are still generated
+    def __new__(cls, k: int, c1: int, c2: int, c3: int) -> BundleInvariants:
         if k < 1:
             raise DomainError(f"rank must be >= 1, got {k}")
-        fields = self.__dict__
-        fields["k"] = k
-        fields["c1"] = c1
-        fields["c2"] = c2
-        fields["c3"] = c3
-
-    def quadruple(self) -> tuple[int, int, int, int]:
-        return (self.k, self.c1, self.c2, self.c3)
+        return tuple.__new__(cls, (k, c1, c2, c3))
 
     def __str__(self) -> str:
-        return f"({self.k};{self.c1},{self.c2},{self.c3})"
+        return "({};{},{},{})".format(*self)
 
 
-@dataclass(frozen=True)
-class CurveInvariants:
+class CurveInvariants(_record("CurveInvariants", "degree genus")):
     """Degree and arithmetic genus of a curve inside the hypersurface."""
 
-    degree: int
-    genus: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.degree < 1:
-            raise DomainError(f"curve degree must be >= 1, got {self.degree}")
+    def __new__(cls, degree: int, genus: int) -> CurveInvariants:
+        if degree < 1:
+            raise DomainError(f"curve degree must be >= 1, got {degree}")
+        return tuple.__new__(cls, (degree, genus))
 
 
 def _divide_exact(numerator: int, denominator: int, context: str) -> int:
@@ -140,11 +135,12 @@ def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
            - ((5-r)/2) c2 + (r/12) ((r-5)^2 + (r^2-5r+10)) c1
            + (r k/24) (5-r) (r^2-5r+10)
     """
-    r, c1, c2 = ctx.r, inv.c1, inv.c2
+    r = ctx.r
+    k, c1, c2, c3 = inv
     # 24 chi, its c1-only terms in Horner form as in chi_line_bundle
     return Fraction(
         2 * r * c1 * (c1 * (2 * c1 + 3 * (5 - r)) + 2 * r * r - 15 * r + 35)
-        - 12 * ((c1 + 5 - r) * c2 - inv.c3) + r * inv.k * (5 - r) * (r * r - 5 * r + 10),
+        - 12 * ((c1 + 5 - r) * c2 - c3) + r * k * (5 - r) * (r * r - 5 * r + 10),
         24,
     )
 
@@ -160,11 +156,11 @@ def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInva
     exact division by 2 and by 6 stays in as a guard against coefficient
     typos.
     """
-    k, c1, c2 = inv.k, inv.c1, inv.c2
+    k, c1, c2, c3 = inv
     nk = n * k
     step = ctx.r * n * (k - 1)  # r n (k-1), a factor of both numerators
     new_c2 = _divide_exact(2 * c2 + step * (2 * c1 + nk), 2, "twisted c2")
-    new_c3 = _divide_exact(6 * inv.c3 + (k - 2) * n * (6 * c2 + step * (3 * c1 + nk)),
+    new_c3 = _divide_exact(6 * c3 + (k - 2) * n * (6 * c2 + step * (3 * c1 + nk)),
                            6, "twisted c3")
     return BundleInvariants(k, c1 + nk, new_c2, new_c3)
 
@@ -178,10 +174,10 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     At r = 4 the constant block collapses to 1 and this agrees with
     :func:`genus_r4`.
     """
-    if inv.k < 2:
-        raise DomainError(f"genus needs a bundle of rank >= 2, got rank {inv.k}")
+    k, c1, c2, c3 = inv
+    if k < 2:
+        raise DomainError(f"genus needs a bundle of rank >= 2, got rank {k}")
     r = ctx.r
-    c1, c2, c3 = inv.c1, inv.c2, inv.c3
     return Fraction(
         -60 * c2 + 12 * c1 * c2 + 12 * c3 + 50 * r + 12 * r * c2
         - 35 * r * r + 10 * r**3 - r**4,
@@ -191,4 +187,5 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
 
 def genus_r4(inv: BundleInvariants) -> Fraction:
     """Quartic-hypersurface genus: g = 1 + (c1 c2 - c2 + c3) / 2."""
-    return Fraction(inv.c1 * inv.c2 - inv.c2 + inv.c3 + 2, 2)
+    _, c1, c2, c3 = inv
+    return Fraction(c1 * c2 - c2 + c3 + 2, 2)

@@ -174,7 +174,7 @@ def cmd_chi(args) -> tuple[Iterator[str], int]:
         inputs = {"r": args.r, "mode": "bundle", "bundle": _bundle_dict(inv)}
         return _emit_rational(args, inputs, chi_bundle(ctx, inv),
                               ["r", "k", "c1", "c2", "c3", "chi"],
-                              [args.r, *inv.quadruple()])
+                              [args.r, *inv])
     raise UsageError("chi needs either --line with -a, or --bundle k,c1,c2,c3")
 
 
@@ -187,7 +187,7 @@ def cmd_twist(args) -> tuple[Iterator[str], int]:
         results=lambda: [f'    {{\n      "c1": {result.c1},\n      "c2": {result.c2},\n'
                          f'      "c3": {result.c3},\n      "k": {result.k}\n    }}'],
         table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
-        csv_lines=lambda: _csv(["k", "c1", "c2", "c3"], [result.quadruple()]),
+        csv_lines=lambda: _csv(["k", "c1", "c2", "c3"], [result]),
     ), 0
 
 
@@ -197,7 +197,7 @@ def cmd_genus(args) -> tuple[Iterator[str], int]:
     return _emit_rational(args, {"r": args.r, "bundle": _bundle_dict(inv)},
                           genus_general(ctx, inv),
                           ["r", "k", "c1", "c2", "c3", "genus"],
-                          [args.r, *inv.quadruple()])
+                          [args.r, *inv])
 
 
 def _affine_text(form: tuple[int, int]) -> str:
@@ -212,8 +212,6 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
     head = [str(row.k), str(row.c1)]
     lower, upper = row.lower, row.upper
     forms = (row.c3_form, row.genus_form)
-    if row.is_empty:
-        return head + ["(empty)", "-", "-"]
     if lower == upper:
         return head + [str(lower), *(str(s * lower + t) for s, t in forms)]
     return head + [f"[{lower},{upper}]", *map(_affine_text, forms)]
@@ -228,9 +226,9 @@ def _enumerate_record(row: constraints.EnumerationRow) -> str:
                           f'          "genus": {sg * c2 + tg}\n        }}'
                           for c2 in values], "      ")
     tags = _json_list([f"        {json.dumps(tag)}" for tag in row.provenance], "      ")
+    # schema v1 keeps the "empty" key, false on every enumerated row
     return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {c2_values},\n'
-            f'      "empty": {"true" if row.is_empty else "false"},\n'
-            f'      "entries": {entries},\n      "k": {row.k},\n'
+            f'      "empty": false,\n      "entries": {entries},\n      "k": {row.k},\n'
             f'      "lower": {row.lower},\n      "provenance": {tags},\n'
             f'      "upper": {row.upper}\n    }}')
 
@@ -240,14 +238,12 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
 
 
 def _enumerate_csv(rows: list[constraints.EnumerationRow]) -> Iterator[str]:
-    """The header line, then one chunk per non-empty row, written by one
-    ``%`` format over the row's three progressions: c2 steps by 1, c3 and
-    the genus by their slopes.  Integer cells only, which csv never quotes."""
+    """The header line, then one chunk per row, written by one ``%`` format
+    over the row's three progressions: c2 steps by 1, c3 and the genus by
+    their slopes.  Integer cells only, which csv never quotes."""
     yield "k,c1,c2,c3,g\n"
     for row in rows:
         lower, count = row.lower, row.upper - row.lower + 1
-        if count <= 0:
-            continue
         (s3, t3), (sg, tg) = row.c3_form, row.genus_form
         yield (f"{row.k},{row.c1},%d,%d,%d\n" * count) % tuple(itertools.chain.from_iterable(
             zip(range(lower, lower + count), _progression(s3 * lower + t3, s3, count),

@@ -6,7 +6,7 @@ Admissibility means passing every bound; it does not imply a bundle exists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .chern import (
     CurveInvariants,
@@ -151,37 +151,28 @@ def c2_interval_r4(k: int, c1: int) -> tuple[int, int, tuple[str, ...], tuple[st
     return lower, upper, lower_tags, upper_tags
 
 
-@dataclass(frozen=True)
-class EnumerationRow:
+class EnumerationRow(namedtuple("EnumerationRow", "k c1 lower upper c3_form genus_form "
+                                                  "provenance")):
     """All admissible invariants for one (k, c1) on the quartic.
 
     Along a row the forced c3 and the genus are affine in c2: ``c3_form``
     and ``genus_form`` are their (slope, intercept) pairs.  ``entries``, the
     row's admissible points as (c2, c3, genus) integer triples, is computed
     from the two forms over the closed interval ``lower``..``upper`` of c2
-    on each access; the row is empty iff lower > upper.
+    on each access.
     """
 
-    k: int
-    c1: int
-    lower: int
-    upper: int
-    c3_form: tuple[int, int]
-    genus_form: tuple[int, int]
-    provenance: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def entries(self) -> tuple[tuple[int, int, int], ...]:
         (s3, t3), (sg, tg) = self.c3_form, self.genus_form
-        return tuple((c2, s3 * c2 + t3, sg * c2 + tg) for c2 in self.c2_values)
+        return tuple([(c2, s3 * c2 + t3, sg * c2 + tg)
+                      for c2 in range(self.lower, self.upper + 1)])
 
     @property
     def c2_values(self) -> list[int]:
         return list(range(self.lower, self.upper + 1))
-
-    @property
-    def is_empty(self) -> bool:
-        return self.lower > self.upper
 
 
 def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
@@ -189,10 +180,9 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     satisfying the star condition on the quartic.
 
     Rows come out ascending in c1 with c2 ascending inside each row, one row
-    per c1 in ``c1_bounds``.  Empty intervals are kept: an empty row is a
-    finding (no such bundle), not missing data.  For k outside {3, 4} the
-    provenance carries "unrefined" and the rows are supersets, with no
-    completeness claim.
+    per c1 in ``c1_bounds``, and no row is empty: lower <= upper at every
+    rank.  For k outside {3, 4} the provenance carries "unrefined" and the
+    rows are supersets, with no completeness claim.
     """
     lo, hi = c1_bounds(QUARTIC, k)
     rows = []

@@ -9,11 +9,10 @@ supplied for exploring hypothetical catalogs at other degrees.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import constraints
-from .chern import BundleInvariants, DomainError, HypersurfaceContext
+from .chern import BundleInvariants, DomainError, HypersurfaceContext, _record
 
 __all__ = [
     "UnsupportedDegree",
@@ -48,32 +47,36 @@ class CatalogParseError(DomainError):
     """A catalog override file failed to parse; the message carries the line number."""
 
 
-@dataclass(frozen=True)
-class Catalog:
+class Catalog(_record("Catalog", "entries")):
     """An immutable set of rank-two classes, as integer rows (r, c1, c2, star)
     on the degree-r hypersurface: a class (r, c1, c2) comes at most once."""
 
-    entries: tuple[tuple[int, int, int, bool], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
+    def __new__(cls, entries: tuple[tuple[int, int, int, bool], ...]) -> Catalog:
+        if not isinstance(entries, tuple):
             raise DomainError(f"catalog entries must be a tuple of rows, "
-                              f"got {type(self.entries).__name__}")
+                              f"got {type(entries).__name__}")
         try:
-            classes = {row[:3] for row in self.entries}
-        except TypeError:
-            for row in self.entries:  # looked for only on failure
+            classes = {(r, c1, c2) for r, c1, c2, _ in entries}
+        except (TypeError, ValueError):
+            for row in entries:  # looked for only on failure
                 try:
-                    hash(row[:3])
+                    r, c1, c2, _ = row
+                    hash((r, c1, c2))
                 except TypeError:
                     raise DomainError(f"catalog row {row!r} is not a sequence "
                                       f"of hashable fields") from None
-        if len(classes) < len(self.entries):
+                except ValueError:
+                    raise DomainError(f"catalog row {row} does not have the four "
+                                      f"fields r, c1, c2, star") from None
+        if len(classes) < len(entries):
             seen = set()
-            for key in (row[:3] for row in self.entries):
+            for key in ((r, c1, c2) for r, c1, c2, _ in entries):
                 if key in seen:
                     raise DomainError(f"catalog repeats the class {key}")
                 seen.add(key)
+        return tuple.__new__(cls, (entries,))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(sorted({row[0] for row in self.entries}))
@@ -164,12 +167,7 @@ def catalog(r: int, source: Catalog | None = None) -> list[tuple[int, int, bool]
     """All normalized rank-two ACM classes on the degree-r hypersurface, as
     (c1, c2, star) triples in catalog order."""
     source = source or BUILTIN_CATALOG
-    try:
-        found = [(c1, c2, star) for degree, c1, c2, star in source.entries if degree == r]
-    except ValueError:
-        row = next(row for row in source.entries if len(row) != 4)
-        raise DomainError(f"catalog row {row} does not have the four fields "
-                          f"r, c1, c2, star") from None
+    found = [(c1, c2, star) for degree, c1, c2, star in source.entries if degree == r]
     if not found:
         known = ", ".join(map(str, source.degrees())) or "none"
         raise UnsupportedDegree(
@@ -264,7 +262,7 @@ def decompose_rows(r: int, target: BundleInvariants, pool: str = POOL_STAR,
         raise RankUnsupported(f"decomposition into two rank-two pieces needs rank 4, "
                               f"got {target.k}")
     ctx = HypersurfaceContext(r)
-    return _forced_pairs(ctx, _pool_classes(r, pool, source), [target.quadruple()])[0]
+    return _forced_pairs(ctx, _pool_classes(r, pool, source), [target])[0]
 
 
 STATUS_EXTENSION = "realized-by-extension"
@@ -297,10 +295,8 @@ def coverage_report(k: int, source: Catalog | None = None) -> list[tuple]:
     rank four; rank-three realizations come solely from the curve list,
     since a nontrivial extension needs both pieces of rank at least two.
     """
-    cells = [(k, row.c1, c2, s3 * c2 + t3, sg * c2 + tg)
-             for row in constraints.enumerate_acm_r4(k)
-             for (s3, t3), (sg, tg) in [(row.c3_form, row.genus_form)]
-             for c2 in row.c2_values]
+    cells = [(k, row.c1, *entry) for row in constraints.enumerate_acm_r4(k)
+             for entry in row.entries]
     classes = _pool_classes(4, POOL_STAR, source) if k == 4 else []
     found = _forced_pairs(HypersurfaceContext(4), classes, [cell[:4] for cell in cells])
     report = []

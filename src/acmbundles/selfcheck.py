@@ -5,7 +5,7 @@ runs produce byte-identical reports."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -44,12 +44,7 @@ _EXPECTED_ITEM_COUNT = {3: 9, 4: 22}
 _STAR_WITNESSES = 10  # pairs in the rank-4 star-pool extension listing
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
-
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 # the sampled checks pick their degree as _CONTEXTS[_draw(rng, 1, 8) - 1]
 _CONTEXTS = tuple(chern.HypersurfaceContext(r) for r in range(1, 9))

@@ -43,7 +43,7 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Fraction:
 
 def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     r = ctx.r
-    k, c1, c2, c3 = inv.quadruple()
+    k, c1, c2, c3 = inv
     return (
         Fraction(r, 6) * c1**3
         - Fraction(1, 2) * c1 * c2
@@ -57,7 +57,7 @@ def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
 
 def twist(ctx: HypersurfaceContext, inv: BundleInvariants, n: int) -> BundleInvariants:
     r = ctx.r
-    k, c1, c2, c3 = inv.quadruple()
+    k, c1, c2, c3 = inv
     new_c2 = c2 + r * n * (k - 1) * (c1 + Fraction(n * k, 2))
     new_c3 = c3 + (k - 2) * n * (
         c2 + Fraction((k - 1) * n * r * c1, 2) + Fraction(r * n * n * k * (k - 1), 6)

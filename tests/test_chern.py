@@ -1,6 +1,6 @@
 """Exactness guarantees, Riemann-Roch values, twisting, and genus formulas."""
 
-import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,6 +18,7 @@ from acmbundles.chern import (
     genus_r4,
     twist,
 )
+from acmbundles.extensions import Catalog
 
 X4 = HypersurfaceContext(4)
 
@@ -57,33 +58,46 @@ class TestDomainTypes:
 
     def test_bundle_invariants_rank(self):
         inv = BundleInvariants(3, 1, 5, 2)
-        assert inv.quadruple() == (3, 1, 5, 2)
+        assert tuple(inv) == (3, 1, 5, 2)
         assert str(inv) == "(3;1,5,2)"
         with pytest.raises(DomainError):
             BundleInvariants(0, 1, 5, 2)
 
     def test_value_types_keep_the_dataclass_behaviour(self):
-        # BundleInvariants writes its own __init__; what the dataclass
-        # generates must stay as it was
+        # the records are named tuples: the reprs of the former dataclasses,
+        # no assignment, a checked _replace, and a record equals its tuple
         inv = twist(X4, BundleInvariants(4, 1, 6, 4), -1)
+        curve = CurveInvariants(6, 3)
+        source = Catalog(((4, 1, 3, True),))
         assert repr(inv) == "BundleInvariants(k=4, c1=-3, c2=18, c3=-12)"
         assert repr(X4) == "HypersurfaceContext(r=4)"
+        assert repr(curve) == "CurveInvariants(degree=6, genus=3)"
+        assert repr(source) == "Catalog(entries=((4, 1, 3, True),))"
         assert inv == BundleInvariants(k=4, c1=-3, c2=18, c3=-12)
         assert inv != BundleInvariants(4, -3, 18, -11)
-        assert inv != (4, -3, 18, -12)
+        assert inv == (4, -3, 18, -12)
         assert hash(inv) == hash((4, -3, 18, -12))
         assert (X4, hash(X4)) == (HypersurfaceContext(4), hash((4,)))
-        for value, field in ((inv, "c2"), (inv, "k"), (X4, "r")):
-            with pytest.raises(dataclasses.FrozenInstanceError):
+        assert hash(curve) == hash((6, 3))
+        for value, field in ((inv, "c2"), (inv, "k"), (X4, "r"), (curve, "genus"),
+                             (source, "entries"), (inv, "rank")):
+            with pytest.raises(AttributeError):
                 setattr(value, field, 0)
         for bad in ({"k": 0}, {"k": -2}):
             with pytest.raises(DomainError, match=f"rank must be >= 1, got {bad['k']}"):
-                dataclasses.replace(inv, **bad)
-        with pytest.raises(DomainError, match="hypersurface degree must be >= 1, got -1"):
-            HypersurfaceContext(-1)
-        assert dataclasses.replace(inv, c3=5) == BundleInvariants(4, -3, 18, 5)
-        assert dataclasses.replace(X4, r=3) == HypersurfaceContext(3)
-        assert [f.name for f in dataclasses.fields(inv)] == ["k", "c1", "c2", "c3"]
+                inv._replace(**bad)
+        for value, bad, message in (
+                (X4, {"r": -1}, "hypersurface degree must be >= 1, got -1"),
+                (curve, {"degree": 0}, "curve degree must be >= 1, got 0"),
+                (source, {"entries": [(4, 1, 3, True)]}, "catalog entries must be a tuple"),
+                (source, {"entries": ((4, 1, 3, True),) * 2}, "catalog repeats the class")):
+            with pytest.raises(DomainError, match=re.escape(message)):
+                value._replace(**bad)
+        assert inv._replace(c3=5) == BundleInvariants(4, -3, 18, 5)
+        assert X4._replace(r=3) == HypersurfaceContext(3)
+        assert inv._fields == ("k", "c1", "c2", "c3")
+        assert (X4._fields, curve._fields, source._fields) == (("r",), ("degree", "genus"),
+                                                                ("entries",))
 
     def test_curve_invariants_degree(self):
         assert CurveInvariants(6, 3).genus == 3

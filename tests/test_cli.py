@@ -176,6 +176,17 @@ def test_handler_is_looked_up_by_name(capsys, monkeypatch):
     assert seen == [2]
 
 
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # the records are named tuples, so a bare interpreter (-S: no site
+    # packages) importing the CLI never loads the dataclass machinery
+    source = ("import sys, acmbundles.cli; "
+              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-S", "-c", source],
+                          capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 class TestChi:
     def test_line_mode(self, capsys):
         code, out, err = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "1")

@@ -130,9 +130,13 @@ class TestC2Interval:
         lower, upper, _, _ = c2_interval_r4(4, 7)
         assert (lower, upper) == (88, 86)
         row = EnumerationRow(4, 7, lower, upper, (6, 0), (6, 0), ())
-        assert row.is_empty
         assert row.c2_values == []
         assert row.entries == ()
+
+    def test_no_enumerated_row_is_empty(self):
+        # c2_interval_r4 is empty past the top of c1_bounds, never inside it
+        for k in range(2, 201):
+            assert all(row.lower <= row.upper for row in enumerate_acm_r4(k)), k
 
     def test_rank_below_two_rejected(self):
         with pytest.raises(DomainError):

@@ -116,10 +116,9 @@ class TestCatalog:
     @pytest.mark.parametrize("bad", [(4, 1, 3), (3, 1, 2, True, "no")], ids=["short", "long"])
     def test_malformed_row_is_named(self, bad):
         # every row is unpacked, so one of another degree is found too
-        source = Catalog(((4, 2, 8, True), bad, (4, 3)))
         with pytest.raises(DomainError, match=re.escape(
                 f"catalog row {bad} does not have the four fields r, c1, c2, star")):
-            catalog(4, source)
+            Catalog(((4, 2, 8, True), bad, (4, 3)))
 
     @pytest.mark.parametrize("rows, bad", [
         ((4,), 4),
@@ -285,7 +284,7 @@ class TestDecompose:
         assert extend_rank2(X4, (3, 14), (1, 4)) == forward
         found = decompose_rows(4, forward, POOL_STAR)
         assert pairs(found) == [((1, 4), (3, 14))]
-        assert found[0][:3] == forward.quadruple()[1:]
+        assert found[0][:3] == forward[1:]
 
 
 class TestCrossModule:

@@ -23,7 +23,7 @@ def same(value, expected) -> bool:
 
 
 def same_bundle(value: BundleInvariants, expected: BundleInvariants) -> bool:
-    return all(same(a, b) for a, b in zip(value.quadruple(), expected.quadruple()))
+    return all(same(a, b) for a, b in zip(value, expected))
 
 
 def test_chi_line_bundle_grid():

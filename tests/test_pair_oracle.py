@@ -85,7 +85,7 @@ def cases(draw):
 def test_decompose_matches_pair_scan(case):
     r, source, target, pool = case
     assert decompose_rows(r, target, pool, source) == [
-        row for row in listing(r, pool, source) if (4, *row[:3]) == target.quadruple()]
+        row for row in listing(r, pool, source) if (4, *row[:3]) == target]
 
 
 @settings(max_examples=300, deadline=None)
