@@ -24,7 +24,6 @@ __all__ = [
     "NonIntegral",
     "HypersurfaceContext",
     "BundleInvariants",
-    "CurveInvariants",
     "chi_line_bundle",
     "chi_bundle",
     "twist",
@@ -88,17 +87,6 @@ class BundleInvariants(_record("BundleInvariants", "k c1 c2 c3")):
 
     def __str__(self) -> str:
         return "({};{},{},{})".format(*self)
-
-
-class CurveInvariants(_record("CurveInvariants", "degree genus")):
-    """Degree and arithmetic genus of a curve inside the hypersurface."""
-
-    __slots__ = ()
-
-    def __new__(cls, degree: int, genus: int) -> CurveInvariants:
-        if degree < 1:
-            raise DomainError(f"curve degree must be >= 1, got {degree}")
-        return tuple.__new__(cls, (degree, genus))
 
 
 def _divide_exact(numerator: int, denominator: int, context: str) -> int:

@@ -423,20 +423,10 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once: :func:`_parse_plain` reads well-formed argv, argparse
-    any other: a command's own parser reads what follows its name, and help,
-    unknown commands and leftovers go to the top-level parser, as parse_args."""
+    """Parse argv once: :func:`_parse_plain` reads well-formed argv, and the
+    top-level parser's ``parse_args`` any other."""
     args = _parse_plain(argv)
-    if args is not None:
-        return args
-    parser, commands, _ = _build_parser()
-    command = commands.get(argv[0]) if argv else None
-    if command is None:
-        return parser.parse_args(argv)
-    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
-    if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    return args
+    return _build_parser()[0].parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -9,7 +9,6 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .chern import (
-    CurveInvariants,
     DomainError,
     HypersurfaceContext,
     _divide_exact,
@@ -24,7 +23,6 @@ __all__ = [
     "genus_from_acm",
     "c2_interval_r4",
     "enumerate_acm_r4",
-    "hs_sufficient_condition",
     "LOWER_BASE",
     "LOWER_ABOVE_ONE",
     "LOWER_RANK3",
@@ -194,11 +192,3 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
             tags.append(UNREFINED)
         rows.append(EnumerationRow(k, c1, lower, upper, *_acm_affine(k, c1), tuple(tags)))
     return rows
-
-
-def hs_sufficient_condition(
-    ctx: HypersurfaceContext, c1: int, curve: CurveInvariants
-) -> bool:
-    """Numeric sufficient test for the curve-to-bundle construction:
-    2g - 2 < (r + c1 - 4) deg, strictly."""
-    return 2 * curve.genus - 2 < (ctx.r + c1 - 4) * curve.degree

@@ -9,7 +9,7 @@ supplied for exploring hypothetical catalogs at other degrees.
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from . import constraints
 from .chern import BundleInvariants, DomainError, HypersurfaceContext, _record
@@ -107,7 +107,7 @@ _STAR = {"0": False, "1": True}
 _GG = dict.fromkeys(("always", "generic", "no"), True)
 
 
-def load_catalog(path: str | Path) -> Catalog:
+def load_catalog(path: str | os.PathLike) -> Catalog:
     """Parse a catalog override file.
 
     One class per line, whitespace separated: ``r c1 c2 star gg`` with
@@ -118,7 +118,8 @@ def load_catalog(path: str | Path) -> Catalog:
     Every field of every line is checked; gg is not kept.  The file is
     parsed whole; :func:`_first_fault` words a failure.
     """
-    data = Path(path).read_bytes()
+    with open(path, "rb") as file:
+        data = file.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -139,7 +140,7 @@ def load_catalog(path: str | Path) -> Catalog:
         raise CatalogParseError(_first_fault(path, lines)) from None
 
 
-def _first_fault(path: str | Path, lines: list[str]) -> str:
+def _first_fault(path: str | os.PathLike, lines: list[str]) -> str:
     """The error of the first faulty line of a file that failed to parse, by
     field count, then integers, star, gg and an earlier line's class."""
     first_lines: dict[tuple[int, int, int], int] = {}

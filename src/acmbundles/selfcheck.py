@@ -186,9 +186,7 @@ def _check_interval_within_general_bound(rng: random.Random) -> CheckResult:
     for k in range(2, 9):
         lo, hi = constraints.c1_bounds(constraints.QUARTIC, k)
         for c1 in range(lo, hi + 1):
-            lower, upper, _, _ = constraints.c2_interval_r4(k, c1)
-            if lower > upper:
-                continue
+            _, upper, _, _ = constraints.c2_interval_r4(k, c1)
             if upper > constraints.c2_upper_general(constraints.QUARTIC, k, c1):
                 return CheckResult("interval-within-general-bound", False, f"k={k}, c1={c1}")
     return CheckResult("interval-within-general-bound", True, "k in [2,8]")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from acmbundles.chern import (
     BundleInvariants,
-    CurveInvariants,
     DomainError,
     HypersurfaceContext,
     chi_bundle,
@@ -67,20 +66,17 @@ class TestDomainTypes:
         # the records are named tuples: the reprs of the former dataclasses,
         # no assignment, a checked _replace, and a record equals its tuple
         inv = twist(X4, BundleInvariants(4, 1, 6, 4), -1)
-        curve = CurveInvariants(6, 3)
         source = Catalog(((4, 1, 3, True),))
         assert repr(inv) == "BundleInvariants(k=4, c1=-3, c2=18, c3=-12)"
         assert repr(X4) == "HypersurfaceContext(r=4)"
-        assert repr(curve) == "CurveInvariants(degree=6, genus=3)"
         assert repr(source) == "Catalog(entries=((4, 1, 3, True),))"
         assert inv == BundleInvariants(k=4, c1=-3, c2=18, c3=-12)
         assert inv != BundleInvariants(4, -3, 18, -11)
         assert inv == (4, -3, 18, -12)
         assert hash(inv) == hash((4, -3, 18, -12))
         assert (X4, hash(X4)) == (HypersurfaceContext(4), hash((4,)))
-        assert hash(curve) == hash((6, 3))
-        for value, field in ((inv, "c2"), (inv, "k"), (X4, "r"), (curve, "genus"),
-                             (source, "entries"), (inv, "rank")):
+        for value, field in ((inv, "c2"), (inv, "k"), (X4, "r"), (source, "entries"),
+                             (inv, "rank")):
             with pytest.raises(AttributeError):
                 setattr(value, field, 0)
         for bad in ({"k": 0}, {"k": -2}):
@@ -88,7 +84,6 @@ class TestDomainTypes:
                 inv._replace(**bad)
         for value, bad, message in (
                 (X4, {"r": -1}, "hypersurface degree must be >= 1, got -1"),
-                (curve, {"degree": 0}, "curve degree must be >= 1, got 0"),
                 (source, {"entries": [(4, 1, 3, True)]}, "catalog entries must be a tuple"),
                 (source, {"entries": ((4, 1, 3, True),) * 2}, "catalog repeats the class")):
             with pytest.raises(DomainError, match=re.escape(message)):
@@ -96,13 +91,7 @@ class TestDomainTypes:
         assert inv._replace(c3=5) == BundleInvariants(4, -3, 18, 5)
         assert X4._replace(r=3) == HypersurfaceContext(3)
         assert inv._fields == ("k", "c1", "c2", "c3")
-        assert (X4._fields, curve._fields, source._fields) == (("r",), ("degree", "genus"),
-                                                                ("entries",))
-
-    def test_curve_invariants_degree(self):
-        assert CurveInvariants(6, 3).genus == 3
-        with pytest.raises(DomainError):
-            CurveInvariants(0, 3)
+        assert (X4._fields, source._fields) == (("r",), ("entries",))
 
 
 class TestChiLineBundle:

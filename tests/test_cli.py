@@ -177,10 +177,11 @@ def test_handler_is_looked_up_by_name(capsys, monkeypatch):
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
-    # the records are named tuples, so a bare interpreter (-S: no site
-    # packages) importing the CLI never loads the dataclass machinery
+    # the records are named tuples and a catalog is read with open(), so a
+    # bare interpreter (-S: no site packages) importing the CLI never loads
+    # the dataclass machinery or pathlib
     source = ("import sys, acmbundles.cli; "
-              "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+              "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     done = subprocess.run([sys.executable, "-S", "-c", source],
                           capture_output=True, text=True, env=env)
@@ -205,16 +206,17 @@ class TestChi:
         assert (code, out) == (0, "4\n")
 
     def test_conflicting_flags_are_usage_errors(self, capsys):
-        code, out, err = run_cli(
-            capsys, "chi", "--r", "4", "--line", "-a", "1", "--bundle", "4,1,6,4"
-        )
-        assert code == 2
-        assert out == ""
-        assert err != ""
+        for flags, message in (
+                (["--line", "-a", "1", "--bundle", "4,1,6,4"],
+                 "--line and --bundle are mutually exclusive"),
+                (["-a", "1", "--bundle", "4,1,6,4"], "-a only applies to --line mode")):
+            assert run_cli(capsys, "chi", "--r", "4", *flags) == (2, "", f"error: {message}\n")
 
     def test_missing_mode_is_usage_error(self, capsys):
-        code, out, _ = run_cli(capsys, "chi", "--r", "4")
-        assert (code, out) == (2, "")
+        for flags, message in (
+                ([], "chi needs either --line with -a, or --bundle k,c1,c2,c3"),
+                (["--line"], "--line needs a twist: -a N")):
+            assert run_cli(capsys, "chi", "--r", "4", *flags) == (2, "", f"error: {message}\n")
 
     def test_malformed_quadruple_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--bundle", "4,1,6")

@@ -10,7 +10,6 @@ from oracles import c2_clauses
 from acmbundles import constraints
 from acmbundles.chern import (
     BundleInvariants,
-    CurveInvariants,
     DomainError,
     HypersurfaceContext,
     chi_bundle,
@@ -34,7 +33,6 @@ from acmbundles.constraints import (
     c3_from_acm,
     enumerate_acm_r4,
     genus_from_acm,
-    hs_sufficient_condition,
 )
 
 # Interval endpoints of the full rank-3 and rank-4 classification.
@@ -120,9 +118,8 @@ class TestC2Interval:
         for k in range(2, 9):
             lo, hi = c1_bounds(QUARTIC, k)
             for c1 in range(lo, hi + 1):
-                lower, upper, _, _ = c2_interval_r4(k, c1)
-                if lower <= upper:
-                    assert upper <= c2_upper_general(QUARTIC, k, c1)
+                _, upper, _, _ = c2_interval_r4(k, c1)
+                assert upper <= c2_upper_general(QUARTIC, k, c1)
 
     def test_emptiness_is_representable(self):
         # just past the top of c1_bounds the rank-4 window is empty, and a
@@ -235,10 +232,3 @@ class TestDerivedClauses:
         q, a, b, d = _fit(bound)
         assert q == 2
         assert row[1:] == ("upper", None, None, a, b, d)
-
-
-class TestSufficientCondition:
-    def test_examples(self):
-        assert hs_sufficient_condition(QUARTIC, 1, CurveInvariants(6, 3))
-        assert hs_sufficient_condition(QUARTIC, 1, CurveInvariants(5, 2))
-        assert not hs_sufficient_condition(QUARTIC, 0, CurveInvariants(5, 3))
