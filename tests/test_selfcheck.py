@@ -14,6 +14,11 @@ def failed_checks():
     return {result.name for result in selfcheck.run_all() if not result.passed}
 
 
+def check_result(name):
+    result, = [result for result in selfcheck.run_all() if result.name == name]
+    return result
+
+
 def test_all_checks_pass():
     results = selfcheck.run_all()
     assert len(results) >= 12
@@ -109,9 +114,8 @@ def test_unexpected_negative_witness_is_caught(monkeypatch):
     planted = {(4, 1, 6, 4): [(1, 6, 4, 0, 2, 1, 4)]}
     monkeypatch.setattr(extensions, "decompose_rows", lambda r, target, *args, **kwargs:
                         planted.get(target) or real(r, target, *args, **kwargs))
-    result, = [check for check in selfcheck.run_all()
-               if check.name == "known-negative-decomposition"]
-    assert (result.passed, result.detail) == (False, "unexpected witness (0,2)+(1,4)")
+    assert check_result("known-negative-decomposition") == (
+        "known-negative-decomposition", False, "unexpected witness (0,2)+(1,4)")
 
 
 @pytest.mark.parametrize("quad, planted", [((4, 1, 6, 4), False), ((3, 2, 8, 2), True)],
@@ -123,7 +127,7 @@ def test_corrupted_curve_evidence_is_caught(monkeypatch, quad, planted):
     if planted:
         curves[quad] = "curve construction: planted"
     monkeypatch.setattr(extensions, "CURVE_REALIZED", curves)
-    result, = [check for check in selfcheck.run_all() if check.name == "coverage-realized"]
+    result = check_result("coverage-realized")
     assert not result.passed
     assert result.detail.startswith(f"k={quad[0]}: ")
 
@@ -154,6 +158,89 @@ def test_quadratic_c3_drift_in_twist_is_caught(monkeypatch):
 
     monkeypatch.setattr(chern, "twist", drifting)
     assert {"twist-roundtrip", "twist-additive"} & failed_checks()
+
+
+def test_known_negative_pair_count_is_counted(monkeypatch):
+    # one class fewer at degree 4: 21 pairs instead of 28
+    real = extensions.catalog
+    monkeypatch.setattr(extensions, "catalog", lambda r, source=None: real(r, source)[1:])
+    assert check_result("known-negative-decomposition") == (
+        "known-negative-decomposition", False, "21 pairs")
+
+
+def test_shifted_line_constant_term_is_caught(monkeypatch):
+    real = chern.chi_line_bundle
+    monkeypatch.setattr(chern, "chi_line_bundle", lambda ctx, a: real(ctx, a) + 1)
+    # chi(O_X) on the degree-1 hypersurface, P^3, is 1
+    assert check_result("chi-line-constant-term") == ("chi-line-constant-term", False, "r=1: 2")
+
+
+def test_fractional_line_chi_is_caught(monkeypatch):
+    real = chern.chi_line_bundle
+    monkeypatch.setattr(chern, "chi_line_bundle", lambda ctx, a: real(ctx, a)
+                        + (Fraction(1, 2) if (ctx.r, a) == (4, 3) else 0))
+    assert check_result("chi-line-integral") == ("chi-line-integral", False, "r=4, a=3")
+
+
+def test_unrefined_rank4_table_is_caught(monkeypatch):
+    # the rank-4 rows keep their intervals but claim no completeness
+    real = constraints.enumerate_acm_r4
+    monkeypatch.setattr(constraints, "enumerate_acm_r4", lambda k: [
+        row._replace(provenance=(*row.provenance, constraints.UNREFINED)) if k == 4 else row
+        for row in real(k)])
+    assert check_result("classification-table") == (
+        "classification-table", False, "k=4 flagged unrefined")
+
+
+def test_shifted_spot_genus_is_caught(monkeypatch):
+    # the first spot entry, (3; 1, 5, 2) of genus 2, is named
+    real = constraints.genus_from_acm
+    monkeypatch.setattr(constraints, "genus_from_acm", lambda k, c1, c2: real(k, c1, c2) + 1)
+    assert check_result("classification-table") == (
+        "classification-table", False, "genus at (3, 1, 5)")
+
+
+def test_shifted_genus_slope_form_is_caught(monkeypatch):
+    # only the table's (4, 6) row changes its genus form; every spot value holds
+    real = constraints.enumerate_acm_r4
+
+    def shifted(k):
+        return [row._replace(genus_form=(row.genus_form[0], row.genus_form[1] + 1))
+                if (row.k, row.c1) == (4, 6) else row for row in real(k)]
+
+    monkeypatch.setattr(constraints, "enumerate_acm_r4", shifted)
+    assert check_result("classification-table") == (
+        "classification-table", False, "genus slope form at (4,6,64)")
+
+
+def skew_extensions(monkeypatch, skewed):
+    # extend_rank2's c3 off by one wherever skewed(ctx, e1, e2) holds
+    real = extensions.extend_rank2
+
+    def extend(ctx, e1, e2):
+        result = real(ctx, e1, e2)
+        return result._replace(c3=result.c3 + skewed(ctx, e1, e2))
+
+    monkeypatch.setattr(extensions, "extend_rank2", extend)
+
+
+def test_catalog_whitney_mismatch_is_caught(monkeypatch):
+    # the catalog pairs come first: the first degree-3 pair is named
+    skew_extensions(monkeypatch, lambda ctx, e1, e2: ctx.r == 3)
+    assert check_result("whitney-oracle") == ("whitney-oracle", False, "r=3, (0, 1)+(0, 1)")
+
+
+def test_sampled_whitney_mismatch_is_caught(monkeypatch):
+    # no catalog has degree 1, so only the sampled pairs see it
+    skew_extensions(monkeypatch, lambda ctx, e1, e2: ctx.r == 1)
+    assert check_result("whitney-oracle") == (
+        "whitney-oracle", False, "r=1, (-18, -23)+(-6, -10)")
+
+
+def test_asymmetric_extension_is_caught(monkeypatch):
+    skew_extensions(monkeypatch, lambda ctx, e1, e2: e1 < e2)
+    assert check_result("extension-symmetry") == (
+        "extension-symmetry", False, "r=3, (24, 9), (-4, -18)")
 
 
 def test_witness_count_is_counted(monkeypatch):
