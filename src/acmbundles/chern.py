@@ -43,12 +43,9 @@ class NonIntegral(DomainError):
     not bad user input.
     """
 
-    def __init__(self, value: Fraction, context: str | None = None):
+    def __init__(self, value: Fraction, context: str):
         self.value = value
-        message = f"expected an integer, got {value}"
-        if context:
-            message = f"{context}: {message}"
-        super().__init__(message)
+        super().__init__(f"{context}: expected an integer, got {value}")
 
 
 def _record(name: str, fields: str) -> type:

@@ -115,10 +115,6 @@ def _columns(rows: list[list[str]]) -> str:
     return "\n".join([template.format(*row).rstrip() for row in rows]) + "\n"
 
 
-def _bundle_dict(inv: BundleInvariants) -> dict:
-    return {"k": inv.k, "c1": inv.c1, "c2": inv.c2, "c3": inv.c3}
-
-
 def _emit_rational(args, inputs: dict, value, header: list[str],
                    row: list) -> tuple[Iterator[str], int]:
     return _emit(
@@ -171,7 +167,7 @@ def cmd_chi(args) -> tuple[Iterator[str], int]:
         if args.a is not None:
             raise UsageError("-a only applies to --line mode")
         inv = BundleInvariants(*args.bundle)
-        inputs = {"r": args.r, "mode": "bundle", "bundle": _bundle_dict(inv)}
+        inputs = {"r": args.r, "mode": "bundle", "bundle": inv._asdict()}
         return _emit_rational(args, inputs, chi_bundle(ctx, inv),
                               ["r", "k", "c1", "c2", "c3", "chi"],
                               [args.r, *inv])
@@ -183,7 +179,7 @@ def cmd_twist(args) -> tuple[Iterator[str], int]:
     inv = BundleInvariants(*args.bundle)
     result = twist(ctx, inv, args.n)
     return _emit(
-        args, {"r": args.r, "bundle": _bundle_dict(inv), "n": args.n},
+        args, {"r": args.r, "bundle": inv._asdict(), "n": args.n},
         results=lambda: [f'    {{\n      "c1": {result.c1},\n      "c2": {result.c2},\n'
                          f'      "c3": {result.c3},\n      "k": {result.k}\n    }}'],
         table=lambda: f"{result.k},{result.c1},{result.c2},{result.c3}\n",
@@ -194,7 +190,7 @@ def cmd_twist(args) -> tuple[Iterator[str], int]:
 def cmd_genus(args) -> tuple[Iterator[str], int]:
     ctx = HypersurfaceContext(args.r)
     inv = BundleInvariants(*args.bundle)
-    return _emit_rational(args, {"r": args.r, "bundle": _bundle_dict(inv)},
+    return _emit_rational(args, {"r": args.r, "bundle": inv._asdict()},
                           genus_general(ctx, inv),
                           ["r", "k", "c1", "c2", "c3", "genus"],
                           [args.r, *inv])
@@ -219,7 +215,7 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
 
 def _enumerate_record(row: constraints.EnumerationRow) -> str:
     (s3, t3), (sg, tg) = row.c3_form, row.genus_form
-    values = row.c2_values
+    values = range(row.lower, row.upper + 1)
     c2_values = _json_list([f"        {c2}" for c2 in values], "      ")
     entries = _json_list([f'        {{\n          "c2": {c2},\n'
                           f'          "c3": {s3 * c2 + t3},\n'
@@ -277,7 +273,7 @@ def cmd_decompose(args) -> tuple[Iterator[str], int]:
     rows = extensions.decompose_rows(args.r, target, args.pool, source=source)
     if not rows and args.expect_witness:
         raise DomainError(f"no decomposition of {target} over the {args.pool} pool")
-    inputs = {"r": args.r, "target": _bundle_dict(target), "pool": args.pool,
+    inputs = {"r": args.r, "target": target._asdict(), "pool": args.pool,
               "expect_witness": args.expect_witness, "catalog": args.catalog}
     return _emit_witnesses(
         args, inputs, rows,
@@ -422,20 +418,17 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     return argparse.Namespace(command=argv[0], **(defaults | given))
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """Parse argv once: :func:`_parse_plain` reads well-formed argv, and the
-    top-level parser's ``parse_args`` any other."""
-    args = _parse_plain(argv)
-    return _build_parser()[0].parse_args(argv) if args is None else args
-
-
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parse(sys.argv[1:] if argv is None else argv)
-        _, commands, tables = _build_parser()
-        for flag, action in tables[args.command].items():
-            if getattr(args, action.dest) == []:  # argparse's value for "--r=--"
-                commands[args.command].error(f"argument {flag}: expected one argument")
+        # argv is parsed once: by the flag tables if well-formed, else by argparse
+        args = _parse_plain(argv)
+        if args is None:
+            parser, commands, tables = _build_parser()
+            args = parser.parse_args(argv)
+            for flag, action in tables[args.command].items():
+                if getattr(args, action.dest) == []:  # argparse's value for "--r=--"
+                    commands[args.command].error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

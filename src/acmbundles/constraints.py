@@ -168,10 +168,6 @@ class EnumerationRow(namedtuple("EnumerationRow", "k c1 lower upper c3_form genu
         return tuple([(c2, s3 * c2 + t3, sg * c2 + tg)
                       for c2 in range(self.lower, self.upper + 1)])
 
-    @property
-    def c2_values(self) -> list[int]:
-        return list(range(self.lower, self.upper + 1))
-
 
 def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     """Every admissible (c1; c2, c3, genus) row for rank-k ACM bundles

@@ -78,9 +78,6 @@ class Catalog(_record("Catalog", "entries")):
                 seen.add(key)
         return tuple.__new__(cls, (entries,))
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(sorted({row[0] for row in self.entries}))
-
 
 #: The complete normalized rank-two classification for degrees 3 and 4, as
 #: rows (r, c1, c2, star).  Star, chi(E(-1)) = 0 and chi(E) >= 2 for E of
@@ -170,7 +167,7 @@ def catalog(r: int, source: Catalog | None = None) -> list[tuple[int, int, bool]
     source = source or BUILTIN_CATALOG
     found = [(c1, c2, star) for degree, c1, c2, star in source.entries if degree == r]
     if not found:
-        known = ", ".join(map(str, source.degrees())) or "none"
+        known = ", ".join(map(str, sorted({row[0] for row in source.entries}))) or "none"
         raise UnsupportedDegree(
             f"no rank-two classification for degree {r} (available: {known})"
         )
@@ -299,7 +296,7 @@ def coverage_report(k: int, source: Catalog | None = None) -> list[tuple]:
     cells = [(k, row.c1, *entry) for row in constraints.enumerate_acm_r4(k)
              for entry in row.entries]
     classes = _pool_classes(4, POOL_STAR, source) if k == 4 else []
-    found = _forced_pairs(HypersurfaceContext(4), classes, [cell[:4] for cell in cells])
+    found = _forced_pairs(constraints.QUARTIC, classes, [cell[:4] for cell in cells])
     report = []
     for cell, rows in zip(cells, found):
         if rows:

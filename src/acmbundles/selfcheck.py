@@ -60,9 +60,9 @@ def _draw(rng: random.Random, lo: int, hi: int) -> int:
     return lo + value
 
 
-def _rand_invariants(rng: random.Random, kmin: int = 1, kmax: int = 8) -> chern.BundleInvariants:
+def _rand_invariants(rng: random.Random, kmin: int = 1) -> chern.BundleInvariants:
     return chern.BundleInvariants(
-        _draw(rng, kmin, kmax),
+        _draw(rng, kmin, 8),
         _draw(rng, -20, 20),
         _draw(rng, -60, 60),
         _draw(rng, -80, 80),
@@ -87,18 +87,18 @@ def _ring_product(r: int, left: tuple[int, int], right: tuple[int, int]) -> tupl
     return (out[1], out[2], out[3])
 
 
-def _check_twist_roundtrip(rng: random.Random) -> CheckResult:
+def _check_twist_roundtrip(rng: random.Random) -> tuple[bool, str]:
     for _ in range(SAMPLE_COUNT):
         ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         inv = _rand_invariants(rng)
         n = _draw(rng, -10, 10)
         back = chern.twist(ctx, chern.twist(ctx, inv, n), -n)
         if back != inv:
-            return CheckResult("twist-roundtrip", False, f"r={ctx.r}, {inv}, n={n} -> {back}")
-    return CheckResult("twist-roundtrip", True, f"{SAMPLE_COUNT} cases")
+            return False, f"r={ctx.r}, {inv}, n={n} -> {back}"
+    return True, f"{SAMPLE_COUNT} cases"
 
 
-def _check_twist_additive(rng: random.Random) -> CheckResult:
+def _check_twist_additive(rng: random.Random) -> tuple[bool, str]:
     for _ in range(SAMPLE_COUNT):
         ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         inv = _rand_invariants(rng)
@@ -106,62 +106,58 @@ def _check_twist_additive(rng: random.Random) -> CheckResult:
         stepped = chern.twist(ctx, chern.twist(ctx, inv, m), n)
         direct = chern.twist(ctx, inv, m + n)
         if stepped != direct:
-            return CheckResult("twist-additive", False, f"r={ctx.r}, {inv}, m={m}, n={n}")
-    return CheckResult("twist-additive", True, f"{SAMPLE_COUNT} cases")
+            return False, f"r={ctx.r}, {inv}, m={m}, n={n}"
+    return True, f"{SAMPLE_COUNT} cases"
 
 
-def _check_chi_twist_cubic(rng: random.Random) -> CheckResult:
+def _check_chi_twist_cubic(rng: random.Random) -> tuple[bool, str]:
     cases = 200
     for _ in range(cases):
         ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         inv = _rand_invariants(rng)
         chis = [chern.chi_bundle(ctx, chern.twist(ctx, inv, n)) for n in range(-5, 6)]
         if any(24 % chi.denominator for chi in chis):
-            return CheckResult("chi-twist-cubic", False, f"chi off Z/24 at r={ctx.r}, {inv}")
+            return False, f"chi off Z/24 at r={ctx.r}, {inv}"
         # 24 chi is an integer, so the fourth differences are exact in int
         seq = [chi.numerator * (24 // chi.denominator) for chi in chis]
         if any(
             seq[i] - 4 * seq[i + 1] + 6 * seq[i + 2] - 4 * seq[i + 3] + seq[i + 4]
             for i in range(len(seq) - 4)
         ):
-            return CheckResult(
-                "chi-twist-cubic", False, f"nonzero 4th difference at r={ctx.r}, {inv}"
-            )
-    return CheckResult("chi-twist-cubic", True, f"{cases} cases, n in [-5,5]")
+            return False, f"nonzero 4th difference at r={ctx.r}, {inv}"
+    return True, f"{cases} cases, n in [-5,5]"
 
 
-def _check_chi_line_constant_term(rng: random.Random) -> CheckResult:
+def _check_chi_line_constant_term(rng: random.Random) -> tuple[bool, str]:
     for r in range(1, 11):
         ctx = chern.HypersurfaceContext(r)
         expected = Fraction(r * (5 - r) * (r * r - 5 * r + 10), 24)
         if chern.chi_line_bundle(ctx, 0) != expected:
-            return CheckResult(
-                "chi-line-constant-term", False, f"r={r}: {chern.chi_line_bundle(ctx, 0)}"
-            )
-    return CheckResult("chi-line-constant-term", True, "r in [1,10]")
+            return False, f"r={r}: {chern.chi_line_bundle(ctx, 0)}"
+    return True, "r in [1,10]"
 
 
-def _check_chi_line_integral(rng: random.Random) -> CheckResult:
+def _check_chi_line_integral(rng: random.Random) -> tuple[bool, str]:
     for r in range(1, 11):
         ctx = chern.HypersurfaceContext(r)
         for a in range(-10, 11):
             if chern.chi_line_bundle(ctx, a).denominator != 1:
-                return CheckResult("chi-line-integral", False, f"r={r}, a={a}")
-    return CheckResult("chi-line-integral", True, "r in [1,10], a in [-10,10]")
+                return False, f"r={r}, a={a}"
+    return True, "r in [1,10], a in [-10,10]"
 
 
-def _check_genus_forms_agree(rng: random.Random) -> CheckResult:
+def _check_genus_forms_agree(rng: random.Random) -> tuple[bool, str]:
     for _ in range(SAMPLE_COUNT):
         inv = _rand_invariants(rng, kmin=2)
         if chern.genus_general(constraints.QUARTIC, inv) != chern.genus_r4(inv):
-            return CheckResult("genus-forms-agree", False, str(inv))
-    return CheckResult("genus-forms-agree", True, f"{SAMPLE_COUNT} cases")
+            return False, str(inv)
+    return True, f"{SAMPLE_COUNT} cases"
 
 
-def _check_acm_sample(rng: random.Random) -> tuple[CheckResult, ...]:
+def _check_acm_sample(rng: random.Random) -> tuple[tuple[bool, str], ...]:
     """Three checks on one sample of ACM quadruples, drawn once per call:
-    chi(E(-1)) = 0, the closed form of chi(E), and the genus composition.
-    Each check keeps its own first failure."""
+    chi(E(-1)) = 0, the closed form of chi(E), and the genus composition,
+    one (passed, detail) each.  Each check keeps its own first failure."""
     failures: list[str | None] = [None, None, None]
     quartic = constraints.QUARTIC
     for _ in range(SAMPLE_COUNT):
@@ -175,46 +171,42 @@ def _check_acm_sample(rng: random.Random) -> tuple[CheckResult, ...]:
             failures[1] = str(inv)
         if failures[2] is None and chern.genus_r4(inv) != constraints.genus_from_acm(k, c1, c2):
             failures[2] = str(inv)
-    names = ("acm-chi-twist-vanishing", "acm-chi-closed-form", "acm-genus-composition")
-    return tuple(
-        CheckResult(name, detail is None, detail or f"{SAMPLE_COUNT} cases")
-        for name, detail in zip(names, failures)
-    )
+    return tuple((detail is None, detail or f"{SAMPLE_COUNT} cases") for detail in failures)
 
 
-def _check_interval_within_general_bound(rng: random.Random) -> CheckResult:
+def _check_interval_within_general_bound(rng: random.Random) -> tuple[bool, str]:
     for k in range(2, 9):
         lo, hi = constraints.c1_bounds(constraints.QUARTIC, k)
         for c1 in range(lo, hi + 1):
             _, upper, _, _ = constraints.c2_interval_r4(k, c1)
             if upper > constraints.c2_upper_general(constraints.QUARTIC, k, c1):
-                return CheckResult("interval-within-general-bound", False, f"k={k}, c1={c1}")
-    return CheckResult("interval-within-general-bound", True, "k in [2,8]")
+                return False, f"k={k}, c1={c1}"
+    return True, "k in [2,8]"
 
 
-def _check_classification_table(rng: random.Random) -> CheckResult:
+def _check_classification_table(rng: random.Random) -> tuple[bool, str]:
     row_at = {}
     for k, expected in _EXPECTED_TABLE.items():
         rows = constraints.enumerate_acm_r4(k)
         row_at.update(((row.k, row.c1), row) for row in rows)
         got = tuple((row.c1, row.lower, row.upper) for row in rows)
         if got != expected:
-            return CheckResult("classification-table", False, f"k={k}: {got}")
+            return False, f"k={k}: {got}"
         if any(constraints.UNREFINED in row.provenance for row in rows):
-            return CheckResult("classification-table", False, f"k={k} flagged unrefined")
+            return False, f"k={k} flagged unrefined"
     for k, c1, c2, c3, genus in _SPOT_ENTRIES:
         if constraints.c3_from_acm(k, c1, c2) != c3:
-            return CheckResult("classification-table", False, f"c3 at {(k, c1, c2)}")
+            return False, f"c3 at {(k, c1, c2)}"
         if constraints.genus_from_acm(k, c1, c2) != genus:
-            return CheckResult("classification-table", False, f"genus at {(k, c1, c2)}")
+            return False, f"genus at {(k, c1, c2)}"
     # the top rank-4 row prints its genus both as 203 and as a slope form
     slope, intercept = row_at[4, 6].genus_form
     if slope * 64 + intercept != 203:
-        return CheckResult("classification-table", False, "genus slope form at (4,6,64)")
-    return CheckResult("classification-table", True, "10 rows, 5 spot entries")
+        return False, "genus slope form at (4,6,64)"
+    return True, "10 rows, 5 spot entries"
 
 
-def _check_whitney_oracle(rng: random.Random) -> CheckResult:
+def _check_whitney_oracle(rng: random.Random) -> tuple[bool, str]:
     cases = 0
     for r in (3, 4):
         ctx = chern.HypersurfaceContext(r)
@@ -222,7 +214,7 @@ def _check_whitney_oracle(rng: random.Random) -> CheckResult:
         for a, b in combinations_with_replacement(classes, 2):
             direct = extensions.extend_rank2(ctx, a, b)
             if _ring_product(r, a, b) != (direct.c1, direct.c2, direct.c3):
-                return CheckResult("whitney-oracle", False, f"r={r}, {a}+{b}")
+                return False, f"r={r}, {a}+{b}"
             cases += 1
     for _ in range(500):
         ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
@@ -230,35 +222,33 @@ def _check_whitney_oracle(rng: random.Random) -> CheckResult:
         e2 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         direct = extensions.extend_rank2(ctx, e1, e2)
         if _ring_product(ctx.r, e1, e2) != (direct.c1, direct.c2, direct.c3):
-            return CheckResult("whitney-oracle", False, f"r={ctx.r}, {e1}+{e2}")
+            return False, f"r={ctx.r}, {e1}+{e2}"
         cases += 1
-    return CheckResult("whitney-oracle", True, f"{cases} cases")
+    return True, f"{cases} cases"
 
 
-def _check_extension_symmetry(rng: random.Random) -> CheckResult:
+def _check_extension_symmetry(rng: random.Random) -> tuple[bool, str]:
     for _ in range(500):
         ctx = _CONTEXTS[_draw(rng, 1, 8) - 1]
         e1 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         e2 = (_draw(rng, -30, 30), _draw(rng, -30, 30))
         if extensions.extend_rank2(ctx, e1, e2) != extensions.extend_rank2(ctx, e2, e1):
-            return CheckResult("extension-symmetry", False, f"r={ctx.r}, {e1}, {e2}")
-    return CheckResult("extension-symmetry", True, "500 cases")
+            return False, f"r={ctx.r}, {e1}, {e2}"
+    return True, "500 cases"
 
 
-def _check_star_extensions_admissible(rng: random.Random) -> CheckResult:
+def _check_star_extensions_admissible(rng: random.Random) -> tuple[bool, str]:
     admissible = {(row.c1, c2, c3)
                   for row in constraints.enumerate_acm_r4(4) for c2, c3, _ in row.entries}
     witnesses = extensions.extension_rows(4, extensions.POOL_STAR)
     for c1, c2, c3, *_ in witnesses:
         if (c1, c2, c3) not in admissible:
-            return CheckResult("star-extensions-admissible", False, f"(4;{c1},{c2},{c3})")
+            return False, f"(4;{c1},{c2},{c3})"
     count = len(witnesses)
-    return CheckResult(
-        "star-extensions-admissible", count == _STAR_WITNESSES, f"{count} witnesses"
-    )
+    return count == _STAR_WITNESSES, f"{count} witnesses"
 
 
-def _check_decompose_exhaustive(rng: random.Random) -> CheckResult:
+def _check_decompose_exhaustive(rng: random.Random) -> tuple[bool, str]:
     cases = 0
     for r in (3, 4):
         for pool in (extensions.POOL_STAR, extensions.POOL_NORMALIZED):
@@ -270,70 +260,72 @@ def _check_decompose_exhaustive(rng: random.Random) -> CheckResult:
             for quad, expected in by_quadruple.items():
                 found = extensions.decompose_rows(r, chern.BundleInvariants(*quad), pool)
                 if found != expected:
-                    return CheckResult("decompose-exhaustive", False, f"r={r}, {pool}, {quad}")
+                    return False, f"r={r}, {pool}, {quad}"
                 cases += len(expected)
-    return CheckResult("decompose-exhaustive", True, f"{cases} witnesses")
+    return True, f"{cases} witnesses"
 
 
-def _check_extension_genus(rng: random.Random) -> CheckResult:
+def _check_extension_genus(rng: random.Random) -> tuple[bool, str]:
     witnesses = extensions.extension_rows(4, extensions.POOL_STAR)
     for c1, c2, c3, *_ in witnesses:
         genus = chern.genus_r4(chern.BundleInvariants(4, c1, c2, c3))
         if genus.denominator != 1 or genus < 0:
-            return CheckResult("extension-genus", False, f"(4;{c1},{c2},{c3}): g={genus}")
+            return False, f"(4;{c1},{c2},{c3}): g={genus}"
     count = len(witnesses)
-    return CheckResult("extension-genus", count == _STAR_WITNESSES, f"{count} quadruples")
+    return count == _STAR_WITNESSES, f"{count} quadruples"
 
 
-def _check_coverage_realized(rng: random.Random) -> CheckResult:
+def _check_coverage_realized(rng: random.Random) -> tuple[bool, str]:
     for k in (3, 4):
         report = extensions.coverage_report(k)
         if len(report) != _EXPECTED_ITEM_COUNT[k]:
-            return CheckResult("coverage-realized", False, f"k={k}: {len(report)} items")
+            return False, f"k={k}: {len(report)} items"
         realized = {row[:4] for row in report if row[5] != extensions.STATUS_OPEN}
         if realized != _REALIZED[k]:
-            return CheckResult("coverage-realized", False, f"k={k}: {sorted(realized)}")
-    return CheckResult("coverage-realized", True, "ranks 3 and 4")
+            return False, f"k={k}: {sorted(realized)}"
+    return True, "ranks 3 and 4"
 
 
-def _check_known_negative_decomposition(rng: random.Random) -> CheckResult:
+def _check_known_negative_decomposition(rng: random.Random) -> tuple[bool, str]:
     target = chern.BundleInvariants(4, 1, 6, 4)
     pairs = len(list(combinations_with_replacement(extensions.catalog(4), 2)))
     hits = extensions.decompose_rows(4, target, extensions.POOL_NORMALIZED)
     if pairs != 28:
-        return CheckResult("known-negative-decomposition", False, f"{pairs} pairs")
+        return False, f"{pairs} pairs"
     if hits:
-        detail = "unexpected witness ({},{})+({},{})".format(*hits[0][3:])
-        return CheckResult("known-negative-decomposition", False, detail)
-    return CheckResult("known-negative-decomposition", True, "28 pairs, no witness")
+        return False, "unexpected witness ({},{})+({},{})".format(*hits[0][3:])
+    return True, "28 pairs, no witness"
 
 
+# (check, name): each check returns (passed, detail); the ACM sample check
+# returns one such pair for each of its three names
 _CHECKS = (
-    _check_twist_roundtrip,
-    _check_twist_additive,
-    _check_chi_twist_cubic,
-    _check_chi_line_constant_term,
-    _check_chi_line_integral,
-    _check_genus_forms_agree,
-    _check_acm_sample,
-    _check_interval_within_general_bound,
-    _check_classification_table,
-    _check_whitney_oracle,
-    _check_extension_symmetry,
-    _check_star_extensions_admissible,
-    _check_decompose_exhaustive,
-    _check_extension_genus,
-    _check_coverage_realized,
-    _check_known_negative_decomposition,
+    (_check_twist_roundtrip, "twist-roundtrip"),
+    (_check_twist_additive, "twist-additive"),
+    (_check_chi_twist_cubic, "chi-twist-cubic"),
+    (_check_chi_line_constant_term, "chi-line-constant-term"),
+    (_check_chi_line_integral, "chi-line-integral"),
+    (_check_genus_forms_agree, "genus-forms-agree"),
+    (_check_acm_sample,
+     "acm-chi-twist-vanishing", "acm-chi-closed-form", "acm-genus-composition"),
+    (_check_interval_within_general_bound, "interval-within-general-bound"),
+    (_check_classification_table, "classification-table"),
+    (_check_whitney_oracle, "whitney-oracle"),
+    (_check_extension_symmetry, "extension-symmetry"),
+    (_check_star_extensions_admissible, "star-extensions-admissible"),
+    (_check_decompose_exhaustive, "decompose-exhaustive"),
+    (_check_extension_genus, "extension-genus"),
+    (_check_coverage_realized, "coverage-realized"),
+    (_check_known_negative_decomposition, "known-negative-decomposition"),
 )
 
 
-def run_all(seed: int = SEED) -> list[CheckResult]:
-    """Run every check with a fresh deterministic RNG each, in a fixed order;
-    nothing is kept between calls."""
+def run_all() -> list[CheckResult]:
+    """Run every check with a fresh RNG seeded ``SEED`` each, in a fixed
+    order; nothing is kept between calls."""
     results = []
-    for check in _CHECKS:
-        outcome = check(random.Random(seed))
-        # the ACM sample check answers for three named checks at once
-        results += [outcome] if isinstance(outcome, CheckResult) else outcome
+    for check, *names in _CHECKS:
+        outcome = check(random.Random(SEED))
+        outcomes = outcome if len(names) > 1 else [outcome]
+        results += [CheckResult(name, *pair) for name, pair in zip(names, outcomes)]
     return results

@@ -127,7 +127,6 @@ class TestC2Interval:
         lower, upper, _, _ = c2_interval_r4(4, 7)
         assert (lower, upper) == (88, 86)
         row = EnumerationRow(4, 7, lower, upper, (6, 0), (6, 0), ())
-        assert row.c2_values == []
         assert row.entries == ()
 
     def test_no_enumerated_row_is_empty(self):
@@ -155,7 +154,7 @@ class TestEnumeration:
         ]
         assert rows[-1].entries[0] == (64, 84, 203)
         c1_three = rows[2]
-        assert c1_three.c2_values == list(range(16, 23))
+        assert [c2 for c2, _, _ in c1_three.entries] == list(range(16, 23))
         assert [c3 for _, c3, _ in c1_three.entries] == [8, 10, 12, 14, 16, 18, 20]
         assert [genus for _, _, genus in c1_three.entries] == [21, 23, 25, 27, 29, 31, 33]
 
@@ -188,7 +187,7 @@ class TestEnumeration:
             for row in rows:
                 expected = [c2 for c2 in oracle.window(k, row.c1)
                             if oracle.admissible(k, row.c1, c2)]
-                assert row.c2_values == expected, (k, row.c1)
+                assert list(range(row.lower, row.upper + 1)) == expected, (k, row.c1)
 
     def test_restriction_tag_appears_at_tight_rows(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}

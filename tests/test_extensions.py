@@ -336,7 +336,8 @@ class TestCatalogFile:
             encoding="utf-8",
         )
         loaded = load_catalog(path)
-        assert loaded.degrees() == (4, 5)
+        with pytest.raises(UnsupportedDegree, match=r"\(available: 4, 5\)$"):
+            catalog(3, loaded)
         assert catalog(5, loaded) == [(1, 4, True), (2, 9, False)]
         assert loaded.entries == ((5, 1, 4, True), (5, 2, 9, False), (4, 3, 14, True))
 

@@ -19,6 +19,8 @@ from acmbundles.extensions import (
     POOL_NORMALIZED,
     POOL_STAR,
     Catalog,
+    UnsupportedDegree,
+    catalog,
     coverage_report,
     decompose_rows,
     extension_rows,
@@ -44,9 +46,13 @@ def test_repeated_class_is_rejected():
     with pytest.raises(DomainError, match=r"repeats the class \(4, 1, 3\)"):
         Catalog(((4, 1, 3, True), (4, 2, 8, True), (4, 1, 3, False)))
     # a class is (r, c1, c2): the same (c1, c2) at two degrees is two classes
-    assert Catalog(((3, 1, 3, True), (4, 1, 3, True))).degrees() == (3, 4)
-    assert BUILTIN_CATALOG.degrees() == (3, 4)
-    assert load_catalog(Path(__file__).parent / "catalog_345.txt").degrees() == (3, 4, 5)
+    two = Catalog(((3, 1, 3, True), (4, 1, 3, True)))
+    assert catalog(3, two) == catalog(4, two) == [(1, 3, True)]
+    # an unknown degree's error lists the catalog's degrees, sorted
+    for source, known in ((two, "3, 4"), (BUILTIN_CATALOG, "3, 4"),
+                          (load_catalog(Path(__file__).parent / "catalog_345.txt"), "3, 4, 5")):
+        with pytest.raises(UnsupportedDegree, match=rf"\(available: {known}\)$"):
+            catalog(6, source)
 
 
 @st.composite
