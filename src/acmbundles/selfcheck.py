@@ -297,8 +297,8 @@ def _check_known_negative_decomposition(rng: random.Random) -> tuple[bool, str]:
     return True, "28 pairs, no witness"
 
 
-# (check, name): each check returns (passed, detail); the ACM sample check
-# returns one such pair for each of its three names
+# (check, *names): each check returns (passed, detail) for its one name,
+# and the ACM sample check one such pair for each of its three names
 _CHECKS = (
     (_check_twist_roundtrip, "twist-roundtrip"),
     (_check_twist_additive, "twist-additive"),

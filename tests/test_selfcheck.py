@@ -10,8 +10,9 @@ from acmbundles import chern, constraints, extensions, selfcheck
 from acmbundles.chern import BundleInvariants, NonIntegral
 
 
-def failed_checks():
-    return {result.name for result in selfcheck.run_all() if not result.passed}
+def failures():
+    # each failed check's name -> its detail
+    return {result.name: result.detail for result in selfcheck.run_all() if not result.passed}
 
 
 def check_result(name):
@@ -40,8 +41,10 @@ def test_corrupted_genus_coefficient_is_caught(monkeypatch):
         return real(inv) + Fraction(1, 2)
 
     monkeypatch.setattr(chern, "genus_r4", skewed)
-    failed = [result for result in selfcheck.run_all() if not result.passed]
-    assert failed
+    failed = failures()
+    assert failed["genus-forms-agree"] == "(3;19,-8,-30)"
+    assert failed["acm-genus-composition"] == "(3;19,2,-8470)"
+    assert failed["extension-genus"] == "(4;2,10,6): g=19/2"
 
 
 def test_corrupted_bound_clause_is_caught(monkeypatch):
@@ -52,7 +55,10 @@ def test_corrupted_bound_clause_is_caught(monkeypatch):
         return lower, upper + 1, lower_tags, upper_tags
 
     monkeypatch.setattr(constraints, "c2_interval_r4", widened)
-    assert "classification-table" in failed_checks()
+    failed = failures()
+    assert "classification-table" in failed
+    # the rank-2 row at c1 = 2 now exceeds the hyperplane-section bound
+    assert failed["interval-within-general-bound"] == "k=2, c1=2"
 
 
 def corrupt_numerators(monkeypatch, module):
@@ -85,7 +91,7 @@ def test_corrupted_twist_numerator_trips_the_guard(monkeypatch):
 
 def test_corrupted_acm_row_is_caught(monkeypatch):
     # a healthy run first: the ACM sample must be built afresh on every call
-    assert not {name for name in failed_checks() if name.startswith("acm-")}
+    assert not {name for name in failures() if name.startswith("acm-")}
     real = constraints._acm_affine
 
     def shifted(k, c1):
@@ -93,7 +99,7 @@ def test_corrupted_acm_row_is_caught(monkeypatch):
         return (slope, intercept + 2), genus
 
     monkeypatch.setattr(constraints, "_acm_affine", shifted)
-    assert {"acm-chi-twist-vanishing", "classification-table"} <= failed_checks()
+    assert {"acm-chi-twist-vanishing", "classification-table"} <= failures().keys()
 
 
 def test_repeated_decompose_hit_is_caught(monkeypatch):
@@ -105,7 +111,7 @@ def test_repeated_decompose_hit_is_caught(monkeypatch):
         return hits[:1] + hits
 
     monkeypatch.setattr(extensions, "decompose_rows", repeating)
-    assert "decompose-exhaustive" in failed_checks()
+    assert "decompose-exhaustive" in failures()
 
 
 def test_unexpected_negative_witness_is_caught(monkeypatch):
@@ -136,7 +142,7 @@ def test_quartic_chi_under_twisting_is_caught(monkeypatch):
     # c1 -> c1 + k n makes c1^4 quartic in n: a nonzero fourth difference
     real = chern.chi_bundle
     monkeypatch.setattr(chern, "chi_bundle", lambda ctx, inv: real(ctx, inv) + inv.c1**4)
-    assert "chi-twist-cubic" in failed_checks()
+    assert "chi-twist-cubic" in failures()
 
 
 def test_chi_off_z24_is_caught(monkeypatch):
@@ -144,9 +150,10 @@ def test_chi_off_z24_is_caught(monkeypatch):
     # denominator shows it
     real = chern.chi_bundle
     monkeypatch.setattr(chern, "chi_bundle", lambda ctx, inv: real(ctx, inv) + Fraction(1, 48))
-    results = {result.name: result for result in selfcheck.run_all()}
-    assert not results["chi-twist-cubic"].passed
-    assert "Z/24" in results["chi-twist-cubic"].detail
+    failed = failures()
+    assert "Z/24" in failed["chi-twist-cubic"]
+    # the ACM sample's closed form chi(E) = -c2 + 2 c1^2 + 2k misses it too
+    assert failed["acm-chi-closed-form"] == "(3;19,2,-8470)"
 
 
 def test_quadratic_c3_drift_in_twist_is_caught(monkeypatch):
@@ -157,7 +164,9 @@ def test_quadratic_c3_drift_in_twist_is_caught(monkeypatch):
         return BundleInvariants(twisted.k, twisted.c1, twisted.c2, twisted.c3 + n * n)
 
     monkeypatch.setattr(chern, "twist", drifting)
-    assert {"twist-roundtrip", "twist-additive"} & failed_checks()
+    failed = failures()
+    assert failed["twist-roundtrip"] == "r=3, (7;-8,14,27), n=10 -> (7;-8,14,227)"
+    assert failed["twist-additive"] == "r=3, (7;-8,14,27), m=10, n=5"
 
 
 def test_known_negative_pair_count_is_counted(monkeypatch):
@@ -241,6 +250,22 @@ def test_asymmetric_extension_is_caught(monkeypatch):
     skew_extensions(monkeypatch, lambda ctx, e1, e2: e1 < e2)
     assert check_result("extension-symmetry") == (
         "extension-symmetry", False, "r=3, (24, 9), (-4, -18)")
+
+
+def test_inadmissible_star_witness_is_caught(monkeypatch):
+    # every listed extension's c3 off by one leaves the admissible table
+    real = extensions.extension_rows
+    monkeypatch.setattr(extensions, "extension_rows", lambda *args, **kwargs: [
+        (c1, c2, c3 + 1, *rest) for c1, c2, c3, *rest in real(*args, **kwargs)])
+    assert check_result("star-extensions-admissible") == (
+        "star-extensions-admissible", False, "(4;2,10,7)")
+
+
+def test_coverage_item_count_is_counted(monkeypatch):
+    real = extensions.coverage_report
+    monkeypatch.setattr(extensions, "coverage_report",
+                        lambda k, source=None: real(k, source)[:-1])
+    assert check_result("coverage-realized") == ("coverage-realized", False, "k=3: 8 items")
 
 
 def test_witness_count_is_counted(monkeypatch):
