@@ -215,15 +215,15 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
 
 def _enumerate_record(row: constraints.EnumerationRow) -> str:
     (s3, t3), (sg, tg) = row.c3_form, row.genus_form
-    values = range(row.lower, row.upper + 1)
-    c2_values = _json_list([f"        {c2}" for c2 in values], "      ")
+    c2s = range(row.lower, row.upper + 1)
+    c2_list = _json_list([f"        {c2}" for c2 in c2s], "      ")
     entries = _json_list([f'        {{\n          "c2": {c2},\n'
                           f'          "c3": {s3 * c2 + t3},\n'
                           f'          "genus": {sg * c2 + tg}\n        }}'
-                          for c2 in values], "      ")
+                          for c2 in c2s], "      ")
     tags = _json_list([f"        {json.dumps(tag)}" for tag in row.provenance], "      ")
     # schema v1 keeps the "empty" key, false on every enumerated row
-    return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {c2_values},\n'
+    return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {c2_list},\n'
             f'      "empty": false,\n      "entries": {entries},\n      "k": {row.k},\n'
             f'      "lower": {row.lower},\n      "provenance": {tags},\n'
             f'      "upper": {row.upper}\n    }}')
