@@ -16,11 +16,11 @@ import argparse
 import csv
 import functools
 import itertools
-import json
 import os
 import sys
 import types
 from collections.abc import Iterable, Iterator
+from json.encoder import encode_basestring_ascii as _json_str
 
 from . import constraints, extensions, selfcheck
 from .chern import (
@@ -61,8 +61,9 @@ def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
     callables, and only the selected one runs, as the chunks are written.
 
     ``results`` yields finished record texts, each written from a fixed
-    template and indented for the "results" list; ``json.dumps`` encodes
-    every string in them.  The document is canonical JSON (sorted keys,
+    template and indented for the "results" list; ``_json_str``, the C
+    function ``json.dumps`` calls for a str, encodes every string in them,
+    so the bytes are json's.  The document is canonical JSON (sorted keys,
     indent 2): keys sort command < inputs < results < schema_version, so
     the head is the envelope's first two keys without its closing brace.
     ``csv_lines`` yields the header line, then one chunk per row; ``table``
@@ -85,20 +86,20 @@ def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
 
 def _json_object(fields: dict, indent: str) -> str:
     """``json.dumps(fields, indent=2, sort_keys=True)`` nested at ``indent``,
-    for int, bool, None, str and dict values; only a str runs json in C."""
+    for int, bool, None, str and dict values; a str goes to ``_json_str``."""
     if not fields:
         return "{}"
     inner = indent + "  "
-    return "{\n" + ",\n".join([f"{inner}{json.dumps(key)}: " + (
+    return "{\n" + ",\n".join([f"{inner}{_json_str(key)}: " + (
         _json_object(value, inner) if isinstance(value, dict)
         else str(value) if type(value) is int  # not a bool
-        else json.dumps(value) if isinstance(value, str) else _JSON_WORDS[value])
+        else _json_str(value) if isinstance(value, str) else _JSON_WORDS[value])
         for key, value in sorted(fields.items())]) + f"\n{indent}}}"
 
 
-def _json_list(items: list[str], indent: str) -> str:
-    # items are encoded and indented one level deeper than ``indent``
-    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
+def _json_list(items: list[str]) -> str:
+    # a list in a result record: each item encoded, on a line of its own
+    return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
 
 
 # csv.writer's writerow returns what its file's write returns: here the line
@@ -121,7 +122,7 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
         args, inputs,
         results=lambda: [f'    {{\n      "denominator": {value.denominator},\n'
                          f'      "numerator": {value.numerator},\n'
-                         f'      "value": {json.dumps(str(value))}\n    }}'],
+                         f'      "value": {_json_str(str(value))}\n    }}'],
         table=lambda: f"{value}\n",
         csv_lines=lambda: _csv(header, [[*row, str(value)]]),
     ), 0
@@ -214,18 +215,18 @@ def _enumerate_cells(row: constraints.EnumerationRow) -> list[str]:
 
 
 def _enumerate_record(row: constraints.EnumerationRow) -> str:
+    lower, count = row.lower, row.upper - row.lower + 1
     (s3, t3), (sg, tg) = row.c3_form, row.genus_form
-    c2s = range(row.lower, row.upper + 1)
-    c2_list = _json_list([f"        {c2}" for c2 in c2s], "      ")
-    entries = _json_list([f'        {{\n          "c2": {c2},\n'
-                          f'          "c3": {s3 * c2 + t3},\n'
-                          f'          "genus": {sg * c2 + tg}\n        }}'
-                          for c2 in c2s], "      ")
-    tags = _json_list([f"        {json.dumps(tag)}" for tag in row.provenance], "      ")
+    c2s = list(map(str, range(lower, lower + count)))  # written in both lists
+    entries = _json_list([f'{{\n          "c2": {c2},\n          "c3": {c3},\n'
+                          f'          "genus": {genus}\n        }}' for c2, c3, genus in zip(
+                              c2s, _progression(s3 * lower + t3, s3, count),
+                              _progression(sg * lower + tg, sg, count))])
     # schema v1 keeps the "empty" key, false on every enumerated row
-    return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {c2_list},\n'
+    return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {_json_list(c2s)},\n'
             f'      "empty": false,\n      "entries": {entries},\n      "k": {row.k},\n'
-            f'      "lower": {row.lower},\n      "provenance": {tags},\n'
+            f'      "lower": {lower},\n'
+            f'      "provenance": {_json_list(list(map(_json_str, row.provenance)))},\n'
             f'      "upper": {row.upper}\n    }}')
 
 
@@ -285,15 +286,15 @@ def cmd_decompose(args) -> tuple[Iterator[str], int]:
 
 def _coverage_record(row: tuple) -> str:
     k, c1, c2, c3, genus, status, origin, witnesses = row
-    pairs = _json_list([f'        {{\n          "left": {{\n            "c1": {w[3]},\n'
+    pairs = _json_list([f'{{\n          "left": {{\n            "c1": {w[3]},\n'
                         f'            "c2": {w[4]}\n          }},\n'
                         f'          "right": {{\n            "c1": {w[5]},\n'
                         f'            "c2": {w[6]}\n          }}\n        }}'
-                        for w in witnesses], "      ")
+                        for w in witnesses])
     return (f'    {{\n      "c1": {c1},\n      "c2": {c2},\n'
             f'      "c3": {c3},\n      "genus": {genus},\n      "k": {k},\n'
-            f'      "origin": {json.dumps(origin)},\n'
-            f'      "status": {json.dumps(status)},\n'
+            f'      "origin": {_json_str(origin)},\n'
+            f'      "status": {_json_str(status)},\n'
             f'      "witnesses": {pairs}\n    }}')
 
 
@@ -321,8 +322,8 @@ def cmd_selfcheck(args) -> tuple[Iterator[str], int]:
     results = selfcheck.run_all()
     return _emit(
         args, {},
-        results=lambda: (f'    {{\n      "detail": {json.dumps(r.detail)},\n'
-                         f'      "name": {json.dumps(r.name)},\n'
+        results=lambda: (f'    {{\n      "detail": {_json_str(r.detail)},\n'
+                         f'      "name": {_json_str(r.name)},\n'
                          f'      "passed": {"true" if r.passed else "false"}\n    }}'
                          for r in results),
         table=lambda: _selfcheck_table(results),

@@ -136,16 +136,19 @@ def c2_interval_r4(k: int, c1: int) -> tuple[int, int, tuple[str, ...], tuple[st
     if c1 == 1 and k in _REFINED_RANKS:
         return k + 2, k + 2, (EXACT_C1_ONE,), (EXACT_C1_ONE,)
     square = 2 * c1 * c1
-    ends = {}  # side -> (value, tags) of the tightest bound so far
+    lower = upper = None  # each side's tightest bound so far, and its tags
     for tag, side, ranks, c1_min, a, b, d in _C2_CLAUSES:
         if ranks is None or (k in ranks and c1 >= c1_min):
             value = square + a * c1 + b * k + d
-            best, tags = ends.get(side, (value, ()))
-            if value == best:
-                ends[side] = (value, tags + (tag,))
-            elif value > best if side == "lower" else value < best:
-                ends[side] = (value, (tag,))
-    (lower, lower_tags), (upper, upper_tags) = ends["lower"], ends["upper"]
+            if side == "lower":
+                if lower is None or value > lower:
+                    lower, lower_tags = value, (tag,)
+                elif value == lower:
+                    lower_tags += (tag,)
+            elif upper is None or value < upper:
+                upper, upper_tags = value, (tag,)
+            elif value == upper:
+                upper_tags += (tag,)
     return lower, upper, lower_tags, upper_tags
 
 
@@ -179,12 +182,11 @@ def enumerate_acm_r4(k: int) -> list[EnumerationRow]:
     rows are supersets, with no completeness claim.
     """
     lo, hi = c1_bounds(QUARTIC, k)
+    unrefined = () if k in _REFINED_RANKS else (UNREFINED,)
     rows = []
     for c1 in range(lo, hi + 1):
         lower, upper, lower_tags, upper_tags = c2_interval_r4(k, c1)
-        tags = list(lower_tags)
-        tags += [tag for tag in upper_tags if tag not in tags]
-        if k not in _REFINED_RANKS:
-            tags.append(UNREFINED)
-        rows.append(EnumerationRow(k, c1, lower, upper, *_acm_affine(k, c1), tuple(tags)))
+        # a clause bounds one side; only the c1 = 1 pin tags both
+        tags = lower_tags if upper_tags == lower_tags else lower_tags + upper_tags
+        rows.append(EnumerationRow(k, c1, lower, upper, *_acm_affine(k, c1), tags + unrefined))
     return rows

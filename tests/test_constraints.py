@@ -104,7 +104,7 @@ class TestC2Interval:
     def test_tags_match_clause_oracle(self):
         # the per-side tags of every window, refined ranks or not, against
         # the library-free transcription of the clauses
-        for k in range(2, 61):
+        for k in range(2, 151):
             for c1 in range(-2, 3 * k // 2 + 3):
                 lower, upper, lower_tags, upper_tags = c2_clauses(k, c1)
                 assert c2_interval_r4(k, c1) == (

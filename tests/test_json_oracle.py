@@ -1,6 +1,7 @@
 """The CLI's output against ``oracles`` (``bench/oracles.py``), byte for
-byte: every rank k in 2..60; the built-in catalog and random catalog files,
-behind a path with non-ASCII characters and JSON escapes, for
+byte: every rank k in 2..60, and 100 and 150, which the ``tables``
+benchmark reaches (its k runs up to 150); the built-in catalog and random
+catalog files, behind a path with non-ASCII characters and JSON escapes, for
 ``extensions``, ``decompose`` and ``coverage``; random chi, genus and twist
 queries; and selfcheck, each in every format.  ``oracles`` imports nothing
 from ``acmbundles``: it transcribes the formulas and the c2 clauses again,
@@ -52,7 +53,7 @@ def test_oracles_import_without_the_library():
 
 
 def test_enumerate_matches_oracle():
-    for k in range(2, 61):
+    for k in [*range(2, 61), 100, 150]:
         for fmt in FORMATS:
             check(oracles.expect_enumerate(k, fmt), "enumerate", "--k", k, "--format", fmt)
 
