@@ -5,6 +5,10 @@ Each function evaluates its formula term by term in exact rationals, the
 way it is printed, and converts to an integer only where the library does.
 They are independent of the integer numerators and common denominators the
 library uses, so a coefficient slip on either side shows as a mismatch.
+
+``ring_product`` is the Whitney-sum oracle for ``extensions.extend_rank2``:
+it multiplies total Chern classes in the cohomology ring instead of using
+the closed-form c1/c2/c3 of an extension.
 """
 
 from __future__ import annotations
@@ -112,3 +116,19 @@ def genus_from_acm(k: int, c1: int, c2: int) -> int:
         + k
     )
     return _require_integer(value, "quartic ACM genus")
+
+
+def ring_product(r: int, left: tuple[int, int], right: tuple[int, int]) -> tuple[int, int, int]:
+    """Total-Chern-class product in the graded ring with basis (1, H, L, P):
+    H*H = r*L, H*L = P, and everything past degree three vanishes."""
+    out = {0: 0, 1: 0, 2: 0, 3: 0}
+    a = {0: 1, 1: left[0], 2: left[1]}
+    b = {0: 1, 1: right[0], 2: right[1]}
+    for i, x in a.items():
+        for j, y in b.items():
+            degree = i + j
+            if degree > 3:
+                continue
+            factor = r if (i, j) == (1, 1) else 1
+            out[degree] += factor * x * y
+    return (out[1], out[2], out[3])

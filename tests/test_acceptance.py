@@ -13,6 +13,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from pathlib import Path
 
+from fraction_oracles import ring_product
 from acmbundles import cli
 from acmbundles.chern import (
     BundleInvariants,
@@ -218,19 +219,7 @@ def test_criterion_5e_line_bundle_integrality(capsys):
 
 
 def test_criterion_5f_whitney_oracle(capsys):
-    def ring_product(r, left, right):
-        # independent route: multiply total classes over basis (1, H, L, P)
-        # with H*H = r*L, H*L = P, degree > 3 truncated
-        out = {0: 0, 1: 0, 2: 0, 3: 0}
-        a = {0: 1, 1: left[0], 2: left[1]}
-        b = {0: 1, 1: right[0], 2: right[1]}
-        for i, x in a.items():
-            for j, y in b.items():
-                if i + j > 3:
-                    continue
-                out[i + j] += (r if (i, j) == (1, 1) else 1) * x * y
-        return (out[1], out[2], out[3])
-
+    # independent route: multiply total classes in the cohomology ring
     start = time.perf_counter()
     ok = True
     for r in (3, 4):

@@ -62,9 +62,9 @@ class TestDomainTypes:
         with pytest.raises(DomainError):
             BundleInvariants(0, 1, 5, 2)
 
-    def test_value_types_keep_the_dataclass_behaviour(self):
-        # the records are named tuples: the reprs of the former dataclasses,
-        # no assignment, a checked _replace, and a record equals its tuple
+    def test_value_types_are_checked_named_tuples(self):
+        # keyword reprs, no assignment, a checked _replace, and a record
+        # equals its tuple
         inv = twist(X4, BundleInvariants(4, 1, 6, 4), -1)
         source = Catalog(((4, 1, 3, True),))
         assert repr(inv) == "BundleInvariants(k=4, c1=-3, c2=18, c3=-12)"

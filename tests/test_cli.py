@@ -11,70 +11,18 @@ from pathlib import Path
 
 import pytest
 
+from cli_cases import (
+    ABSENT_DEGREE,
+    ARGV_FORM_CASES,
+    CATALOG,
+    ERROR_CASES,
+    GOLDEN,
+    GOLDEN_CASES,
+    GOLDEN_EXTENSIONS,
+    ROOT,
+    USAGE_CASES,
+)
 from acmbundles import cli, constraints
-
-ROOT = Path(__file__).parents[1]
-GOLDEN = ROOT / "tests" / "golden"
-# a catalog file with degrees 3, 4 and 5, comments, blank lines and
-# indentation; its goldens run from the repository root, so the path that
-# "inputs" records is this relative one
-CATALOG = "tests/catalog_345.txt"
-
-# one golden file per README invocation and format: tests/golden/NAME.EXT;
-# enumerate_k5 adds an unrefined rank, whose rows print a constant c3/genus
-# and a bare "c2"; decompose_none prints an empty "results" list and a
-# header-only CSV; coverage_k3 is the curve-only rank, with no extension
-# evidence; the *_catalog cases read CATALOG, and decompose_catalog's
-# target has three star-pool witnesses
-GOLDEN_CASES = {
-    "chi_line": ["chi", "--r", "4", "--line", "-a", "1"],
-    "chi_bundle": ["chi", "--r", "4", "--bundle", "4,1,6,4"],
-    "twist": ["twist", "--r", "4", "--bundle", "3,1,5,2", "-n", "1"],
-    "genus": ["genus", "--r", "4", "--bundle", "4,6,64,84"],
-    "enumerate_k3": ["enumerate", "--k", "3"],
-    "enumerate_k4": ["enumerate", "--k", "4"],
-    "enumerate_k5": ["enumerate", "--k", "5"],
-    "extensions_r4_star": ["extensions", "--r", "4", "--pool", "star"],
-    "extensions_r4_normalized": ["extensions", "--r", "4", "--pool", "normalized"],
-    "decompose_r4": ["decompose", "--r", "4", "--target", "4,5,46,52"],
-    "decompose_none": ["decompose", "--r", "4", "--target", "4,1,6,4",
-                       "--pool", "normalized"],
-    "decompose_tie": ["decompose", "--r", "4", "--target", "4,2,12,8",
-                      "--pool", "normalized"],
-    "coverage_k3": ["coverage", "--k", "3"],
-    "coverage_k4": ["coverage", "--k", "4"],
-    "extensions_r5_catalog": ["extensions", "--r", "5", "--pool", "normalized",
-                              "--catalog", CATALOG],
-    "decompose_catalog": ["decompose", "--r", "4", "--target", "4,2,12,8",
-                          "--pool", "star", "--catalog", CATALOG],
-    "coverage_catalog": ["coverage", "--k", "4", "--catalog", CATALOG],
-    "selfcheck": ["selfcheck"],
-}
-GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
-
-# argv forms with one golden each: a separate negative value and the "="
-# form, which the flag table reads, and an attached value, which argparse reads
-ARGV_FORM_CASES = {
-    "twist_dashed.json": ["twist", "--r", "4", "--bundle=3,1,5,2", "-n", "-1",
-                          "--format", "json"],
-    "chi_line_dashed.txt": ["chi", "--r=4", "--line", "-a", "-2"],
-    "chi_line_glued.txt": ["chi", "--r", "4", "--line", "-a3"],
-}
-
-# argparse's own text, rendered at 80 columns: name -> (argv, exit code,
-# the stream that carries the text; the other stream stays empty); a
-# command's own errors carry its prefix ("acmbundles enumerate:"), while an
-# unknown command and leftover tokens are the top-level parser's
-USAGE_CASES = {
-    "help": (["--help"], 0, "out"),
-    "help_decompose": (["decompose", "--help"], 0, "out"),
-    "usage_catalog": (["enumerate", "--k", "3", "--catalog", "X"], 2, "err"),
-    "usage_enumerate_missing": (["enumerate"], 2, "err"),
-    "usage_enumerate_format": (["enumerate", "--k", "3", "--format", "xml"], 2, "err"),
-    "usage_genus_int": (["genus", "--r", "x", "--bundle", "4,1,6,4"], 2, "err"),
-    "usage_unknown_command": (["frobnicate"], 2, "err"),
-    "usage_chi_leftover": (["chi", "--r", "4", "--line", "-a", "1", "extra"], 2, "err"),
-}
 
 
 def run_cli(capsys, *argv):
@@ -110,12 +58,9 @@ def test_usage_golden(capsys, monkeypatch, name):
 
 
 def test_catalog_error_golden(capsys, monkeypatch):
-    # a duplicate class on an earlier line than a bad gg: the earlier is named
     monkeypatch.chdir(ROOT)
-    code, out, err = run_cli(capsys, "extensions", "--r", "4",
-                             "--catalog", "tests/catalog_faulty.txt")
-    assert (code, out) == (1, "")
-    assert err == (GOLDEN / "error_catalog_faulty.txt").read_text(encoding="utf-8")
+    argv, golden = ERROR_CASES["catalog_faulty"]
+    assert run_cli(capsys, *argv) == (1, "", golden.read_text(encoding="utf-8"))
 
 
 # calls whose result must not depend on the call before them in the same
@@ -360,10 +305,8 @@ class TestCatalogErrors:
     # error exits on the catalog fixture: exit 1, empty stdout and this
     # exact stderr, whatever degree the command reads
     @pytest.mark.parametrize("argv, err", [
-        (["extensions", "--r", "6"],
-         "error: no rank-two classification for degree 6 (available: 3, 4, 5)\n"),
-        (["decompose", "--r", "6", "--target", "4,2,12,8"],
-         "error: no rank-two classification for degree 6 (available: 3, 4, 5)\n"),
+        (["extensions", "--r", "6"], ABSENT_DEGREE),
+        (["decompose", "--r", "6", "--target", "4,2,12,8"], ABSENT_DEGREE),
         (["extensions", "--r", "0"], "error: hypersurface degree must be >= 1, got 0\n"),
         (["decompose", "--r", "0", "--target", "4,2,12,8"],
          "error: hypersurface degree must be >= 1, got 0\n"),

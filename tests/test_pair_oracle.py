@@ -96,9 +96,9 @@ def test_decompose_matches_pair_scan(case):
 
 @settings(max_examples=300, deadline=None)
 @given(catalogs(), st.sampled_from(POOLS))
-def test_extension_quadruples_match_pair_scan(case, pool):
-    # the quadruple listing is the rows' integer cells: wide random catalogs
-    # (r up to 8, random flags, other degrees) against the pair scan
+def test_wide_catalog_rows_match_pair_scan(case, pool):
+    # wide random catalogs (r up to 8, random flags, other degrees) against
+    # the pair scan
     r, entries = case
     source = Catalog(tuple(entries))
     assert extension_rows(r, pool, source) == listing(r, pool, source)
