@@ -19,7 +19,7 @@ import itertools
 import os
 import sys
 import types
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from json.encoder import encode_basestring_ascii as _json_str
 
 from . import constraints, extensions, selfcheck
@@ -61,14 +61,15 @@ def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
     callables, and only the selected one runs, as the chunks are written.
 
     ``results`` yields finished record texts, each written from a fixed
-    template and indented for the "results" list; ``_json_str``, the C
-    function ``json.dumps`` calls for a str, encodes every string in them,
-    so the bytes are json's.  The document is canonical JSON (sorted keys,
-    indent 2): keys sort command < inputs < results < schema_version, so
-    the head is the envelope's first two keys without its closing brace.
-    ``csv_lines`` yields the header line, then one chunk per row; ``table``
-    returns the whole table, one chunk, since its column widths need every
-    row."""
+    template and indented for the "results" list, extension records joined
+    ``_SLICE`` to a chunk; ``_json_str``, the C function ``json.dumps``
+    calls for a str, encodes every string in them, so the bytes are json's.
+    The document is canonical JSON (sorted keys, indent 2): keys sort
+    command < inputs < results < schema_version, so the head is the
+    envelope's first two keys without its closing brace.  ``csv_lines``
+    yields the header line, then one chunk per row (per ``_SLICE`` extension
+    rows); ``table`` returns the whole table, one chunk, since its column
+    widths need every row."""
     if args.format == "json":
         head = _json_object({"command": args.command, "inputs": inputs}, "")[:-2]
         yield f'{head},\n  "results": ['
@@ -110,10 +111,18 @@ def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
     return map(_CSV_LINE, itertools.chain([header], rows))
 
 
-def _columns(rows: list[list[str]]) -> str:
-    # one line template per table: each cell left-justified to its column
-    template = "  ".join(f"{{:<{max(map(len, column))}}}" for column in zip(*rows))
-    return "\n".join([template.format(*row).rstrip() for row in rows]) + "\n"
+def _columns(rows: list[Sequence[str]]) -> str:
+    # one template per table: each column but the last (never empty) padded to width + 2
+    columns = itertools.islice(zip(*rows), len(rows[0]) - 1)
+    template = "".join(f"{{:<{max(map(len, column)) + 2}}}" for column in columns) + "{}\n"
+    return "".join(itertools.starmap(template.format, rows))
+
+
+_SLICE = 1024  # rows rendered, joined and written as one chunk
+
+
+def _slices(rows: list) -> Iterator[list]:
+    return (rows[start:start + _SLICE] for start in range(0, len(rows), _SLICE))
 
 
 def _emit_rational(args, inputs: dict, value, header: list[str],
@@ -134,19 +143,20 @@ def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[Iterator[str], int
     :func:`extensions.decompose_rows` give them; the result's rank is 4."""
     return _emit(
         args, inputs,
-        results=lambda: (
-            f'    {{\n      "left": {{\n        "c1": {row[3]},\n'
-            f'        "c2": {row[4]}\n      }},\n      "result": {{\n'
-            f'        "c1": {row[0]},\n        "c2": {row[1]},\n'
-            f'        "c3": {row[2]},\n        "k": 4\n      }},\n'
-            f'      "right": {{\n        "c1": {row[5]},\n'
-            f'        "c2": {row[6]}\n      }}\n    }}' for row in rows),
+        results=lambda: (",\n".join([
+            f'    {{\n      "left": {{\n        "c1": {l1},\n'
+            f'        "c2": {l2}\n      }},\n      "result": {{\n'
+            f'        "c1": {c1},\n        "c2": {c2},\n'
+            f'        "c3": {c3},\n        "k": 4\n      }},\n'
+            f'      "right": {{\n        "c1": {r1},\n'
+            f'        "c2": {r2}\n      }}\n    }}'
+            for c1, c2, c3, l1, l2, r1, r2 in part]) for part in _slices(rows)),
         table=table,
         # integer cells only, which csv never quotes
         csv_lines=lambda: itertools.chain(
             ["left_c1,left_c2,right_c1,right_c2,k,c1,c2,c3\n"],
-            (f"{row[3]},{row[4]},{row[5]},{row[6]},4,{row[0]},{row[1]},{row[2]}\n"
-             for row in rows)),
+            ("".join([f"{l1},{l2},{r1},{r2},4,{c1},{c2},{c3}\n"
+                      for c1, c2, c3, l1, l2, r1, r2 in part]) for part in _slices(rows))),
     ), 0
 
 
@@ -262,9 +272,9 @@ def cmd_extensions(args) -> tuple[Iterator[str], int]:
     rows = extensions.extension_rows(args.r, args.pool, source=_load_source(args))
     return _emit_witnesses(
         args, {"r": args.r, "pool": args.pool, "catalog": args.catalog}, rows,
-        lambda: _columns([["left", "right", "result"], *(
-            [f"({left_c1},{left_c2})", f"({right_c1},{right_c2})", f"(4;{c1},{c2},{c3})"]
-            for c1, c2, c3, left_c1, left_c2, right_c1, right_c2 in rows)]),
+        lambda: _columns([("left", "right", "result"), *(
+            (f"({l1},{l2})", f"({r1},{r2})", f"(4;{c1},{c2},{c3})")
+            for c1, c2, c3, l1, l2, r1, r2 in rows)]),
     )
 
 
@@ -278,9 +288,8 @@ def cmd_decompose(args) -> tuple[Iterator[str], int]:
               "expect_witness": args.expect_witness, "catalog": args.catalog}
     return _emit_witnesses(
         args, inputs, rows,
-        lambda: "".join([f"({row[3]},{row[4]})+({row[5]},{row[6]}) -> "
-                         f"(4;{row[0]},{row[1]},{row[2]})\n" for row in rows])
-        or "no decomposition\n",
+        lambda: "".join([f"({l1},{l2})+({r1},{r2}) -> (4;{c1},{c2},{c3})\n"
+                         for c1, c2, c3, l1, l2, r1, r2 in rows]) or "no decomposition\n",
     )
 
 

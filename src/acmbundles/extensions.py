@@ -219,11 +219,11 @@ def extension_rows(
     right in (c1, c2) order.  A catalog holds each class once, so the seven
     integers name a pair and no two rows tie.
     """
-    ctx = HypersurfaceContext(r)
+    HypersurfaceContext(r)  # checks r >= 1
     classes = sorted(_pool_classes(r, pool, source))
     # each class with those at or after it: left <= right, in a run
     # ascending in (c1, c2, c3, right), so the sort only merges the n runs
-    rows = [(a1 + b1, a2 + ctx.r * a1 * b1 + b2, a2 * b1 + a1 * b2, a1, a2, b1, b2)
+    rows = [(a1 + b1, a2 + r * a1 * b1 + b2, a2 * b1 + a1 * b2, a1, a2, b1, b2)
             for p, (a1, a2) in enumerate(classes)
             for b1, b2 in classes[p:]]
     rows.sort()

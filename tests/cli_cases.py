@@ -29,7 +29,8 @@ CATALOG = "tests/catalog_345.txt"
 # one golden file per README invocation and format: tests/golden/NAME.EXT,
 # where the table golden is also the default format's output;
 # enumerate_k5 adds an unrefined rank, whose rows print a constant c3/genus
-# and a bare "c2"; decompose_none prints an empty "results" list and a
+# and a bare "c2", and enumerate_k6 a genus form with a positive intercept
+# ("c2+1"); decompose_none prints an empty "results" list and a
 # header-only CSV; coverage_k3 is the curve-only rank, with no extension
 # evidence; the *_catalog cases read CATALOG, and decompose_catalog's
 # target has three star-pool witnesses
@@ -41,6 +42,7 @@ GOLDEN_CASES = {
     "enumerate_k3": ["enumerate", "--k", "3"],
     "enumerate_k4": ["enumerate", "--k", "4"],
     "enumerate_k5": ["enumerate", "--k", "5"],
+    "enumerate_k6": ["enumerate", "--k", "6"],
     "extensions_r4_star": ["extensions", "--r", "4", "--pool", "star"],
     "extensions_r4_normalized": ["extensions", "--r", "4", "--pool", "normalized"],
     "decompose_r4": ["decompose", "--r", "4", "--target", "4,5,46,52"],

@@ -1,15 +1,19 @@
 """Cost contracts as exact counts: the Python lines the library runs grow
 linearly with a catalog file and with the rank it enumerates, and the pair
 listing quadratically with the file; the memory ``enumerate`` holds while
-it writes grows with its largest row, not with the document.
+it writes grows with its largest row, and the memory ``extensions`` holds
+beyond its rows with a slice of them, not with the document.
 
 Each count is the number of ``sys.settrace`` line events in code under the
 package's own directory, so it is exact and repeats from run to run, unlike
 a timing; each memory figure is a ``tracemalloc`` peak.  The contracts are
 ratios between an input and one twice its size, not absolute counts,
 because the events a line yields, and the size of an object, may differ
-between Python versions."""
+between Python versions; the one bound in bytes, on what ``extensions``
+holds beyond its rows, is taken from the same process's rows and
+document."""
 
+import io
 import sys
 import tracemalloc
 from pathlib import Path
@@ -144,3 +148,24 @@ def test_enumerate_memory_grows_with_the_largest_row(monkeypatch, fmt):
     peaks = [peak_bytes(monkeypatch, ["enumerate", "--k", str(k), "--format", fmt])
              for k in (100, 200)]
     assert peaks[1] / peaks[0] < 2.5, peaks
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_extensions_memory_holds_a_few_slices(monkeypatch, tmp_path, fmt):
+    # 200 degree-4 classes give 20,100 normalized-pool rows; writing them
+    # may pass the peak of building the rows by a few slices, each its text
+    # and its 1,024 row strings, far less than the document and its strings
+    path = catalog_file(tmp_path, 200)
+    argv = ["extensions", "--r", "4", "--pool", "normalized", "--catalog", str(path),
+            "--format", fmt]
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(argv) == 0  # also builds the parser outside the count
+    tracemalloc.start()
+    try:
+        assert len(extension_rows(4, POOL_NORMALIZED, source=load_catalog(path))) == 20100
+        rows = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_slice = 1024 * (len(out.getvalue()) / 20100 + sys.getsizeof(""))
+    assert peak_bytes(monkeypatch, argv) - rows < 6 * one_slice, (rows, one_slice)

@@ -2,18 +2,20 @@
 byte: every rank k in 2..60, and 100 and 150, which the ``tables``
 benchmark reaches (its k runs up to 150); the built-in catalog and random
 catalog files, behind a path with non-ASCII characters and JSON escapes, for
-``extensions``, ``decompose`` and ``coverage``; random chi, genus and twist
-queries; and selfcheck, each in every format.  ``oracles`` imports nothing
-from ``acmbundles``: it transcribes the formulas and the c2 clauses again,
-copies the classification as data, lists pairs by
-``combinations_with_replacement`` and rebuilds each document with the
-standard library, so a slip in a template or in the values behind it shows
-as a mismatch.  Also here: a failing selfcheck document and the envelope
-head's writer against ``json.dumps``."""
+``extensions``, ``decompose`` and ``coverage``; listings on either side of
+a rendering slice; random chi, genus and twist queries; and selfcheck, each
+in every format.  ``oracles`` imports nothing from ``acmbundles``: it
+transcribes the formulas and the c2 clauses again, copies the
+classification as data, lists pairs by ``combinations_with_replacement``
+and rebuilds each document with the standard library, so a slip in a
+template or in the values behind it shows as a mismatch.  Also here: a
+failing selfcheck document and the envelope head's writer against
+``json.dumps``."""
 
 import contextlib
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -135,6 +137,24 @@ def test_catalog_commands_match_oracle(tmp_path_factory, case):
                   *coverage, "--format", fmt)
         else:
             assert run(*coverage, "--format", fmt) == (1, "")
+
+
+def test_listings_across_a_slice_boundary(tmp_path):
+    # 44 and 45 degree-4 classes give 990 and 1,035 normalized-pool rows:
+    # one slice of the rendering, then a full slice and a short one
+    assert 44 * 45 // 2 < cli._SLICE < 45 * 46 // 2
+    grid = [(c1, c2) for c1 in range(-3, 7) for c2 in range(-10, 40)]
+    for n in (44, 45):
+        classes = random.Random(n).sample(grid, n)
+        path = tmp_path / f"catalog-{n}.txt"
+        path.write_text("".join(f"4 {c1} {c2} {i % 2} no\n" for i, (c1, c2) in
+                                enumerate(classes)), encoding="utf-8")
+        witnesses = oracles.all_witnesses(4, classes)
+        assert len(witnesses) == n * (n + 1) // 2
+        for fmt in FORMATS:
+            check(oracles.expect_extensions(4, "normalized", str(path), witnesses, fmt),
+                  "extensions", "--r", 4, "--pool", "normalized", "--catalog", path,
+                  "--format", fmt)
 
 
 @settings(max_examples=200, deadline=None)
