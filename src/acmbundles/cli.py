@@ -75,7 +75,7 @@ def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
         yield f'{head},\n  "results": ['
         separator = "\n"
         for record in results():
-            yield separator + record
+            yield from (separator, record)  # not separator + record, a copy
             separator = ",\n"
         close = "]" if separator == "\n" else "\n  ]"
         yield f'{close},\n  "schema_version": {SCHEMA_VERSION}\n}}\n'
@@ -441,14 +441,17 @@ def main(argv: list[str] | None = None) -> int:
                     commands[args.command].error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
+    stdout = sys.stdout
     try:
         return _write(*globals()[f"cmd_{args.command}"](args))
     except (UsageError, DomainError, OSError) as exc:
         message, code = str(exc), 2 if isinstance(exc, UsageError) else 1
     except MemoryError:
         message, code = "out of memory", 1
-    # written once the except block has dropped the traceback, and with it
-    # the frames the error passed through and what they held
+    # closed and written once the except block has dropped the traceback, and
+    # with it the frames the error passed through and what they held
+    if sys.stdout is not stdout:  # _write's null device; -X dev would report it unclosed
+        sys.stdout.close()
     print(f"error: {message}", file=sys.stderr)
     return code
 

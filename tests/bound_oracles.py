@@ -5,7 +5,8 @@ The library folds its bound clauses into one closed interval per (k, c1).
 This oracle instead asks, for a single c2, whether every inequality holds,
 written the way the paper states it and sharing no code with the library,
 so a slipped coefficient, a misplaced rank or c1 condition, or a lost
-c1 = 1 pin shows as a mismatch of the admitted c2 values.
+c1 = 1 pin shows as a mismatch of the admitted c2 values.  ``castelnuovo``
+is Castelnuovo's genus bound, a geometric cross-check of the tables' genera.
 """
 
 from __future__ import annotations
@@ -34,3 +35,11 @@ def window(k: int, c1: int) -> range:
     """A c2 range wide enough to hold every admissible value, with a margin
     below zero and above the largest upper bound."""
     return range(-10, 2 * c1 * c1 + 4 * k + 10)
+
+
+def castelnuovo(d: int, n: int) -> int:
+    """Castelnuovo's bound pi(d, n): the largest genus of a smooth connected
+    curve of degree d >= 1 that spans P^n, n >= 2; with d - 1 = m(n - 1) + e
+    and 0 <= e < n - 1, pi = m(m - 1)(n - 1)/2 + m e."""
+    m, e = divmod(d - 1, n - 1)
+    return m * (m - 1) * (n - 1) // 2 + m * e

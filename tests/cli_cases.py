@@ -1,5 +1,6 @@
-"""The CLI's pinned cases: every argv whose output a file under
-``tests/golden/`` holds, in one table.
+"""The CLI's pinned cases, in one table: every exit whose exact bytes are
+pinned, that is every argv whose output a file under ``tests/golden/``
+holds, and every error exit with its exit code and exact stderr.
 
 ``tests/test_cli.py`` runs each row in process. Run as a script, this module
 runs each row as a process instead, ``python -m acmbundles ARGV`` from the
@@ -10,7 +11,8 @@ mismatch and exits 1 if any row fails:
     python tests/cli_cases.py
 
 It imports only the standard library, so it needs neither pytest nor an
-installed package. A new golden is one row here.
+installed package. A new golden, or a new exact error exit, is one row
+here.
 """
 
 import difflib
@@ -85,15 +87,41 @@ USAGE_CASES = {
     "usage_chi_leftover": (["chi", "--r", "4", "--line", "-a", "1", "extra"], 2, "err"),
 }
 
-# catalog errors: exit 1, empty stdout and this exact stderr, the text or
-# the golden file that holds it; in catalog_faulty a duplicate class is on
-# an earlier line than a bad gg, and the earlier is named
+# error exits: name -> (argv, exit code, the exact stderr, as text or as the
+# golden file that holds it), with empty stdout; exit 2 is a usage error the
+# handler finds, exit 1 a domain or catalog error; in catalog_faulty a
+# duplicate class is on an earlier line than a bad gg, and the earlier is named
 ABSENT_DEGREE = "error: no rank-two classification for degree 6 (available: 3, 4, 5)\n"
+DEGREE_ZERO = "error: hypersurface degree must be >= 1, got 0\n"
 ERROR_CASES = {
+    "chi_no_mode": (["chi", "--r", "4"], 2,
+                    "error: chi needs either --line with -a, or --bundle k,c1,c2,c3\n"),
+    "chi_no_twist": (["chi", "--r", "4", "--line"], 2, "error: --line needs a twist: -a N\n"),
+    "chi_line_and_bundle": (["chi", "--r", "4", "--line", "-a", "1", "--bundle", "4,1,6,4"],
+                            2, "error: --line and --bundle are mutually exclusive\n"),
+    "chi_twist_and_bundle": (["chi", "--r", "4", "-a", "1", "--bundle", "4,1,6,4"], 2,
+                             "error: -a only applies to --line mode\n"),
+    "genus_rank_one": (["genus", "--r", "4", "--bundle", "1,1,0,0"], 1,
+                       "error: genus needs a bundle of rank >= 2, got rank 1\n"),
+    "enumerate_rank_one": (["enumerate", "--k", "1"], 1,
+                           "error: c1 bounds need rank >= 2, got 1\n"),
+    "extensions_r5": (["extensions", "--r", "5"], 1,
+                      "error: no rank-two classification for degree 5 (available: 3, 4)\n"),
+    "decompose_rank3": (["decompose", "--r", "4", "--target", "3,1,5,2"], 1,
+                        "error: decomposition into two rank-two pieces needs rank 4, got 3\n"),
+    "decompose_expect_witness": (["decompose", "--r", "4", "--target", "4,1,6,4", "--pool",
+                                  "normalized", "--expect-witness"], 1,
+                                 "error: no decomposition of (4;1,6,4) over the "
+                                 "normalized pool\n"),
     "catalog_faulty": (["extensions", "--r", "4", "--catalog", "tests/catalog_faulty.txt"],
-                       GOLDEN / "error_catalog_faulty.txt"),
-    "catalog_absent_degree": (["extensions", "--r", "6", "--catalog", CATALOG],
+                       1, GOLDEN / "error_catalog_faulty.txt"),
+    "catalog_absent_degree": (["extensions", "--r", "6", "--catalog", CATALOG], 1,
                               ABSENT_DEGREE),
+    "catalog_absent_degree_decompose": (["decompose", "--r", "6", "--target", "4,2,12,8",
+                                         "--catalog", CATALOG], 1, ABSENT_DEGREE),
+    "catalog_r0": (["extensions", "--r", "0", "--catalog", CATALOG], 1, DEGREE_ZERO),
+    "catalog_r0_decompose": (["decompose", "--r", "0", "--target", "4,2,12,8",
+                              "--catalog", CATALOG], 1, DEGREE_ZERO),
 }
 
 
@@ -108,8 +136,8 @@ def process_cases():
     for name, (argv, code, stream) in USAGE_CASES.items():
         text = (GOLDEN / f"{name}.txt").read_bytes()
         yield name, argv, code, *((text, b"") if stream == "out" else (b"", text))
-    for name, (argv, err) in ERROR_CASES.items():
-        yield name, argv, 1, b"", err.read_bytes() if isinstance(err, Path) else err.encode()
+    for name, (argv, code, err) in ERROR_CASES.items():
+        yield name, argv, code, b"", err.read_bytes() if isinstance(err, Path) else err.encode()
 
 
 def main():

@@ -1,8 +1,9 @@
-"""Exit codes, output formats, determinism, and golden-table equality."""
+"""The CLI in process: every row of ``tests/cli_cases.py``, and what no row
+can pin: state between calls, the handler lookup, the imports, inputs made at
+run time, a corrupted kernel, and write errors."""
 
 import errno
 import io
-import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,6 @@ from pathlib import Path
 import pytest
 
 from cli_cases import (
-    ABSENT_DEGREE,
     ARGV_FORM_CASES,
     CATALOG,
     ERROR_CASES,
@@ -57,10 +57,12 @@ def test_usage_golden(capsys, monkeypatch, name):
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-def test_catalog_error_golden(capsys, monkeypatch):
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_error_golden(capsys, monkeypatch, name):
     monkeypatch.chdir(ROOT)
-    argv, golden = ERROR_CASES["catalog_faulty"]
-    assert run_cli(capsys, *argv) == (1, "", golden.read_text(encoding="utf-8"))
+    argv, code, err = ERROR_CASES[name]
+    text = err.read_text(encoding="utf-8") if isinstance(err, Path) else err
+    assert run_cli(capsys, *argv) == (code, "", text)
 
 
 # calls whose result must not depend on the call before them in the same
@@ -134,10 +136,6 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 
 
 class TestChi:
-    def test_line_mode(self, capsys):
-        code, out, err = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "1")
-        assert (code, out, err) == (0, "5\n", "")
-
     def test_line_mode_trivial(self, capsys):
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "0")
         assert (code, out) == (0, "1\n")
@@ -146,44 +144,9 @@ class TestChi:
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "-1")
         assert (code, out) == (0, "-1\n")
 
-    def test_bundle_mode(self, capsys):
-        code, out, _ = run_cli(capsys, "chi", "--r", "4", "--bundle", "4,1,6,4")
-        assert (code, out) == (0, "4\n")
-
-    def test_conflicting_flags_are_usage_errors(self, capsys):
-        for flags, message in (
-                (["--line", "-a", "1", "--bundle", "4,1,6,4"],
-                 "--line and --bundle are mutually exclusive"),
-                (["-a", "1", "--bundle", "4,1,6,4"], "-a only applies to --line mode")):
-            assert run_cli(capsys, "chi", "--r", "4", *flags) == (2, "", f"error: {message}\n")
-
-    def test_missing_mode_is_usage_error(self, capsys):
-        for flags, message in (
-                ([], "chi needs either --line with -a, or --bundle k,c1,c2,c3"),
-                (["--line"], "--line needs a twist: -a N")):
-            assert run_cli(capsys, "chi", "--r", "4", *flags) == (2, "", f"error: {message}\n")
-
     def test_malformed_quadruple_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--bundle", "4,1,6")
         assert (code, out) == (2, "")
-
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "chi", "--r", "4", "--line", "-a", "1", "--format", "json"
-        )
-        payload = json.loads(out)
-        assert payload["schema_version"] == 1
-        assert payload["command"] == "chi"
-        assert payload["inputs"] == {"a": 1, "mode": "line", "r": 4}
-        assert payload["results"] == [
-            {"denominator": 1, "numerator": 5, "value": "5"}
-        ]
-
-    def test_csv_format(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "chi", "--r", "4", "--bundle", "4,1,6,4", "--format", "csv"
-        )
-        assert out == "r,k,c1,c2,c3,chi\n4,4,1,6,4,4\n"
 
 
 class TestTwistAndGenus:
@@ -197,88 +160,13 @@ class TestTwistAndGenus:
         )
         assert (code, out) == (0, "3,1,5,2\n")
 
-    def test_genus(self, capsys):
-        code, out, _ = run_cli(capsys, "genus", "--r", "4", "--bundle", "4,6,64,84")
-        assert (code, out) == (0, "203\n")
-
-    def test_genus_rank_one_is_domain_error(self, capsys):
-        code, out, err = run_cli(capsys, "genus", "--r", "4", "--bundle", "1,1,0,0")
-        assert (code, out) == (1, "")
-        assert err != ""
-
-
-class TestEnumerate:
-    def test_json_expands_intervals(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--k", "4", "--format", "json")
-        payload = json.loads(out)
-        assert len(payload["results"]) == 6
-        c1_five = next(r for r in payload["results"] if r["c1"] == 5)
-        assert c1_five["c2_values"] == [44, 45, 46]
-        assert c1_five["entries"][-1] == {"c2": 46, "c3": 52, "genus": 119}
-
-    def test_json_round_trips_canonically(self, capsys):
-        _, out, _ = run_cli(capsys, "enumerate", "--k", "4", "--format", "json")
-        assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
-
-    def test_csv_expands_rows(self, capsys):
-        _, out, _ = run_cli(capsys, "enumerate", "--k", "4", "--format", "csv")
-        lines = out.splitlines()
-        assert lines[0] == "k,c1,c2,c3,g"
-        assert len(lines) == 1 + 22
-        assert lines[-1] == "4,6,64,84,203"
-
-    def test_rank_one_is_domain_error(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--k", "1")
-        assert (code, out) == (1, "")
-
-    def test_deterministic_output(self, capsys):
-        _, first, _ = run_cli(capsys, "enumerate", "--k", "3", "--format", "json")
-        _, second, _ = run_cli(capsys, "enumerate", "--k", "3", "--format", "json")
-        assert first == second
-
 
 class TestExtensions:
-    def test_star_pool_lists_ten_witnesses(self, capsys):
-        code, out, _ = run_cli(capsys, "extensions", "--r", "4", "--pool", "star")
-        lines = out.splitlines()
-        assert code == 0
-        assert len(lines) == 1 + 10
-        assert lines[1].split() == ["(1,3)", "(1,3)", "(4;2,10,6)"]
-        assert lines[-1].split() == ["(3,14)", "(3,14)", "(4;6,64,84)"]
-
-    def test_cubic_star_pool(self, capsys):
-        code, out, _ = run_cli(capsys, "extensions", "--r", "3", "--pool", "star")
-        assert code == 0
-        assert len(out.splitlines()) == 1 + 3
-
-    def test_unclassified_degree_exits_one(self, capsys):
-        code, out, err = run_cli(capsys, "extensions", "--r", "5")
-        assert (code, out) == (1, "")
-        assert "degree 5" in err
-
-    def test_catalog_override_enables_new_degree(self, capsys, tmp_path):
-        path = tmp_path / "catalog.txt"
-        path.write_text("5 1 4 1 no\n5 2 9 1 no\n", encoding="utf-8")
-        code, out, _ = run_cli(
-            capsys, "extensions", "--r", "5", "--catalog", str(path)
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 1 + 3
-
     def test_missing_catalog_file_exits_one(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "extensions", "--r", "4", "--catalog", str(tmp_path / "nope.txt")
         )
         assert (code, out) == (1, "")
-
-    def test_bad_catalog_reports_line(self, capsys, tmp_path):
-        path = tmp_path / "catalog.txt"
-        path.write_text("5 1 4 1 no\n5 2 9 1 maybe\n", encoding="utf-8")
-        code, out, err = run_cli(
-            capsys, "extensions", "--r", "5", "--catalog", str(path)
-        )
-        assert (code, out) == (1, "")
-        assert "line 2" in err
 
     def test_non_utf8_catalog_is_a_clean_error(self, capsys, tmp_path):
         path = tmp_path / "catalog.txt"
@@ -289,32 +177,10 @@ class TestExtensions:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error: {path}: line 2: not valid UTF-8"]
 
-    def test_duplicate_catalog_class_is_a_clean_error(self, capsys, tmp_path):
-        path = tmp_path / "catalog.txt"
-        path.write_text("4 1 3 1 no\n4 1 3 1 no\n", encoding="utf-8")
-        code, out, err = run_cli(
-            capsys, "extensions", "--r", "4", "--catalog", str(path)
-        )
-        assert (code, out) == (1, "")
-        assert err.splitlines() == [
-            f"error: {path}: line 2: duplicate class (4, 1, 3), first on line 1"
-        ]
-
 
 class TestCatalogErrors:
-    # error exits on the catalog fixture: exit 1, empty stdout and this
-    # exact stderr, whatever degree the command reads
-    @pytest.mark.parametrize("argv, err", [
-        (["extensions", "--r", "6"], ABSENT_DEGREE),
-        (["decompose", "--r", "6", "--target", "4,2,12,8"], ABSENT_DEGREE),
-        (["extensions", "--r", "0"], "error: hypersurface degree must be >= 1, got 0\n"),
-        (["decompose", "--r", "0", "--target", "4,2,12,8"],
-         "error: hypersurface degree must be >= 1, got 0\n"),
-    ], ids=["extensions-absent", "decompose-absent", "extensions-r0", "decompose-r0"])
-    def test_fixture_errors(self, capsys, monkeypatch, argv, err):
-        monkeypatch.chdir(ROOT)
-        assert run_cli(capsys, *argv, "--catalog", CATALOG) == (1, "", err)
-
+    # a parse error on a line of a degree the command does not read: exit 1,
+    # empty stdout and this exact stderr
     @pytest.mark.parametrize("argv", [
         ["extensions", "--r", "5"],
         ["decompose", "--r", "4", "--target", "4,2,12,8"],
@@ -332,18 +198,6 @@ class TestCatalogErrors:
 
 
 class TestDecompose:
-    def test_no_decomposition_message(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "decompose", "--r", "4", "--target", "4,1,6,4",
-            "--pool", "normalized",
-        )
-        assert (code, out) == (0, "no decomposition\n")
-
-    def test_witness_found(self, capsys):
-        code, out, _ = run_cli(capsys, "decompose", "--r", "4", "--target", "4,5,46,52")
-        assert code == 0
-        assert out == "(2,8)+(3,14) -> (4;5,46,52)\n"
-
     def test_gap_value_defaults_to_star_pool(self, capsys):
         code, out, _ = run_cli(capsys, "decompose", "--r", "4", "--target", "4,4,31,29")
         assert (code, out) == (0, "no decomposition\n")
@@ -353,61 +207,8 @@ class TestDecompose:
         )
         assert (code, out) == (0, "(1,5)+(3,14) -> (4;4,31,29)\n")
 
-    def test_expect_witness_flips_exit_code(self, capsys):
-        code, out, err = run_cli(
-            capsys, "decompose", "--r", "4", "--target", "4,1,6,4",
-            "--pool", "normalized", "--expect-witness",
-        )
-        assert (code, out) == (1, "")
-        assert err != ""
-
-    def test_wrong_rank_exits_one(self, capsys):
-        code, out, _ = run_cli(capsys, "decompose", "--r", "4", "--target", "3,1,5,2")
-        assert (code, out) == (1, "")
-
-
-class TestCoverage:
-    def test_rank4_counts(self, capsys):
-        _, out, _ = run_cli(capsys, "coverage", "--k", "4", "--format", "csv")
-        lines = out.splitlines()
-        assert len(lines) == 1 + 22
-        realized = [line for line in lines[1:] if "realized" in line]
-        assert len(realized) == 11
-
-    def test_rank3_realized_and_open(self, capsys):
-        _, out, _ = run_cli(capsys, "coverage", "--k", "3", "--format", "json")
-        payload = json.loads(out)
-        realized = [r for r in payload["results"] if r["status"] != "open"]
-        assert [(r["k"], r["c1"], r["c2"], r["c3"]) for r in realized] == [(3, 1, 5, 2)]
-        opens = {(r["k"], r["c1"], r["c2"], r["c3"])
-                 for r in payload["results"] if r["status"] == "open"}
-        assert (3, 2, 8, 2) in opens
-
-    def test_table_shows_witness_origin(self, capsys):
-        _, out, _ = run_cli(capsys, "coverage", "--k", "4")
-        assert "extension: (3,14)+(3,14)" in out
-
-    def test_deterministic_output(self, capsys):
-        _, first, _ = run_cli(capsys, "coverage", "--k", "4")
-        _, second, _ = run_cli(capsys, "coverage", "--k", "4")
-        assert first == second
-
 
 class TestSelfcheck:
-    def test_passes_on_healthy_build(self, capsys):
-        code, out, err = run_cli(capsys, "selfcheck")
-        assert code == 0
-        lines = out.splitlines()
-        assert sum(1 for line in lines if line.startswith("PASS")) >= 12
-        assert lines[-1].endswith("0 failed")
-
-    def test_json_format(self, capsys):
-        code, out, _ = run_cli(capsys, "selfcheck", "--format", "json")
-        assert code == 0
-        payload = json.loads(out)
-        assert len(payload["results"]) >= 12
-        assert all(result["passed"] for result in payload["results"])
-
     def test_detects_corrupted_coefficient(self, capsys, monkeypatch):
         real = constraints.c3_from_acm
         monkeypatch.setattr(
@@ -419,18 +220,6 @@ class TestSelfcheck:
 
 
 class TestUsage:
-    def test_unknown_subcommand(self, capsys):
-        code, out, _ = run_cli(capsys, "frobnicate")
-        assert (code, out) == (2, "")
-
-    def test_missing_required_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate")
-        assert (code, out) == (2, "")
-
-    def test_bad_format_choice(self, capsys):
-        code, out, _ = run_cli(capsys, "enumerate", "--k", "3", "--format", "xml")
-        assert (code, out) == (2, "")
-
     @pytest.mark.parametrize("argv, flag", [
         (["chi", "--r=--"], "--r"),
         (["genus", "--r", "4", "--bundle=--"], "--bundle"),
@@ -557,12 +346,15 @@ class TestWriteErrors:
             sys.stdout.close()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    def test_full_device_as_a_process(self):
-        # only a real interpreter runs the flush at exit
+    @pytest.mark.parametrize("flags", [[], ["-X", "dev"]], ids=["default", "dev"])
+    def test_full_device_as_a_process(self, flags):
+        # only a real interpreter runs the flush at exit; in dev mode an
+        # unclosed null device would add a ResourceWarning line
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "acmbundles", "chi", "--r", "4", "--line", "-a", "1"],
+                [sys.executable, *flags, "-m", "acmbundles",
+                 "chi", "--r", "4", "--line", "-a", "1"],
                 stdout=full, stderr=subprocess.PIPE, text=True, env=env)
         assert proc.returncode == 1
         full_error = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

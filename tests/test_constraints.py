@@ -34,6 +34,7 @@ from acmbundles.constraints import (
     enumerate_acm_r4,
     genus_from_acm,
 )
+from acmbundles.extensions import CURVE_REALIZED
 
 # Interval endpoints of the full rank-3 and rank-4 classification.
 EXPECTED_INTERVALS = {
@@ -188,6 +189,23 @@ class TestEnumeration:
                 expected = [c2 for c2 in oracle.window(k, row.c1)
                             if oracle.admissible(k, row.c1, c2)]
                 assert list(range(row.lower, row.upper + 1)) == expected, (k, row.c1)
+
+    def test_genus_within_castelnuovo_bound(self):
+        # a cell's curve, the dependency locus of k - 1 general sections, has
+        # degree c2 and genus g; if smooth and connected and spanning P^n,
+        # g <= pi(c2, n); the cells over pi(c2, 4) lie in a hyperplane
+        assert [oracle.castelnuovo(d, 2) for d in range(1, 8)] == [
+            (d - 1) * (d - 2) // 2 for d in range(1, 8)]
+        assert [oracle.castelnuovo(d, 3) for d in range(1, 9)] == [0, 0, 0, 1, 2, 4, 6, 9]
+        cells = {(k, row.c1, c2): genus for k in range(2, 13)
+                 for row in enumerate_acm_r4(k) for c2, _, genus in row.entries}
+        over = {n: {cell for cell, genus in cells.items()
+                    if genus > oracle.castelnuovo(cell[2], n)} for n in (3, 4)}
+        refined = {cell for cell in cells if cell[0] in (3, 4)}
+        assert len(refined) == 9 + 22
+        assert over[3] == {(2, 1, 2), (2, 1, 3), (5, 1, 5), (6, 1, 6)}
+        assert over[4] & refined == {(3, 1, 5), (3, 2, 8), (4, 1, 6), (4, 2, 8), (4, 2, 9)}
+        assert {quadruple[:3] for quadruple in CURVE_REALIZED} <= over[4]
 
     def test_restriction_tag_appears_at_tight_rows(self):
         rows = {row.c1: row for row in enumerate_acm_r4(4)}
