@@ -12,7 +12,8 @@ mismatch and exits 1 if any row fails:
 
 It imports only the standard library, so it needs neither pytest nor an
 installed package. A new golden, or a new exact error exit, is one row
-here.
+here; an error row is also named in ``ERROR_ROW_TESTS`` in
+``tests/test_cli.py``, next to the test of its command that runs it.
 """
 
 import difflib

@@ -57,12 +57,54 @@ def test_usage_golden(capsys, monkeypatch, name):
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-@pytest.mark.parametrize("name", sorted(ERROR_CASES))
-def test_error_golden(capsys, monkeypatch, name):
+# the test that runs each ERROR_CASES row in process, by qualified name:
+# each row sits with the other tests of its command
+ERROR_ROW_TESTS = {
+    "test_catalog_error_golden": ["catalog_faulty"],
+    "TestChi.test_conflicting_flags_are_usage_errors": ["chi_line_and_bundle",
+                                                        "chi_twist_and_bundle"],
+    "TestChi.test_missing_mode_is_usage_error": ["chi_no_mode", "chi_no_twist"],
+    "TestTwistAndGenus.test_genus_rank_one_is_domain_error": ["genus_rank_one"],
+    "TestEnumerate.test_rank_one_is_domain_error": ["enumerate_rank_one"],
+    "TestExtensions.test_unclassified_degree_exits_one": ["extensions_r5"],
+    "TestCatalogErrors.test_fixture_errors": ["catalog_absent_degree",
+                                              "catalog_absent_degree_decompose",
+                                              "catalog_r0", "catalog_r0_decompose"],
+    "TestDecompose.test_expect_witness_flips_exit_code": ["decompose_expect_witness"],
+    "TestDecompose.test_wrong_rank_exits_one": ["decompose_rank3"],
+}
+
+
+def run_error_row(capsys, monkeypatch, name):
+    """Run ERROR_CASES[name] from the repository root and require its exit
+    code, empty stdout and its exact stderr."""
     monkeypatch.chdir(ROOT)
     argv, code, err = ERROR_CASES[name]
     text = err.read_text(encoding="utf-8") if isinstance(err, Path) else err
-    assert run_cli(capsys, *argv) == (code, "", text)
+    assert run_cli(capsys, *argv) == (code, "", text), name
+
+
+@pytest.fixture
+def error_rows(request, capsys, monkeypatch):
+    """Run every row that ERROR_ROW_TESTS gives the requesting test."""
+    def run():
+        for name in ERROR_ROW_TESTS[request.function.__qualname__]:
+            run_error_row(capsys, monkeypatch, name)
+    return run
+
+
+def test_every_error_row_runs_in_process():
+    rows = [name for names in ERROR_ROW_TESTS.values() for name in names]
+    assert sorted(rows) == sorted(ERROR_CASES)
+    for qualname in ERROR_ROW_TESTS:
+        owner = sys.modules[__name__]
+        for part in qualname.split("."):
+            owner = getattr(owner, part)
+        assert callable(owner), qualname
+
+
+def test_catalog_error_golden(error_rows):
+    error_rows()
 
 
 # calls whose result must not depend on the call before them in the same
@@ -144,6 +186,12 @@ class TestChi:
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "-1")
         assert (code, out) == (0, "-1\n")
 
+    def test_conflicting_flags_are_usage_errors(self, error_rows):
+        error_rows()
+
+    def test_missing_mode_is_usage_error(self, error_rows):
+        error_rows()
+
     def test_malformed_quadruple_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--bundle", "4,1,6")
         assert (code, out) == (2, "")
@@ -160,8 +208,19 @@ class TestTwistAndGenus:
         )
         assert (code, out) == (0, "3,1,5,2\n")
 
+    def test_genus_rank_one_is_domain_error(self, error_rows):
+        error_rows()
+
+
+class TestEnumerate:
+    def test_rank_one_is_domain_error(self, error_rows):
+        error_rows()
+
 
 class TestExtensions:
+    def test_unclassified_degree_exits_one(self, error_rows):
+        error_rows()
+
     def test_missing_catalog_file_exits_one(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "extensions", "--r", "4", "--catalog", str(tmp_path / "nope.txt")
@@ -179,6 +238,12 @@ class TestExtensions:
 
 
 class TestCatalogErrors:
+    @pytest.mark.parametrize(
+        "name", ERROR_ROW_TESTS["TestCatalogErrors.test_fixture_errors"],
+        ids=["extensions-absent", "decompose-absent", "extensions-r0", "decompose-r0"])
+    def test_fixture_errors(self, capsys, monkeypatch, name):
+        run_error_row(capsys, monkeypatch, name)
+
     # a parse error on a line of a degree the command does not read: exit 1,
     # empty stdout and this exact stderr
     @pytest.mark.parametrize("argv", [
@@ -206,6 +271,12 @@ class TestDecompose:
             "--pool", "normalized",
         )
         assert (code, out) == (0, "(1,5)+(3,14) -> (4;4,31,29)\n")
+
+    def test_expect_witness_flips_exit_code(self, error_rows):
+        error_rows()
+
+    def test_wrong_rank_exits_one(self, error_rows):
+        error_rows()
 
 
 class TestSelfcheck:
@@ -346,10 +417,17 @@ class TestWriteErrors:
             sys.stdout.close()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-    @pytest.mark.parametrize("flags", [[], ["-X", "dev"]], ids=["default", "dev"])
-    def test_full_device_as_a_process(self, flags):
-        # only a real interpreter runs the flush at exit; in dev mode an
-        # unclosed null device would add a ResourceWarning line
+    def test_full_device_as_a_process(self):
+        # only a real interpreter runs the flush at exit
+        self.check_full_device([])
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_as_a_process_in_dev_mode(self):
+        # an unclosed null device would add a ResourceWarning line
+        self.check_full_device(["-X", "dev"])
+
+    @staticmethod
+    def check_full_device(flags):
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
         with open("/dev/full", "w") as full:
             proc = subprocess.run(
