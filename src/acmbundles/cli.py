@@ -441,34 +441,33 @@ def main(argv: list[str] | None = None) -> int:
                     commands[args.command].error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    stdout = sys.stdout
+    chunks = None
     try:
-        return _write(*globals()[f"cmd_{args.command}"](args))
+        chunks, code = globals()[f"cmd_{args.command}"](args)
+        return _write(chunks, code)
     except (UsageError, DomainError, OSError) as exc:
         message, code = str(exc), 2 if isinstance(exc, UsageError) else 1
     except MemoryError:
         message, code = "out of memory", 1
-    # closed and written once the except block has dropped the traceback, and
-    # with it the frames the error passed through and what they held
-    if sys.stdout is not stdout:  # _write's null device; -X dev would report it unclosed
+    # the except block has dropped the traceback, and with it the frames the
+    # error passed through and what they held
+    if chunks is not None:  # the write failed and its output is lost
+        del chunks  # and the render's own frame, before anything is allocated
+        # the flush at exit must not retry it; -X dev would report it unclosed
+        sys.stdout = open(os.devnull, "w")
         sys.stdout.close()
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
 def _write(chunks: Iterable[str], code: int) -> int:
-    """Write the chunks a handler returned, then return its exit code.  The
-    handler has already computed and checked everything, so only rendering
-    runs here, and a domain error has left stdout empty."""
-    try:
-        write = sys.stdout.write
-        for chunk in chunks:
-            write(chunk)
-        sys.stdout.flush()
-    except (OSError, MemoryError):
-        # the output is lost; the flush at interpreter exit must not retry it
-        sys.stdout = open(os.devnull, "w")
-        raise
+    """Write and flush the chunks a handler returned, then return its exit
+    code.  The handler has checked everything, so only rendering runs here;
+    an error reaches ``main``, which owns every failed exit."""
+    write = sys.stdout.write
+    for chunk in chunks:
+        write(chunk)
+    sys.stdout.flush()
     return code
 
 

@@ -57,54 +57,12 @@ def test_usage_golden(capsys, monkeypatch, name):
     assert text == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
 
 
-# the test that runs each ERROR_CASES row in process, by qualified name:
-# each row sits with the other tests of its command
-ERROR_ROW_TESTS = {
-    "test_catalog_error_golden": ["catalog_faulty"],
-    "TestChi.test_conflicting_flags_are_usage_errors": ["chi_line_and_bundle",
-                                                        "chi_twist_and_bundle"],
-    "TestChi.test_missing_mode_is_usage_error": ["chi_no_mode", "chi_no_twist"],
-    "TestTwistAndGenus.test_genus_rank_one_is_domain_error": ["genus_rank_one"],
-    "TestEnumerate.test_rank_one_is_domain_error": ["enumerate_rank_one"],
-    "TestExtensions.test_unclassified_degree_exits_one": ["extensions_r5"],
-    "TestCatalogErrors.test_fixture_errors": ["catalog_absent_degree",
-                                              "catalog_absent_degree_decompose",
-                                              "catalog_r0", "catalog_r0_decompose"],
-    "TestDecompose.test_expect_witness_flips_exit_code": ["decompose_expect_witness"],
-    "TestDecompose.test_wrong_rank_exits_one": ["decompose_rank3"],
-}
-
-
-def run_error_row(capsys, monkeypatch, name):
-    """Run ERROR_CASES[name] from the repository root and require its exit
-    code, empty stdout and its exact stderr."""
+@pytest.mark.parametrize("name", sorted(ERROR_CASES))
+def test_error_golden(capsys, monkeypatch, name):
     monkeypatch.chdir(ROOT)
     argv, code, err = ERROR_CASES[name]
     text = err.read_text(encoding="utf-8") if isinstance(err, Path) else err
-    assert run_cli(capsys, *argv) == (code, "", text), name
-
-
-@pytest.fixture
-def error_rows(request, capsys, monkeypatch):
-    """Run every row that ERROR_ROW_TESTS gives the requesting test."""
-    def run():
-        for name in ERROR_ROW_TESTS[request.function.__qualname__]:
-            run_error_row(capsys, monkeypatch, name)
-    return run
-
-
-def test_every_error_row_runs_in_process():
-    rows = [name for names in ERROR_ROW_TESTS.values() for name in names]
-    assert sorted(rows) == sorted(ERROR_CASES)
-    for qualname in ERROR_ROW_TESTS:
-        owner = sys.modules[__name__]
-        for part in qualname.split("."):
-            owner = getattr(owner, part)
-        assert callable(owner), qualname
-
-
-def test_catalog_error_golden(error_rows):
-    error_rows()
+    assert run_cli(capsys, *argv) == (code, "", text)
 
 
 # calls whose result must not depend on the call before them in the same
@@ -186,12 +144,6 @@ class TestChi:
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--line", "-a", "-1")
         assert (code, out) == (0, "-1\n")
 
-    def test_conflicting_flags_are_usage_errors(self, error_rows):
-        error_rows()
-
-    def test_missing_mode_is_usage_error(self, error_rows):
-        error_rows()
-
     def test_malformed_quadruple_is_usage_error(self, capsys):
         code, out, _ = run_cli(capsys, "chi", "--r", "4", "--bundle", "4,1,6")
         assert (code, out) == (2, "")
@@ -208,19 +160,8 @@ class TestTwistAndGenus:
         )
         assert (code, out) == (0, "3,1,5,2\n")
 
-    def test_genus_rank_one_is_domain_error(self, error_rows):
-        error_rows()
-
-
-class TestEnumerate:
-    def test_rank_one_is_domain_error(self, error_rows):
-        error_rows()
-
 
 class TestExtensions:
-    def test_unclassified_degree_exits_one(self, error_rows):
-        error_rows()
-
     def test_missing_catalog_file_exits_one(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "extensions", "--r", "4", "--catalog", str(tmp_path / "nope.txt")
@@ -238,12 +179,6 @@ class TestExtensions:
 
 
 class TestCatalogErrors:
-    @pytest.mark.parametrize(
-        "name", ERROR_ROW_TESTS["TestCatalogErrors.test_fixture_errors"],
-        ids=["extensions-absent", "decompose-absent", "extensions-r0", "decompose-r0"])
-    def test_fixture_errors(self, capsys, monkeypatch, name):
-        run_error_row(capsys, monkeypatch, name)
-
     # a parse error on a line of a degree the command does not read: exit 1,
     # empty stdout and this exact stderr
     @pytest.mark.parametrize("argv", [
@@ -271,12 +206,6 @@ class TestDecompose:
             "--pool", "normalized",
         )
         assert (code, out) == (0, "(1,5)+(3,14) -> (4;4,31,29)\n")
-
-    def test_expect_witness_flips_exit_code(self, error_rows):
-        error_rows()
-
-    def test_wrong_rank_exits_one(self, error_rows):
-        error_rows()
 
 
 class TestSelfcheck:
@@ -331,8 +260,8 @@ class _FailingStdout(io.StringIO):
 
 class TestWriteErrors:
     # a closed reader and a full device: exit 1 with one error line, and
-    # stdout points at the null device, so the flush at interpreter exit has
-    # nothing to fail on
+    # main points stdout at the null device and closes it, so the flush at
+    # interpreter exit has nothing to fail on
     @pytest.mark.parametrize("exc", [
         BrokenPipeError(errno.EPIPE, "Broken pipe"),
         OSError(errno.ENOSPC, "No space left on device"),
@@ -345,21 +274,7 @@ class TestWriteErrors:
         assert code == 1
         assert err.splitlines() == [f"error: {exc}"]
         assert "Traceback" not in err
-        assert sys.stdout.name == os.devnull
-        sys.stdout.close()
-
-    def test_out_of_memory_exits_cleanly(self, capsys, monkeypatch):
-        # in the handler and in the write: one error line, exit 1, stdout empty
-        def exhausted(args):
-            raise MemoryError
-
-        monkeypatch.setattr(cli, "cmd_enumerate", exhausted)
-        assert run_cli(capsys, "enumerate", "--k", "3") == (1, "", "error: out of memory\n")
-        monkeypatch.setattr(sys, "stdout", _FailingStdout(MemoryError()))
-        assert cli.main(["chi", "--r", "4", "--line", "-a", "1"]) == 1
-        assert capsys.readouterr().err == "error: out of memory\n"
-        assert sys.stdout.name == os.devnull
-        sys.stdout.close()
+        assert (sys.stdout.name, sys.stdout.closed) == (os.devnull, True)
 
     @pytest.mark.parametrize("argv", [
         ["enumerate", "--k", "20", "--format", "json"],
@@ -375,13 +290,13 @@ class TestWriteErrors:
         assert code == 1
         assert err.splitlines() == [f"error: {exc}"]
         assert "Traceback" not in err
-        assert sys.stdout.name == os.devnull
-        sys.stdout.close()
+        assert (sys.stdout.name, sys.stdout.closed) == (os.devnull, True)
 
-    @pytest.mark.parametrize("stage", ["handler", "rendering"])
-    def test_out_of_memory_is_reported_after_release(self, capsys, monkeypatch, stage):
-        # the error line is written only once the frames the MemoryError
-        # passed through, and what they held, are gone
+    @pytest.mark.parametrize("stage", ["handler", "rendering", "writing"])
+    def test_out_of_memory_is_reported_after_release(self, monkeypatch, stage):
+        # the null device is opened, and the error line written, only once
+        # the frames the MemoryError passed through, and what they held, are
+        # gone: a failed render's frame, or a suspended one main kept
         class Partial:
             pass
 
@@ -389,7 +304,9 @@ class TestWriteErrors:
 
         def chunks(partial):
             yield "partial\n"
-            raise MemoryError
+            if stage == "rendering":
+                raise MemoryError
+            yield "rest\n"  # the write of this chunk runs out of memory
 
         def exhausted(args):
             partial = Partial()
@@ -403,18 +320,23 @@ class TestWriteErrors:
                 assert held[0]() is None
                 return super().write(text)
 
-        stderr = Stderr()
+        def opening(*args):
+            assert held[0]() is None
+            return open(*args)
+
+        # the class, so that no instance the stdout keeps holds a traceback
+        stdout, stderr = _FailingStdout(MemoryError, writes=1), Stderr()
+        monkeypatch.setattr(cli, "open", opening, raising=False)
         monkeypatch.setattr(cli, "cmd_enumerate", exhausted)
+        monkeypatch.setattr(sys, "stdout", stdout)
         monkeypatch.setattr(sys, "stderr", stderr)
         assert cli.main(["enumerate", "--k", "3"]) == 1
         assert stderr.getvalue() == "error: out of memory\n"
-        out = capsys.readouterr().out
         if stage == "handler":
-            assert out == ""
+            assert (sys.stdout, stdout.getvalue()) == (stdout, "")
         else:
-            assert out == "partial\n"
-            assert sys.stdout.name == os.devnull
-            sys.stdout.close()
+            assert stdout.getvalue() == "partial\n"
+            assert (sys.stdout.name, sys.stdout.closed) == (os.devnull, True)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
     def test_full_device_as_a_process(self):

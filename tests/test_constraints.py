@@ -36,12 +36,6 @@ from acmbundles.constraints import (
 )
 from acmbundles.extensions import CURVE_REALIZED
 
-# Interval endpoints of the full rank-3 and rank-4 classification.
-EXPECTED_INTERVALS = {
-    3: {1: (5, 5), 2: (8, 11), 3: (17, 18), 4: (27, 28)},
-    4: {1: (6, 6), 2: (8, 12), 3: (16, 22), 4: (28, 32), 5: (44, 46), 6: (64, 64)},
-}
-
 
 class TestC1Bounds:
     def test_known_ranges(self):
@@ -86,11 +80,6 @@ class TestClosedForms:
 
 
 class TestC2Interval:
-    def test_full_table(self):
-        for k, per_c1 in EXPECTED_INTERVALS.items():
-            for c1, (lower, upper) in per_c1.items():
-                assert c2_interval_r4(k, c1)[:2] == (lower, upper)
-
     def test_endpoint_tags(self):
         # tags come in clause order; every clause attaining an endpoint is listed
         expected = {
