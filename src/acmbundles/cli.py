@@ -165,19 +165,19 @@ def _load_source(args) -> extensions.Catalog | None:
 
 
 def cmd_chi(args) -> tuple[Iterator[str], int]:
-    ctx = HypersurfaceContext(args.r)
+    # each usage error before the degree check, so "chi --r 0" exits 2
     if args.line and args.bundle is not None:
         raise UsageError("--line and --bundle are mutually exclusive")
     if args.line:
         if args.a is None:
             raise UsageError("--line needs a twist: -a N")
         return _emit_rational(args, {"r": args.r, "mode": "line", "a": args.a},
-                              chi_line_bundle(ctx, args.a),
+                              chi_line_bundle(HypersurfaceContext(args.r), args.a),
                               ["r", "a", "chi"], [args.r, args.a])
     if args.bundle is not None:
         if args.a is not None:
             raise UsageError("-a only applies to --line mode")
-        inv = BundleInvariants(*args.bundle)
+        ctx, inv = HypersurfaceContext(args.r), BundleInvariants(*args.bundle)
         inputs = {"r": args.r, "mode": "bundle", "bundle": inv._asdict()}
         return _emit_rational(args, inputs, chi_bundle(ctx, inv),
                               ["r", "k", "c1", "c2", "c3", "chi"],
@@ -341,91 +341,89 @@ def cmd_selfcheck(args) -> tuple[Iterator[str], int]:
     ), 0 if all(r.passed for r in results) else 1
 
 
-def _flag(*names: str, **options) -> tuple[tuple[str, ...], dict]:
-    return names, options
+# each command once, read by both parsers: name -> (summary, {flag: its
+# add_argument keywords}), the flags in help order
+_INT = {"type": int, "required": True}
+_R = {**_INT, "help": "hypersurface degree"}
+_QUADRUPLE = {"type": _quadruple, "required": True, "metavar": "K,C1,C2,C3"}
+_POOL = {"choices": (extensions.POOL_STAR, extensions.POOL_NORMALIZED),
+         "default": extensions.POOL_STAR, "help": "catalog pool (default: star)"}
+_FORMAT = {"choices": FORMATS, "default": "table", "help": "output format (default: table)"}
+_CATALOG = {"metavar": "FILE", "default": None, "help": "rank-two catalog override file"}
+_COMMANDS = {
+    "chi": ("Euler characteristic of a line bundle or quadruple", {"--r": _R, "--line": {
+        "action": "store_true", "help": "line-bundle mode: evaluate O(a)"},
+        "-a": {"type": int, "default": None, "help": "twist for --line mode"},
+        "--bundle": {**_QUADRUPLE, "required": False, "default": None}, "--format": _FORMAT}),
+    "twist": ("invariants of E(n)", {"--r": _R, "--bundle": _QUADRUPLE, "-n": {
+        **_INT, "help": "twist amount"}, "--format": _FORMAT}),
+    "genus": ("genus of the dependency-locus curve",
+              {"--r": _R, "--bundle": _QUADRUPLE, "--format": _FORMAT}),
+    "enumerate": ("admissible invariants table for rank k", {
+        "--k": {**_INT, "help": "rank (refined for 3 and 4)"}, "--format": _FORMAT}),
+    "extensions": ("rank-four extensions of catalog pairs",
+                   {"--r": _R, "--pool": _POOL, "--format": _FORMAT, "--catalog": _CATALOG}),
+    "decompose": ("find catalog pairs realizing a quadruple", {
+        "--r": _R, "--target": _QUADRUPLE, "--pool": _POOL, "--expect-witness": {
+            "action": "store_true", "help": "exit 1 if no decomposition exists"},
+        "--format": _FORMAT, "--catalog": _CATALOG}),
+    "coverage": ("realized/open labels for the rank-k table", {
+        "--k": {**_INT, "help": "rank (3 or 4)"}, "--format": _FORMAT, "--catalog": _CATALOG}),
+    "selfcheck": ("run the cross-module invariant suite", {"--format": _FORMAT}),
+}
+# argparse reads "-5" as a value only while no option could be read as one
+assert not any(flag[1] == "." or flag[1].isdecimal()
+               for _, flags in _COMMANDS.values() for flag in flags)
+# each flag's dest, as argparse names it: its one option string, undashed
+_DEST = {flag: flag.lstrip("-").replace("-", "_")
+         for _, flags in _COMMANDS.values() for flag in flags}
 
 
-@functools.cache  # one parser per process; main() finds cmd_<command> by name
-def _build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """The top-level parser, and each command's own parser and flag table by name."""
+@functools.cache  # built only for help and the argv _parse_plain leaves to argparse
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's own parser by name."""
     parser = argparse.ArgumentParser(prog="acmbundles", description=(
         "Exact Chern-class calculus and the admissible-invariant tables "
         "for ACM bundles on low-degree hypersurfaces in P^4."))
     sub = parser.add_subparsers(dest="command", required=True)
-    tables = {}  # each command's {option string: the Action add_argument made}
-
-    def command(name: str, summary: str, *flags, r=True, catalog=False) -> None:
-        p = sub.add_parser(name, help=summary)
-        if r:
-            flags = (_flag("--r", type=int, required=True, help="hypersurface degree"), *flags)
-        flags += (_flag("--format", choices=FORMATS, default="table",
-                        help="output format (default: table)"),)
-        if catalog:
-            flags += (_flag("--catalog", metavar="FILE", default=None,
-                            help="rank-two catalog override file"),)
-        actions = [p.add_argument(*names, **options) for names, options in flags]
-        tables[name] = {option: a for a in actions for option in a.option_strings}
-        # argparse reads "-5" as a value only while no option could be read as one
-        assert not any(option[1] == "." or option[1].isdecimal() for option in tables[name])
-
-    bundle = _flag("--bundle", type=_quadruple, required=True, metavar="K,C1,C2,C3")
-    pool = _flag("--pool", choices=(extensions.POOL_STAR, extensions.POOL_NORMALIZED),
-                 default=extensions.POOL_STAR, help="catalog pool (default: star)")
-
-    command("chi", "Euler characteristic of a line bundle or quadruple",
-            _flag("--line", action="store_true", help="line-bundle mode: evaluate O(a)"),
-            _flag("-a", type=int, default=None, help="twist for --line mode"),
-            _flag("--bundle", type=_quadruple, default=None, metavar="K,C1,C2,C3"))
-    command("twist", "invariants of E(n)",
-            bundle, _flag("-n", type=int, required=True, help="twist amount"))
-    command("genus", "genus of the dependency-locus curve", bundle)
-    command("enumerate", "admissible invariants table for rank k",
-            _flag("--k", type=int, required=True, help="rank (refined for 3 and 4)"),
-            r=False)
-    command("extensions", "rank-four extensions of catalog pairs", pool, catalog=True)
-    command("decompose", "find catalog pairs realizing a quadruple",
-            _flag("--target", type=_quadruple, required=True, metavar="K,C1,C2,C3"),
-            pool,
-            _flag("--expect-witness", action="store_true",
-                  help="exit 1 if no decomposition exists"),
-            catalog=True)
-    command("coverage", "realized/open labels for the rank-k table",
-            _flag("--k", type=int, required=True, help="rank (3 or 4)"),
-            r=False, catalog=True)
-    command("selfcheck", "run the cross-module invariant suite", r=False)
-    return parser, sub.choices, tables
+    for name, (summary, flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, options in flags.items():
+            command.add_argument(flag, **options)
+    return parser, sub.choices
 
 
 def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
     """The namespace argparse gives for argv that names a command and then
     only that command's exact flags, each value passing its type and choices
     and none readable as a flag, every required flag present; for any other
-    argv None, and argparse reads it.  Never raises, never prints."""
-    table = _build_parser()[2].get(argv[0]) if argv else None
-    if table is None:
+    argv None, and argparse reads it.  Reads ``_COMMANDS``, not argparse's
+    actions.  Never raises, never prints."""
+    if not argv or argv[0] not in _COMMANDS:
         return None
-    given, tokens = {}, iter(argv[1:])
+    flags, given, tokens = _COMMANDS[argv[0]][1], {}, iter(argv[1:])
     for token in tokens:
         flag, equals, value = token.partition("=")
-        action = table.get(token) or equals and table.get(flag)
-        if not action or action.nargs == 0 and equals:
+        options = flags.get(flag)
+        if options is None or "action" in options and equals:  # a switch takes no value
             return None
-        if action.nargs != 0:
+        if "action" not in options:  # the one action is store_true
             # a missing value, "--" (argparse strips it) and "-x" fall back
             value = value if equals else next(tokens, "--")
             if value[:1] == "-" and not value[1:].isdecimal():
                 return None
             try:
-                value = action.type(value) if action.type else value
+                value = options["type"](value) if "type" in options else value
             except (ValueError, TypeError, argparse.ArgumentTypeError):
                 return None
-            if action.choices is not None and value not in action.choices:
+            if "choices" in options and value not in options["choices"]:
                 return None
-        given[action.dest] = action.const if action.nargs == 0 else value
-    if any(action.required and action.dest not in given for action in table.values()):
-        return None
-    defaults = {action.dest: action.default for action in table.values()}
-    return argparse.Namespace(command=argv[0], **(defaults | given))
+        given[flag] = True if "action" in options else value
+    for flag, options in flags.items():
+        if options.get("required") and flag not in given:
+            return None
+        given.setdefault(flag, False if "action" in options else options.get("default"))
+    return argparse.Namespace(command=argv[0], **{_DEST[f]: v for f, v in given.items()})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -434,10 +432,10 @@ def main(argv: list[str] | None = None) -> int:
         # argv is parsed once: by the flag tables if well-formed, else by argparse
         args = _parse_plain(argv)
         if args is None:
-            parser, commands, tables = _build_parser()
+            parser, commands = _build_parser()
             args = parser.parse_args(argv)
-            for flag, action in tables[args.command].items():
-                if getattr(args, action.dest) == []:  # argparse's value for "--r=--"
+            for flag in _COMMANDS[args.command][1]:
+                if getattr(args, _DEST[flag]) == []:  # argparse's value for "--r=--"
                     commands[args.command].error(f"argument {flag}: expected one argument")
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
@@ -445,10 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         chunks, code = globals()[f"cmd_{args.command}"](args)
         return _write(chunks, code)
+    except MemoryError:  # first: matching it allocates nothing, unlike the tuple below
+        message, code = "out of memory", 1
     except (UsageError, DomainError, OSError) as exc:
         message, code = str(exc), 2 if isinstance(exc, UsageError) else 1
-    except MemoryError:
-        message, code = "out of memory", 1
     # the except block has dropped the traceback, and with it the frames the
     # error passed through and what they held
     if chunks is not None:  # the write failed and its output is lost

@@ -93,9 +93,11 @@ USAGE_CASES = {
 # duplicate class is on an earlier line than a bad gg, and the earlier is named
 ABSENT_DEGREE = "error: no rank-two classification for degree 6 (available: 3, 4, 5)\n"
 DEGREE_ZERO = "error: hypersurface degree must be >= 1, got 0\n"
+CHI_NO_MODE = "error: chi needs either --line with -a, or --bundle k,c1,c2,c3\n"
 ERROR_CASES = {
-    "chi_no_mode": (["chi", "--r", "4"], 2,
-                    "error: chi needs either --line with -a, or --bundle k,c1,c2,c3\n"),
+    "chi_no_mode": (["chi", "--r", "4"], 2, CHI_NO_MODE),
+    # a usage error comes before the degree check
+    "chi_r0_no_mode": (["chi", "--r", "0"], 2, CHI_NO_MODE),
     "chi_no_twist": (["chi", "--r", "4", "--line"], 2, "error: --line needs a twist: -a N\n"),
     "chi_line_and_bundle": (["chi", "--r", "4", "--line", "-a", "1", "--bundle", "4,1,6,4"],
                             2, "error: --line and --bundle are mutually exclusive\n"),

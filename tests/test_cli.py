@@ -65,6 +65,20 @@ def test_error_golden(capsys, monkeypatch, name):
     assert run_cli(capsys, *argv) == (code, "", text)
 
 
+def test_well_formed_argv_never_builds_the_parser(capsys, monkeypatch):
+    # argparse is built only for help and malformed argv, and then once per
+    # process: the cache the usage errors of a long-running caller rely on
+    monkeypatch.chdir(ROOT)
+    cli._build_parser.cache_clear()
+    for argv in GOLDEN_CASES.values():
+        for fmt in GOLDEN_EXTENSIONS:
+            assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
+    assert cli._build_parser.cache_info().currsize == 0
+    argv = USAGE_CASES["usage_enumerate_format"][0]
+    assert [run_cli(capsys, *argv)[0] for _ in range(2)] == [2, 2]
+    assert cli._build_parser.cache_info().misses == 1
+
+
 # calls whose result must not depend on the call before them in the same
 # process: (argv, exit code, stdout, or the golden file that holds it); each
 # second call of a pair leaves out a flag the first one gave
