@@ -2,13 +2,14 @@
 
 Everything is exact and integer: each formula builds one integer numerator
 over a fixed common denominator (24 for chi and the general genus, 2 for the
-quartic genus, 2 and 6 for twisting), and ``fractions.Fraction`` appears only
-at the API boundary; no floating point anywhere.  Values that must be
-integers pass through an exact ``divmod`` that raises :class:`NonIntegral`
-on a remainder, so a coefficient typo still fails loudly.  A rank-k
-vector bundle on a degree-r hypersurface X is reduced to the integer
-quadruple (k; c1, c2, c3) via the usual degree identifications: c1(E) is
-c1 times the hyperplane class, c2(E) has degree c2, and c3(E) is c3 points.
+quartic genus, 2 and 6 for twisting), and ``fractions.Fraction``, imported
+on first use, appears only at the API boundary; no floating point anywhere.
+Values that must be integers pass through an exact ``divmod`` that raises
+:class:`NonIntegral` on a remainder, so a coefficient typo still fails
+loudly.  A rank-k vector bundle on a degree-r hypersurface X is reduced to
+the integer quadruple (k; c1, c2, c3) via the usual degree identifications:
+c1(E) is c1 times the hyperplane class, c2(E) has degree c2, and c3(E) is
+c3 points.
 
 All operations are pure functions on immutable values.  The records are
 named tuples: each compares, hashes, orders and unpacks as its plain tuple.
@@ -16,8 +17,8 @@ named tuples: each compares, hashes, orders and unpacks as its plain tuple.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
-from fractions import Fraction
 
 __all__ = [
     "DomainError",
@@ -30,6 +31,13 @@ __all__ = [
     "genus_general",
     "genus_r4",
 ]
+
+
+@functools.cache  # fractions, with the decimal and numbers it imports, on first use
+def _fraction() -> type:
+    from fractions import Fraction
+    return Fraction
+
 
 class DomainError(ValueError):
     """Raised when an input lies outside an operation's mathematical domain."""
@@ -90,7 +98,7 @@ def _divide_exact(numerator: int, denominator: int, context: str) -> int:
     # the integer guard: numerator / denominator, which must be exact
     quotient, remainder = divmod(numerator, denominator)
     if remainder:
-        raise NonIntegral(Fraction(numerator, denominator), context)
+        raise NonIntegral(_fraction()(numerator, denominator), context)
     return quotient
 
 
@@ -106,7 +114,7 @@ def chi_line_bundle(ctx: HypersurfaceContext, a: int) -> Fraction:
     """
     r = ctx.r
     # 24 chi in Horner form in a, with (r-5)^2 + (r^2-5r+10) = 2r^2 - 15r + 35
-    return Fraction(
+    return _fraction()(
         2 * r * a * (a * (2 * a + 3 * (5 - r)) + 2 * r * r - 15 * r + 35)
         + r * (5 - r) * (r * r - 5 * r + 10),
         24,
@@ -123,7 +131,7 @@ def chi_bundle(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     r = ctx.r
     k, c1, c2, c3 = inv
     # 24 chi, its c1-only terms in Horner form as in chi_line_bundle
-    return Fraction(
+    return _fraction()(
         2 * r * c1 * (c1 * (2 * c1 + 3 * (5 - r)) + 2 * r * r - 15 * r + 35)
         - 12 * ((c1 + 5 - r) * c2 - c3) + r * k * (5 - r) * (r * r - 5 * r + 10),
         24,
@@ -163,7 +171,7 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
     if k < 2:
         raise DomainError(f"genus needs a bundle of rank >= 2, got rank {k}")
     r = ctx.r
-    return Fraction(
+    return _fraction()(
         -60 * c2 + 12 * c1 * c2 + 12 * c3 + 50 * r + 12 * r * c2
         - 35 * r * r + 10 * r**3 - r**4,
         24,
@@ -173,4 +181,4 @@ def genus_general(ctx: HypersurfaceContext, inv: BundleInvariants) -> Fraction:
 def genus_r4(inv: BundleInvariants) -> Fraction:
     """Quartic-hypersurface genus: g = 1 + (c1 c2 - c2 + c3) / 2."""
     _, c1, c2, c3 = inv
-    return Fraction(c1 * c2 - c2 + c3 + 2, 2)
+    return _fraction()(c1 * c2 - c2 + c3 + 2, 2)

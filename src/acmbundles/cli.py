@@ -12,15 +12,12 @@ a prefix of the document there.
 
 from __future__ import annotations
 
-import argparse
-import csv
 import functools
 import itertools
 import os
 import sys
 import types
 from collections.abc import Iterable, Iterator, Sequence
-from json.encoder import encode_basestring_ascii as _json_str
 
 from . import constraints, extensions, selfcheck
 from .chern import (
@@ -44,15 +41,21 @@ class UsageError(Exception):
 
 def _quadruple(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError(f"expected k,c1,c2,c3 (got {text!r})")
-    try:
-        k, c1, c2, c3 = (int(part) for part in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"quadruple entries must be integers (got {text!r})"
-        ) from None
-    return (k, c1, c2, c3)
+    message = "expected k,c1,c2,c3"
+    if len(parts) == 4:
+        try:
+            return tuple(map(int, parts))
+        except ValueError:
+            message = "quadruple entries must be integers"
+    import argparse  # only on this path: argparse reads the argv from here on
+    raise argparse.ArgumentTypeError(f"{message} (got {text!r})")
+
+
+@functools.cache  # json, with the json.decoder and re it imports, only for --format json
+def _json_encoder():
+    """The C function ``json.dumps`` calls to encode a str."""
+    from json.encoder import encode_basestring_ascii
+    return encode_basestring_ascii
 
 
 def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
@@ -62,7 +65,7 @@ def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
 
     ``results`` yields finished record texts, each written from a fixed
     template and indented for the "results" list, extension records joined
-    ``_SLICE`` to a chunk; ``_json_str``, the C function ``json.dumps``
+    ``_SLICE`` to a chunk; ``_json_encoder()``, the C function ``json.dumps``
     calls for a str, encodes every string in them, so the bytes are json's.
     The document is canonical JSON (sorted keys, indent 2): keys sort
     command < inputs < results < schema_version, so the head is the
@@ -87,14 +90,14 @@ def _emit(args, inputs: dict, *, results, table, csv_lines) -> Iterator[str]:
 
 def _json_object(fields: dict, indent: str) -> str:
     """``json.dumps(fields, indent=2, sort_keys=True)`` nested at ``indent``,
-    for int, bool, None, str and dict values; a str goes to ``_json_str``."""
+    for int, bool, None, str and dict values; a str goes to ``_json_encoder()``."""
     if not fields:
         return "{}"
-    inner = indent + "  "
-    return "{\n" + ",\n".join([f"{inner}{_json_str(key)}: " + (
+    inner, encode = indent + "  ", _json_encoder()
+    return "{\n" + ",\n".join([f"{inner}{encode(key)}: " + (
         _json_object(value, inner) if isinstance(value, dict)
         else str(value) if type(value) is int  # not a bool
-        else _json_str(value) if isinstance(value, str) else _JSON_WORDS[value])
+        else encode(value) if isinstance(value, str) else _JSON_WORDS[value])
         for key, value in sorted(fields.items())]) + f"\n{indent}}}"
 
 
@@ -103,12 +106,15 @@ def _json_list(items: list[str]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
 
 
-# csv.writer's writerow returns what its file's write returns: here the line
-_CSV_LINE = csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+@functools.cache  # csv, and the re it imports, only when a CSV is written through it
+def _csv_line():
+    # csv.writer's writerow returns what its file's write returns: here the line
+    import csv
+    return csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
 
 
 def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
-    return map(_CSV_LINE, itertools.chain([header], rows))
+    return map(_csv_line(), itertools.chain([header], rows))
 
 
 def _columns(rows: list[Sequence[str]]) -> str:
@@ -131,7 +137,7 @@ def _emit_rational(args, inputs: dict, value, header: list[str],
         args, inputs,
         results=lambda: [f'    {{\n      "denominator": {value.denominator},\n'
                          f'      "numerator": {value.numerator},\n'
-                         f'      "value": {_json_str(str(value))}\n    }}'],
+                         f'      "value": {_json_encoder()(str(value))}\n    }}'],
         table=lambda: f"{value}\n",
         csv_lines=lambda: _csv(header, [[*row, str(value)]]),
     ), 0
@@ -236,7 +242,7 @@ def _enumerate_record(row: constraints.EnumerationRow) -> str:
     return (f'    {{\n      "c1": {row.c1},\n      "c2_values": {_json_list(c2s)},\n'
             f'      "empty": false,\n      "entries": {entries},\n      "k": {row.k},\n'
             f'      "lower": {lower},\n'
-            f'      "provenance": {_json_list(list(map(_json_str, row.provenance)))},\n'
+            f'      "provenance": {_json_list(list(map(_json_encoder(), row.provenance)))},\n'
             f'      "upper": {row.upper}\n    }}')
 
 
@@ -302,8 +308,8 @@ def _coverage_record(row: tuple) -> str:
                         for w in witnesses])
     return (f'    {{\n      "c1": {c1},\n      "c2": {c2},\n'
             f'      "c3": {c3},\n      "genus": {genus},\n      "k": {k},\n'
-            f'      "origin": {_json_str(origin)},\n'
-            f'      "status": {_json_str(status)},\n'
+            f'      "origin": {_json_encoder()(origin)},\n'
+            f'      "status": {_json_encoder()(status)},\n'
             f'      "witnesses": {pairs}\n    }}')
 
 
@@ -331,8 +337,8 @@ def cmd_selfcheck(args) -> tuple[Iterator[str], int]:
     results = selfcheck.run_all()
     return _emit(
         args, {},
-        results=lambda: (f'    {{\n      "detail": {_json_str(r.detail)},\n'
-                         f'      "name": {_json_str(r.name)},\n'
+        results=lambda: (f'    {{\n      "detail": {_json_encoder()(r.detail)},\n'
+                         f'      "name": {_json_encoder()(r.name)},\n'
                          f'      "passed": {"true" if r.passed else "false"}\n    }}'
                          for r in results),
         table=lambda: _selfcheck_table(results),
@@ -382,6 +388,7 @@ _DEST = {flag: flag.lstrip("-").replace("-", "_")
 @functools.cache  # built only for help and the argv _parse_plain leaves to argparse
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The top-level parser, and each command's own parser by name."""
+    import argparse
     parser = argparse.ArgumentParser(prog="acmbundles", description=(
         "Exact Chern-class calculus and the admissible-invariant tables "
         "for ACM bundles on low-degree hypersurfaces in P^4."))
@@ -393,12 +400,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
-    """The namespace argparse gives for argv that names a command and then
-    only that command's exact flags, each value passing its type and choices
-    and none readable as a flag, every required flag present; for any other
-    argv None, and argparse reads it.  Reads ``_COMMANDS``, not argparse's
-    actions.  Never raises, never prints."""
+def _parse_plain(argv: list[str]) -> types.SimpleNamespace | None:
+    """A namespace with the dests and values argparse gives, for argv that
+    names a command and then only that command's exact flags, each value
+    passing its type and choices and none readable as a flag, every required
+    flag present; for any other argv None, and argparse reads it.  Reads
+    ``_COMMANDS``, not argparse's actions, and imports no argparse for a
+    well-formed argv.  Never raises, never prints."""
     if not argv or argv[0] not in _COMMANDS:
         return None
     flags, given, tokens = _COMMANDS[argv[0]][1], {}, iter(argv[1:])
@@ -414,7 +422,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
                 return None
             try:
                 value = options["type"](value) if "type" in options else value
-            except (ValueError, TypeError, argparse.ArgumentTypeError):
+            except Exception:  # int's ValueError, _quadruple's ArgumentTypeError
                 return None
             if "choices" in options and value not in options["choices"]:
                 return None
@@ -423,7 +431,7 @@ def _parse_plain(argv: list[str]) -> argparse.Namespace | None:
         if options.get("required") and flag not in given:
             return None
         given.setdefault(flag, False if "action" in options else options.get("default"))
-    return argparse.Namespace(command=argv[0], **{_DEST[f]: v for f, v in given.items()})
+    return types.SimpleNamespace(command=argv[0], **{_DEST[f]: v for f, v in given.items()})
 
 
 def main(argv: list[str] | None = None) -> int:

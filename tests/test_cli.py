@@ -137,16 +137,88 @@ def test_handler_is_looked_up_by_name(capsys, monkeypatch):
     assert seen == [2]
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # the records are named tuples and a catalog is read with open(), so a
-    # bare interpreter (-S: no site packages) importing the CLI never loads
-    # the dataclass machinery or pathlib
-    source = ("import sys, acmbundles.cli; "
-              "print(sorted({'dataclasses', 'inspect', 'pathlib'} & set(sys.modules)))")
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-S", "-c", source],
-                          capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+# what a command imports only where it runs: argparse (with gettext) for help
+# and malformed argv, json for --format json, csv for a CSV that cli._csv
+# writes, fractions (with decimal and numbers) for a chi or genus value,
+# random for selfcheck; all of them but random import re
+DEFERRED = {"argparse", "gettext", "csv", "json", "fractions", "decimal", "numbers",
+            "random", "re"}
+# bench/tracer.py looks each of these up in sys.modules once the CLI is imported
+TRACED = {f"acmbundles.{name}" for name in ("chern", "constraints", "extensions", "selfcheck")}
+# a usage error that argparse reports, after _quadruple rejects the value
+MALFORMED = ["twist", "--r", "4", "--bundle=1,2,3"]
+
+
+def bare_process(source, *argv):
+    """The words of the last line ``source`` prints, run with ``argv`` in a
+    bare interpreter (-S: no site, so nothing a .pth file preloads) from the
+    repository root, with src and tests on the path."""
+    paths = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+    done = subprocess.run([sys.executable, "-S", "-c", source, *argv], cwd=ROOT,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": paths})
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+def test_import_loads_only_the_library():
+    # the records are named tuples and a catalog is read with open(), so the
+    # import loads neither the dataclass machinery nor pathlib
+    loaded = set(bare_process("import sys, acmbundles.cli; print(*sys.modules)"))
+    assert loaded & (DEFERRED | {"dataclasses", "inspect", "pathlib"}) == set()
+    assert TRACED <= loaded
+
+
+# argv, its exit code, the deferred modules it must load and those it must not
+COMMAND_LOADS = [
+    (["enumerate", "--k", "3"], 0, set(), DEFERRED),
+    (["enumerate", "--k", "3", "--format", "csv"], 0, set(), DEFERRED),
+    (["enumerate", "--k", "3", "--format", "json"], 0, {"json"}, DEFERRED - {"json", "re"}),
+    (["chi", "--r", "4", "--line", "-a", "1"], 0, {"fractions"},
+     {"argparse", "csv", "json", "random"}),
+    (MALFORMED, 2, {"argparse"}, {"csv", "json", "fractions", "random"}),
+    (["selfcheck", "--format", "csv"], 0, {"csv", "random"}, {"argparse", "json"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, loads, skips", COMMAND_LOADS,
+                         ids=[" ".join(case[0]) for case in COMMAND_LOADS])
+def test_command_loads_only_what_it_runs(argv, code, loads, skips):
+    given, *loaded = bare_process(
+        "import sys; from acmbundles import cli; print(cli.main(sys.argv[1:]), *sys.modules)",
+        *argv)
+    assert int(given) == code
+    assert loads - set(loaded) == set() and skips & set(loaded) == set()
+
+
+# a fresh process, so a name that a first call rebinds is seen rebound
+RESTORED = """import io, sys
+from cli_cases import GOLDEN_CASES, GOLDEN_EXTENSIONS
+from acmbundles import cli
+
+def package_callables():
+    return {(name, attr): value for name, module in list(sys.modules.items())
+            if name.startswith("acmbundles")
+            for attr, value in vars(module).items() if callable(value)}
+
+before = package_callables()
+streams = sys.stdout, sys.stderr
+sys.stdout = sys.stderr = io.StringIO()
+codes = [cli.main([*argv, "--format", fmt])
+         for argv in GOLDEN_CASES.values() for fmt in GOLDEN_EXTENSIONS]
+codes.append(cli.main(sys.argv[1:]))
+sys.stdout, sys.stderr = streams
+after = package_callables()
+print(*codes, *sorted(f"{name}.{attr}" for name, attr in before.keys() | after.keys()
+                      if before.get((name, attr)) is not after.get((name, attr))))
+"""
+
+
+def test_calls_rebind_no_package_function():
+    # bench/smoke.py's "package functions not restored" check: every callable
+    # in each acmbundles namespace is the object it was before any call
+    runs = len(GOLDEN_CASES) * len(GOLDEN_EXTENSIONS)
+    words = bare_process(RESTORED, *MALFORMED)
+    assert (words[:runs + 1], words[runs + 1:]) == (["0"] * runs + ["2"], [])
 
 
 class TestChi:
