@@ -106,15 +106,17 @@ def _json_list(items: list[str]) -> str:
     return "[\n        " + ",\n        ".join(items) + "\n      ]" if items else "[]"
 
 
-@functools.cache  # csv, and the re it imports, only when a CSV is written through it
-def _csv_line():
-    # csv.writer's writerow returns what its file's write returns: here the line
-    import csv
-    return csv.writer(types.SimpleNamespace(write=str), lineterminator="\n").writerow
+def _csv_text(text: str) -> str:
+    # csv's minimal quoting, for the two free-text cells (coverage's origin,
+    # selfcheck's detail): quoted, its quotes doubled, if it holds , " \n or \r
+    if "," in text or '"' in text or "\n" in text or "\r" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
-def _csv(header: list[str], rows: Iterable[list]) -> Iterator[str]:
-    return map(_csv_line(), itertools.chain([header], rows))
+def _csv(header: list[str], rows: Iterable[Sequence]) -> Iterator[str]:
+    # every cell here an int, an a/b rational, a fixed word or _csv_text's
+    return (",".join(map(str, row)) + "\n" for row in itertools.chain([header], rows))
 
 
 def _columns(rows: list[Sequence[str]]) -> str:
@@ -158,7 +160,7 @@ def _emit_witnesses(args, inputs: dict, rows, table) -> tuple[Iterator[str], int
             f'        "c2": {r2}\n      }}\n    }}'
             for c1, c2, c3, l1, l2, r1, r2 in part]) for part in _slices(rows)),
         table=table,
-        # integer cells only, which csv never quotes
+        # integer cells only, so none needs _csv_text
         csv_lines=lambda: itertools.chain(
             ["left_c1,left_c2,right_c1,right_c2,k,c1,c2,c3\n"],
             ("".join([f"{l1},{l2},{r1},{r2},4,{c1},{c2},{c3}\n"
@@ -253,7 +255,7 @@ def _progression(start: int, step: int, count: int) -> Iterable[int]:
 def _enumerate_csv(rows: list[constraints.EnumerationRow]) -> Iterator[str]:
     """The header line, then one chunk per row, written by one ``%`` format
     over the row's three progressions: c2 steps by 1, c3 and the genus by
-    their slopes.  Integer cells only, which csv never quotes."""
+    their slopes.  Integer cells only, so none needs :func:`_csv_text`."""
     yield "k,c1,c2,c3,g\n"
     for row in rows:
         lower, count = row.lower, row.upper - row.lower + 1
@@ -321,7 +323,7 @@ def cmd_coverage(args) -> tuple[Iterator[str], int]:
         results=lambda: map(_coverage_record, report),
         table=lambda: _columns([header, *([*map(str, row[:5]), row[5], row[6] or "-"]
                                           for row in report)]),
-        csv_lines=lambda: _csv(header, (row[:7] for row in report)),
+        csv_lines=lambda: _csv(header, ((*row[:6], _csv_text(row[6])) for row in report)),
     ), 0
 
 
@@ -343,7 +345,7 @@ def cmd_selfcheck(args) -> tuple[Iterator[str], int]:
                          for r in results),
         table=lambda: _selfcheck_table(results),
         csv_lines=lambda: _csv(["name", "passed", "detail"], (
-            [r.name, "true" if r.passed else "false", r.detail] for r in results)),
+            [r.name, "true" if r.passed else "false", _csv_text(r.detail)] for r in results)),
     ), 0 if all(r.passed for r in results) else 1
 
 

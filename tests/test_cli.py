@@ -138,11 +138,12 @@ def test_handler_is_looked_up_by_name(capsys, monkeypatch):
 
 
 # what a command imports only where it runs: argparse (with gettext) for help
-# and malformed argv, json for --format json, csv for a CSV that cli._csv
-# writes, fractions (with decimal and numbers) for a chi or genus value,
-# random for selfcheck; all of them but random import re
-DEFERRED = {"argparse", "gettext", "csv", "json", "fractions", "decimal", "numbers",
-            "random", "re"}
+# and malformed argv, json for --format json, fractions (with decimal and
+# numbers) for a chi or genus value, random for selfcheck; all of them but
+# random import re
+DEFERRED = {"argparse", "gettext", "json", "fractions", "decimal", "numbers", "random", "re"}
+# what neither the import nor any command loads: the CLI writes its CSV itself
+UNUSED = {"csv", "dataclasses", "inspect", "pathlib"}
 # bench/tracer.py looks each of these up in sys.modules once the CLI is imported
 TRACED = {f"acmbundles.{name}" for name in ("chern", "constraints", "extensions", "selfcheck")}
 # a usage error that argparse reports, after _quadruple rejects the value
@@ -164,7 +165,7 @@ def test_import_loads_only_the_library():
     # the records are named tuples and a catalog is read with open(), so the
     # import loads neither the dataclass machinery nor pathlib
     loaded = set(bare_process("import sys, acmbundles.cli; print(*sys.modules)"))
-    assert loaded & (DEFERRED | {"dataclasses", "inspect", "pathlib"}) == set()
+    assert loaded & (DEFERRED | UNUSED) == set()
     assert TRACED <= loaded
 
 
@@ -173,10 +174,12 @@ COMMAND_LOADS = [
     (["enumerate", "--k", "3"], 0, set(), DEFERRED),
     (["enumerate", "--k", "3", "--format", "csv"], 0, set(), DEFERRED),
     (["enumerate", "--k", "3", "--format", "json"], 0, {"json"}, DEFERRED - {"json", "re"}),
-    (["chi", "--r", "4", "--line", "-a", "1"], 0, {"fractions"},
-     {"argparse", "csv", "json", "random"}),
-    (MALFORMED, 2, {"argparse"}, {"csv", "json", "fractions", "random"}),
-    (["selfcheck", "--format", "csv"], 0, {"csv", "random"}, {"argparse", "json"}),
+    (["chi", "--r", "4", "--line", "-a", "1"], 0, {"fractions"}, {"argparse", "json", "random"}),
+    (["twist", "--r", "4", "--bundle", "3,1,5,2", "-n", "1", "--format", "csv"], 0, set(),
+     DEFERRED),
+    (["coverage", "--k", "3", "--format", "csv"], 0, set(), DEFERRED),
+    (MALFORMED, 2, {"argparse"}, {"json", "fractions", "random"}),
+    (["selfcheck", "--format", "csv"], 0, {"random"}, {"argparse", "json"}),
 ]
 
 
@@ -187,7 +190,7 @@ def test_command_loads_only_what_it_runs(argv, code, loads, skips):
         "import sys; from acmbundles import cli; print(cli.main(sys.argv[1:]), *sys.modules)",
         *argv)
     assert int(given) == code
-    assert loads - set(loaded) == set() and skips & set(loaded) == set()
+    assert loads - set(loaded) == set() and (skips | UNUSED) & set(loaded) == set()
 
 
 # a fresh process, so a name that a first call rebinds is seen rebound

@@ -188,11 +188,15 @@ def test_selfcheck_matches_oracle(monkeypatch):
         check(oracles.expect_selfcheck(fmt), "selfcheck", "--format", fmt)
     results = selfcheck.run_all()
     assert run("selfcheck", "--format", "json") == (0, document(results))
-    # a failed check, with a detail that json.dumps must escape
-    failing = [selfcheck.CheckResult("twist-roundtrip", False, 'é∂ "q" \\ at (4;1,6,4)'),
-               *results[1:]]
+    # failed checks, with details that json.dumps must escape and CSV must
+    # quote: a comma, a quote and \n in one, a \r alone in the other
+    failing = [selfcheck.CheckResult("twist-roundtrip", False, 'é∂ "q" \\ at (4;1,6,4)\n'),
+               results[1]._replace(passed=False, detail="c3 \r mismatch"), *results[2:]]
     monkeypatch.setattr(selfcheck, "run_all", lambda: failing)
     assert run("selfcheck", "--format", "json") == (1, document(failing))
+    assert run("selfcheck", "--format", "csv") == (1, "".join(map(oracles.csv_line, [
+        ["name", "passed", "detail"],
+        *([r.name, "true" if r.passed else "false", r.detail] for r in failing)])))
 
 
 # the values an envelope head holds: ints, bools, None, strings (JSON escapes
