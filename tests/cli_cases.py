@@ -64,12 +64,14 @@ GOLDEN_CASES = {
 GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
 
 # argv forms with one golden each: a separate negative value and the "="
-# form, which the flag table reads, and an attached value, which argparse reads
+# form, which the flag table reads, and an attached value and a prefix of a
+# long flag (enumerate_k3's CSV), which argparse reads
 ARGV_FORM_CASES = {
     "twist_dashed.json": ["twist", "--r", "4", "--bundle=3,1,5,2", "-n", "-1",
                           "--format", "json"],
     "chi_line_dashed.txt": ["chi", "--r=4", "--line", "-a", "-2"],
     "chi_line_glued.txt": ["chi", "--r", "4", "--line", "-a3"],
+    "enumerate_k3.csv": ["enumerate", "--k", "3", "--form", "csv"],
 }
 
 # argparse's own text, rendered at 80 columns: name -> (argv, exit code,
@@ -78,13 +80,18 @@ ARGV_FORM_CASES = {
 # unknown command and leftover tokens are the top-level parser's
 USAGE_CASES = {
     "help": (["--help"], 0, "out"),
-    "help_decompose": (["decompose", "--help"], 0, "out"),
+    **{f"help_{name}": ([name, "--help"], 0, "out") for name in (
+        "chi", "twist", "genus", "enumerate", "extensions", "decompose", "coverage",
+        "selfcheck")},
     "usage_catalog": (["enumerate", "--k", "3", "--catalog", "X"], 2, "err"),
     "usage_enumerate_missing": (["enumerate"], 2, "err"),
     "usage_enumerate_format": (["enumerate", "--k", "3", "--format", "xml"], 2, "err"),
     "usage_genus_int": (["genus", "--r", "x", "--bundle", "4,1,6,4"], 2, "err"),
     "usage_unknown_command": (["frobnicate"], 2, "err"),
     "usage_chi_leftover": (["chi", "--r", "4", "--line", "-a", "1", "extra"], 2, "err"),
+    "usage_chi_no_value": (["chi", "--r", "4", "--line", "-a"], 2, "err"),
+    "usage_twist_quadruple": (["twist", "--r", "4", "--bundle=1,2,3"], 2, "err"),
+    "usage_twist_missing": (["twist", "--r", "4", "--bundle", "3,1,5,2"], 2, "err"),
 }
 
 # error exits: name -> (argv, exit code, the exact stderr, as text or as the
