@@ -39,6 +39,11 @@ class UsageError(Exception):
     """Bad flag combinations detected after parsing; exits with code 2."""
 
 
+class _Usage(Exception):
+    """An argv the parser rejects, as (command, message): the message goes
+    after the command's usage block, or the top level's if command is ""."""
+
+
 def _quadruple(text: str) -> tuple[int, int, int, int]:
     parts = text.split(",")
     message = "expected k,c1,c2,c3"
@@ -47,8 +52,7 @@ def _quadruple(text: str) -> tuple[int, int, int, int]:
             return tuple(map(int, parts))
         except ValueError:
             message = "quadruple entries must be integers"
-    import argparse  # only on this path: argparse reads the argv from here on
-    raise argparse.ArgumentTypeError(f"{message} (got {text!r})")
+    raise ValueError(f"{message} (got {text!r})")
 
 
 @functools.cache  # json, with the json.decoder and re it imports, only for --format json
@@ -349,8 +353,8 @@ def cmd_selfcheck(args) -> tuple[Iterator[str], int]:
     ), 0 if all(r.passed for r in results) else 1
 
 
-# each command once, read by both parsers: name -> (summary, {flag: its
-# add_argument keywords}), the flags in help order
+# each command once, read by the parser and the help: name -> (summary,
+# {flag: its add_argument keywords}), the flags in help order
 _INT = {"type": int, "required": True}
 _R = {**_INT, "help": "hypersurface degree"}
 _QUADRUPLE = {"type": _quadruple, "required": True, "metavar": "K,C1,C2,C3"}
@@ -360,7 +364,7 @@ _FORMAT = {"choices": FORMATS, "default": "table", "help": "output format (defau
 _CATALOG = {"metavar": "FILE", "default": None, "help": "rank-two catalog override file"}
 _COMMANDS = {
     "chi": ("Euler characteristic of a line bundle or quadruple", {"--r": _R, "--line": {
-        "action": "store_true", "help": "line-bundle mode: evaluate O(a)"},
+        "action": "store_true", "default": False, "help": "line-bundle mode: evaluate O(a)"},
         "-a": {"type": int, "default": None, "help": "twist for --line mode"},
         "--bundle": {**_QUADRUPLE, "required": False, "default": None}, "--format": _FORMAT}),
     "twist": ("invariants of E(n)", {"--r": _R, "--bundle": _QUADRUPLE, "-n": {
@@ -373,88 +377,160 @@ _COMMANDS = {
                    {"--r": _R, "--pool": _POOL, "--format": _FORMAT, "--catalog": _CATALOG}),
     "decompose": ("find catalog pairs realizing a quadruple", {
         "--r": _R, "--target": _QUADRUPLE, "--pool": _POOL, "--expect-witness": {
-            "action": "store_true", "help": "exit 1 if no decomposition exists"},
+            "action": "store_true", "default": False, "help": "exit 1 if no decomposition exists"},
         "--format": _FORMAT, "--catalog": _CATALOG}),
     "coverage": ("realized/open labels for the rank-k table", {
         "--k": {**_INT, "help": "rank (3 or 4)"}, "--format": _FORMAT, "--catalog": _CATALOG}),
     "selfcheck": ("run the cross-module invariant suite", {"--format": _FORMAT}),
 }
-# argparse reads "-5" as a value only while no option could be read as one
-assert not any(flag[1] == "." or flag[1].isdecimal()
-               for _, flags in _COMMANDS.values() for flag in flags)
-# each flag's dest, as argparse names it: its one option string, undashed
+# each flag's attribute on the namespace: the flag undashed, "-" read as "_"
 _DEST = {flag: flag.lstrip("-").replace("-", "_")
          for _, flags in _COMMANDS.values() for flag in flags}
+# -h and --help: flags of every command, and the top level's only ones
+_HELP = dict.fromkeys(("-h", "--help"), {"action": "help"})
+_CHOICES = "{" + ",".join(_COMMANDS) + "}"
 
 
-@functools.cache  # built only for help and the argv _parse_plain leaves to argparse
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser, and each command's own parser by name."""
-    import argparse
-    parser = argparse.ArgumentParser(prog="acmbundles", description=(
-        "Exact Chern-class calculus and the admissible-invariant tables "
-        "for ACM bundles on low-degree hypersurfaces in P^4."))
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, flags) in _COMMANDS.items():
-        command = sub.add_parser(name, help=summary)
-        for flag, options in flags.items():
-            command.add_argument(flag, **options)
-    return parser, sub.choices
-
-
-def _parse_plain(argv: list[str]) -> types.SimpleNamespace | None:
-    """A namespace with the dests and values argparse gives, for argv that
-    names a command and then only that command's exact flags, each value
-    passing its type and choices and none readable as a flag, every required
-    flag present; for any other argv None, and argparse reads it.  Reads
-    ``_COMMANDS``, not argparse's actions, and imports no argparse for a
-    well-formed argv.  Never raises, never prints."""
-    if not argv or argv[0] not in _COMMANDS:
+def _option(command: str, flags: dict, token: str) -> tuple[str, str | None] | None:
+    """None if ``token`` (not "--") is a value; else the flag it names, whole
+    or a long flag's unique prefix (the token itself if none), and the value
+    it carries after "=" or glued to a one-letter flag."""
+    if token[:1] != "-" or token == "-":
         return None
-    flags, given, tokens = _COMMANDS[argv[0]][1], {}, iter(argv[1:])
+    head, equals, value = token.partition("=")
+    names = [head] if head in flags or head in _HELP else [
+        name for name in (*_HELP, *flags) if name.startswith(head)] if token[1] == "-" else []
+    if len(names) > 1:
+        raise _Usage(command, f"ambiguous option: {token} could match {', '.join(names)}")
+    if names or token[:2] in flags or token[:2] in _HELP:
+        return (names[0], value if equals else None) if names else (token[:2], token[2:])
+    # a negative number, or text with a space, is a value
+    whole, dot, fraction = token[1:].removesuffix("\n").partition(".")
+    number = (whole + fraction).isdecimal() and (fraction or not dot)
+    return None if number or " " in token else (token, None)
+
+
+def _parse(argv: list[str]) -> types.SimpleNamespace:
+    """The command and each of its flags' values or defaults, read in order
+    as argparse reads argv: the first value names the command, before which
+    only -h and --help are known, and all from "--" on is left over.  A fault
+    raises ``_Usage`` where it is met, but a leftover only after any missing
+    required flag.  -h or --help ends the reading: the namespace is then
+    ``command=None`` and ``help``, the command asked about ("" for none)."""
+    command, flags, given, extras, tokens = "", {}, {}, [], iter(argv)
     for token in tokens:
         flag, equals, value = token.partition("=")
-        options = flags.get(flag)
-        if options is None or "action" in options and equals:  # a switch takes no value
-            return None
-        if "action" not in options:  # the one action is store_true
-            # a missing value, "--" (argparse strips it) and "-x" fall back
-            value = value if equals else next(tokens, "--")
-            if value[:1] == "-" and not value[1:].isdecimal():
-                return None
+        if flag in flags:  # a flag of the command, whole
+            value = value if equals else None
+        elif not command and token in _COMMANDS:  # the first value names the command
+            command, flags = token, _COMMANDS[token][1]
+            continue
+        elif token == "--":  # the rest is left over
+            extras += [token, *tokens]
+            break
+        else:
+            flag, value = _option(command, flags, token) or (None, token)
+        options = flags.get(flag) or _HELP.get(flag)
+        if flag is None and not command:
+            raise _Usage(command, _invalid("command", token, _COMMANDS))
+        if options is None:
+            extras.append(token)
+        elif "action" in options:  # help, or store_true: no value
+            if value is not None:
+                raise _Usage(command, f"argument {flag}: ignored explicit argument {value!r}")
+            if flag in _HELP:
+                for rest in itertools.takewhile("--".__ne__, tokens):
+                    _option(command, flags, rest)  # an ambiguous prefix anywhere comes first
+                return types.SimpleNamespace(command=None, help=command)
+            given[flag] = True
+        else:
+            if value is None:  # the next token, unless it is a flag
+                value = next(tokens, "--")
+                if value[:1] == "-" and not value[1:].isdecimal() and value != "--" and _option(
+                        command, flags, value):
+                    value = "--"
+            if value == "--":
+                raise _Usage(command, f"argument {flag}: expected one argument")
+            kind = options.get("type")
             try:
-                value = options["type"](value) if "type" in options else value
-            except Exception:  # int's ValueError, _quadruple's ArgumentTypeError
-                return None
+                given[flag] = kind(value) if kind else value
+            except ValueError as exc:
+                raise _Usage(command, f"argument {flag}: " + (
+                    str(exc) if kind is _quadruple else f"invalid int value: {value!r}"))
             if "choices" in options and value not in options["choices"]:
-                return None
-        given[flag] = True if "action" in options else value
+                raise _Usage(command, _invalid(flag, value, options["choices"]))
+    missing, values = [] if command else ["command"], {"command": command}
     for flag, options in flags.items():
-        if options.get("required") and flag not in given:
-            return None
-        given.setdefault(flag, False if "action" in options else options.get("default"))
-    return types.SimpleNamespace(command=argv[0], **{_DEST[f]: v for f, v in given.items()})
+        if flag in given or not options.get("required"):
+            values[_DEST[flag]] = given.get(flag, options.get("default"))
+        else:
+            missing.append(flag)
+    if missing:
+        raise _Usage(command, f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise _Usage("", f"unrecognized arguments: {' '.join(extras)}")
+    return types.SimpleNamespace(**values)
+
+
+def _invalid(name: str, value: str, choices: Iterable[str]) -> str:
+    return f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
+
+
+def _usage(command: str) -> str:
+    """The command's usage block at 80 columns, as argparse wraps it: its
+    parts fill lines of up to 78 columns, each further line indented under
+    the first."""
+    prog = f"acmbundles {command}".rstrip()
+    lines, indent = [f"usage: {prog}"], " " * (len(prog) + 7)
+    for part in ["[-h]", *([_CHOICES, "..."] if not command else [
+            _shown(flag, options) if options.get("required") else f"[{_shown(flag, options)}]"
+            for flag, options in _COMMANDS[command][1].items()])]:
+        if len(lines[-1]) + 1 + len(part) > 78 and lines[-1] != indent:
+            lines.append(indent)
+        lines[-1] += " " + part
+    return "\n".join(lines) + "\n"
+
+
+def _shown(flag: str, options: dict) -> str:
+    # a flag as usage and help show it, with its value's name if it takes one
+    return flag if "action" in options else f"{flag} " + (
+        "{" + ",".join(options["choices"]) + "}" if "choices" in options
+        else options.get("metavar", _DEST[flag].upper()))
+
+
+def _help(command: str) -> str:
+    rows = [("  -h, --help", "show this help message and exit")]
+    if command:
+        rows += [(f"  {_shown(flag, options)}", options.get("help"))
+                 for flag, options in _COMMANDS[command][1].items()]
+        return f"{_usage(command)}\noptions:\n{_rows(rows)}"
+    return (f"{_usage(command)}\nExact Chern-class calculus and the admissible-invariant tables "
+            f"for ACM bundles\non low-degree hypersurfaces in P^4.\n\npositional arguments:\n"
+            f"  {_CHOICES}\n" + _rows((f"    {name}", summary) for name, (summary, _)
+                                     in _COMMANDS.items()) + f"\noptions:\n{_rows(rows)}")
+
+
+def _rows(rows: Iterable[tuple[str, str | None]]) -> str:
+    # help starts in column 24, as each table has an entry too wide for less
+    return "".join(f"{head}\n" if text is None else f"{head:<24}{text}\n" if len(head) <= 22
+                   else f"{head}\n{'':24}{text}\n" for head, text in rows)
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    try:
-        # argv is parsed once: by the flag tables if well-formed, else by argparse
-        args = _parse_plain(argv)
-        if args is None:
-            parser, commands = _build_parser()
-            args = parser.parse_args(argv)
-            for flag in _COMMANDS[args.command][1]:
-                if getattr(args, _DEST[flag]) == []:  # argparse's value for "--r=--"
-                    commands[args.command].error(f"argument {flag}: expected one argument")
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     chunks = None
     try:
-        chunks, code = globals()[f"cmd_{args.command}"](args)
+        args = _parse(argv)
+        chunks, code = ([_help(args.help)], 0) if args.command is None else globals()[
+            f"cmd_{args.command}"](args)
         return _write(chunks, code)
     except MemoryError:  # first: matching it allocates nothing, unlike the tuple below
         message, code = "out of memory", 1
+    except _Usage as usage:  # the usage block, then one error line
+        command, message = usage.args
+        prog = f"acmbundles {command}".rstrip()
+        sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
+        return 2
     except (UsageError, DomainError, OSError) as exc:
         message, code = str(exc), 2 if isinstance(exc, UsageError) else 1
     # the except block has dropped the traceback, and with it the frames the

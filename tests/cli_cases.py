@@ -4,9 +4,9 @@ holds, and every error exit with its exit code and exact stderr.
 
 ``tests/test_cli.py`` runs each row in process. Run as a script, this module
 runs each row as a process instead, ``python -m acmbundles ARGV`` from the
-repository root with ``COLUMNS=80`` and ``PYTHONPATH=src``, compares the exit
-code, stdout and stderr byte for byte, prints a unified diff for each
-mismatch and exits 1 if any row fails:
+repository root with ``PYTHONPATH=src``, compares the exit code, stdout and
+stderr byte for byte, prints a unified diff for each mismatch and exits 1 if
+any row fails:
 
     python tests/cli_cases.py
 
@@ -63,9 +63,9 @@ GOLDEN_CASES = {
 }
 GOLDEN_EXTENSIONS = {"table": "txt", "json": "json", "csv": "csv"}
 
-# argv forms with one golden each: a separate negative value and the "="
-# form, which the flag table reads, and an attached value and a prefix of a
-# long flag (enumerate_k3's CSV), which argparse reads
+# argv forms with one golden each: a separate negative value, the "=" form,
+# a value glued to a one-letter flag, and a unique prefix of a long flag
+# (enumerate_k3's CSV)
 ARGV_FORM_CASES = {
     "twist_dashed.json": ["twist", "--r", "4", "--bundle=3,1,5,2", "-n", "-1",
                           "--format", "json"],
@@ -74,10 +74,10 @@ ARGV_FORM_CASES = {
     "enumerate_k3.csv": ["enumerate", "--k", "3", "--form", "csv"],
 }
 
-# argparse's own text, rendered at 80 columns: name -> (argv, exit code,
+# help and usage errors, laid out at 80 columns: name -> (argv, exit code,
 # the stream that carries the text; the other stream stays empty); a
 # command's own errors carry its prefix ("acmbundles enumerate:"), while an
-# unknown command and leftover tokens are the top-level parser's
+# unknown command and leftover tokens are the top level's
 USAGE_CASES = {
     "help": (["--help"], 0, "out"),
     **{f"help_{name}": ([name, "--help"], 0, "out") for name in (
@@ -150,7 +150,7 @@ def process_cases():
 
 
 def main():
-    env = {**os.environ, "COLUMNS": "80", "PYTHONPATH": "src"}
+    env = {**os.environ, "PYTHONPATH": "src"}
     failed = total = 0
     for label, argv, code, out, err in process_cases():
         total += 1

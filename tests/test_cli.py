@@ -48,8 +48,7 @@ def test_argv_form_golden(capsys, name):
 
 
 @pytest.mark.parametrize("name", sorted(USAGE_CASES))
-def test_usage_golden(capsys, monkeypatch, name):
-    monkeypatch.setenv("COLUMNS", "80")
+def test_usage_golden(capsys, name):
     argv, expected_code, stream = USAGE_CASES[name]
     code, out, err = run_cli(capsys, *argv)
     text, other = (out, err) if stream == "out" else (err, out)
@@ -65,18 +64,17 @@ def test_error_golden(capsys, monkeypatch, name):
     assert run_cli(capsys, *argv) == (code, "", text)
 
 
-def test_well_formed_argv_never_builds_the_parser(capsys, monkeypatch):
-    # argparse is built only for help and malformed argv, and then once per
-    # process: the cache the usage errors of a long-running caller rely on
-    monkeypatch.chdir(ROOT)
-    cli._build_parser.cache_clear()
-    for argv in GOLDEN_CASES.values():
-        for fmt in GOLDEN_EXTENSIONS:
-            assert run_cli(capsys, *argv, "--format", fmt)[0] == 0
-    assert cli._build_parser.cache_info().currsize == 0
-    argv = USAGE_CASES["usage_enumerate_format"][0]
-    assert [run_cli(capsys, *argv)[0] for _ in range(2)] == [2, 2]
-    assert cli._build_parser.cache_info().misses == 1
+@pytest.mark.parametrize("columns", ["40", "200", None])
+@pytest.mark.parametrize("name", ["help", "help_decompose", "usage_unknown_command"])
+def test_usage_ignores_the_terminal_width(capsys, monkeypatch, name, columns):
+    # usage and help are laid out at 80 columns whatever COLUMNS says
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    argv, code, stream = USAGE_CASES[name]
+    text = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    assert run_cli(capsys, *argv) == (code, *((text, "") if stream == "out" else ("", text)))
 
 
 # calls whose result must not depend on the call before them in the same
@@ -96,7 +94,6 @@ NEIGHBOUR_CALLS = [
 def test_no_state_leaks_between_calls(capsys, monkeypatch):
     """A call's output, and the namespace its handler is given, are the same
     whatever call ran before it."""
-    monkeypatch.setenv("COLUMNS", "80")
     given = []
 
     def recording(handler):
@@ -137,16 +134,16 @@ def test_handler_is_looked_up_by_name(capsys, monkeypatch):
     assert seen == [2]
 
 
-# what a command imports only where it runs: argparse (with gettext) for help
-# and malformed argv, json for --format json, fractions (with decimal and
-# numbers) for a chi or genus value, random for selfcheck; all of them but
-# random import re
-DEFERRED = {"argparse", "gettext", "json", "fractions", "decimal", "numbers", "random", "re"}
-# what neither the import nor any command loads: the CLI writes its CSV itself
-UNUSED = {"csv", "dataclasses", "inspect", "pathlib"}
+# what a command imports only where it runs: json for --format json,
+# fractions (with decimal and numbers) for a chi or genus value, random for
+# selfcheck; all of them but random import re
+DEFERRED = {"json", "fractions", "decimal", "numbers", "random", "re"}
+# what neither the import nor any command loads: the CLI reads its argv and
+# writes its usage, help and CSV itself
+UNUSED = {"argparse", "gettext", "csv", "dataclasses", "inspect", "pathlib"}
 # bench/tracer.py looks each of these up in sys.modules once the CLI is imported
 TRACED = {f"acmbundles.{name}" for name in ("chern", "constraints", "extensions", "selfcheck")}
-# a usage error that argparse reports, after _quadruple rejects the value
+# a usage error, after _quadruple rejects the value
 MALFORMED = ["twist", "--r", "4", "--bundle=1,2,3"]
 
 
@@ -174,12 +171,14 @@ COMMAND_LOADS = [
     (["enumerate", "--k", "3"], 0, set(), DEFERRED),
     (["enumerate", "--k", "3", "--format", "csv"], 0, set(), DEFERRED),
     (["enumerate", "--k", "3", "--format", "json"], 0, {"json"}, DEFERRED - {"json", "re"}),
-    (["chi", "--r", "4", "--line", "-a", "1"], 0, {"fractions"}, {"argparse", "json", "random"}),
+    (["chi", "--r", "4", "--line", "-a", "1"], 0, {"fractions"}, {"json", "random"}),
     (["twist", "--r", "4", "--bundle", "3,1,5,2", "-n", "1", "--format", "csv"], 0, set(),
      DEFERRED),
     (["coverage", "--k", "3", "--format", "csv"], 0, set(), DEFERRED),
-    (MALFORMED, 2, {"argparse"}, {"json", "fractions", "random"}),
-    (["selfcheck", "--format", "csv"], 0, {"random"}, {"argparse", "json"}),
+    (MALFORMED, 2, set(), DEFERRED),
+    (["--help"], 0, set(), DEFERRED),
+    (["frobnicate"], 2, set(), DEFERRED),
+    (["selfcheck", "--format", "csv"], 0, {"random"}, {"json"}),
 ]
 
 
@@ -316,7 +315,7 @@ class TestUsage:
         (["coverage", "--k", "4", "--cat=--"], "--catalog"),
     ])
     def test_dashes_value_is_missing(self, capsys, argv, flag):
-        # argparse strips a "--" value and stores []; no handler may see that
+        # "--" is never a value, after "=" or not
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith(f": error: argument {flag}: expected one argument\n")
