@@ -9,6 +9,7 @@ supplied for exploring hypothetical catalogs at other degrees.
 
 from __future__ import annotations
 
+import functools
 import os
 
 from . import constraints
@@ -47,6 +48,9 @@ class CatalogParseError(DomainError):
     """A catalog override file failed to parse; the message carries the line number."""
 
 
+_ROW_TYPES = (int, int, int, bool)
+
+
 class Catalog(_record("Catalog", "entries")):
     """An immutable set of rank-two classes, as integer rows (r, c1, c2, star)
     on the degree-r hypersurface: a class (r, c1, c2) comes at most once."""
@@ -70,6 +74,11 @@ class Catalog(_record("Catalog", "entries")):
                 except ValueError:
                     raise DomainError(f"catalog row {row} does not have the four "
                                       f"fields r, c1, c2, star") from None
+        kinds = {(type(r), type(c1), type(c2), type(star)) for r, c1, c2, star in entries}
+        if kinds - {_ROW_TYPES}:  # by type(), so a bool is not an int
+            bad = next(row for row in entries if tuple(map(type, row)) != _ROW_TYPES)
+            raise DomainError(f"catalog row {bad!r} must hold integers r, c1, c2 "
+                              f"and a bool star")
         if len(classes) < len(entries):
             seen = set()
             for key in ((r, c1, c2) for r, c1, c2, _ in entries):
@@ -112,29 +121,35 @@ def load_catalog(path: str | os.PathLike) -> Catalog:
     ``#`` and blank lines are skipped.  UTF-8 only.  A class (r, c1, c2)
     may appear only once.
 
-    Every field of every line is checked; gg is not kept.  The file is
-    parsed whole; :func:`_first_fault` words a failure.
+    Every field of every line is checked; gg is not kept.  :func:`_parse`
+    parses the file whole, once per text; :func:`_first_fault` words a failure.
     """
     with open(path, "rb") as file:
         data = file.read()
     try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # number lines as splitlines() does below: the text before the bad
-        # byte is valid, and a sentinel marks whether it ends mid-line
+        return _parse(data)
+    except UnicodeDecodeError as exc:  # a ValueError, so caught first
+        # number lines as splitlines() does in _parse: the text before the
+        # bad byte is valid, and a sentinel marks whether it ends mid-line
         lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise CatalogParseError(f"{path}: line {lineno}: not valid UTF-8") from None
-    lines = text.splitlines()
-    try:
-        # a wrong field count fails the unpacking, a bad field int() or a
-        # lookup (gg's is the filter, true for every known gg), and a
-        # repeated class the Catalog
-        rows = [(int(a), int(b), int(c), _STAR[star])
-                for tokens in map(str.split, lines) if tokens and tokens[0][0] != "#"
-                for a, b, c, star, gg in (tokens,) if _GG[gg]]
-        return Catalog(tuple(rows))
     except (ValueError, KeyError):
-        raise CatalogParseError(_first_fault(path, lines)) from None
+        raise CatalogParseError(_first_fault(path, data.decode("utf-8").splitlines())) from None
+
+
+@functools.lru_cache(maxsize=16)
+def _parse(data: bytes) -> Catalog:
+    """The catalog a file of exactly these bytes holds.  The cache is keyed on
+    the bytes, not the path, so an edited file is parsed again; a failure
+    raises its bare exception, and the cache keeps only successes."""
+    # a wrong field count fails the unpacking, a bad field int() or a
+    # lookup (gg's is the filter, true for every known gg), and a repeated
+    # class the Catalog
+    rows = [(int(a), int(b), int(c), _STAR[star])
+            for tokens in map(str.split, data.decode("utf-8").splitlines())
+            if tokens and tokens[0][0] != "#"
+            for a, b, c, star, gg in (tokens,) if _GG[gg]]
+    return Catalog(tuple(rows))
 
 
 def _first_fault(path: str | os.PathLike, lines: list[str]) -> str:

@@ -88,6 +88,9 @@ NEIGHBOUR_CALLS = [
     (["frobnicate"], 2, ""),
     (["--help"], 0, GOLDEN / "help.txt"),
     (GOLDEN_CASES["decompose_r4"], 0, GOLDEN / "decompose_r4.txt"),
+    # the second pass loads the catalog from the parse cache
+    (GOLDEN_CASES["decompose_catalog"], 0, GOLDEN / "decompose_catalog.txt"),
+    (GOLDEN_CASES["extensions_r5_catalog"], 0, GOLDEN / "extensions_r5_catalog.txt"),
 ]
 
 
@@ -104,6 +107,7 @@ def test_no_state_leaks_between_calls(capsys, monkeypatch):
 
     for name in [name for name in vars(cli) if name.startswith("cmd_")]:
         monkeypatch.setattr(cli, name, recording(getattr(cli, name)))
+    monkeypatch.chdir(ROOT)  # the catalog calls name tests/catalog_345.txt
     # a call outside the sequence goes first, so the first pass follows
     # other flag values than the second
     run_cli(capsys, "decompose", "--r", "4", "--target", "4,4,31,29",

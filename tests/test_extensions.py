@@ -1,6 +1,7 @@
 """Catalog data, extension arithmetic against a ring oracle, decomposability
 search, the coverage report, and the catalog override file format."""
 
+import os
 import re
 import time
 from itertools import combinations_with_replacement, product
@@ -93,6 +94,16 @@ class TestCatalog:
         with pytest.raises(DomainError, match=re.escape(
                 f"catalog row {bad!r} is not a sequence of hashable fields")):
             Catalog(rows)
+
+    @pytest.mark.parametrize("bad", [
+        (4, "1", 3, True), (4, 1, 3.0, True), (True, 1, 3, True), (4, 1, 3, 1),
+    ], ids=["str", "float", "bool-degree", "int-star"])
+    def test_row_of_other_field_types_is_named(self, bad):
+        # by type(), as JSON output tells a bool from an int: True == 1 would
+        # otherwise pass, and (4, True, 3) repeat (4, 1, 3)
+        with pytest.raises(DomainError, match=re.escape(
+                f"catalog row {bad!r} must hold integers r, c1, c2 and a bool star")):
+            Catalog(((4, 2, 8, True), bad, (4, 3, 14, "yes")))
 
     @pytest.mark.parametrize("entries, name", [
         (5, "int"),
@@ -332,3 +343,38 @@ class TestCatalogFile:
         message = f"{path}: line {lineno}: not valid UTF-8"
         with pytest.raises(CatalogParseError, match=re.escape(message)):
             load_catalog(path)
+
+    def test_an_edit_that_keeps_the_size_and_mtime_is_parsed_again(self, tmp_path):
+        # the parse cache is keyed on the bytes, not the path or the mtime
+        path = tmp_path / "catalog.txt"
+        path.write_text("4 1 3 1 no\n", encoding="utf-8")
+        assert load_catalog(path).entries == ((4, 1, 3, True),)
+        before = path.stat()
+        path.write_text("4 1 4 0 no\n", encoding="utf-8")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_catalog(path).entries == ((4, 1, 4, False),)
+
+    @pytest.mark.parametrize("content, fault", [
+        (b"4 1 3 1 no\n4 1 3 2 no\n", "line 2: star must be 0 or 1, got '2'"),
+        (b"4 1 3 1 no\n\xff\n", "line 2: not valid UTF-8"),
+    ], ids=["star", "utf-8"])
+    def test_faulty_bytes_fail_on_every_load_naming_each_path(self, tmp_path, content,
+                                                              fault):
+        # a failure is never cached, so the same bytes at another path, or
+        # loaded again, word their error with that load's path
+        paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+        for path in paths:
+            path.write_bytes(content)
+        for path in paths * 2:
+            with pytest.raises(CatalogParseError, match=re.escape(f"{path}: {fault}")):
+                load_catalog(path)
+
+    def test_a_hit_returns_the_same_catalog(self, tmp_path):
+        paths = [tmp_path / "first.txt", tmp_path / "second.txt"]
+        for path in paths:
+            path.write_text("5 1 4 1 no\n5 2 9 0 generic\n", encoding="utf-8")
+        first = load_catalog(paths[0])
+        assert load_catalog(paths[1]) is first
+        assert load_catalog(paths[0]) is first
