@@ -48,9 +48,6 @@ class CatalogParseError(DomainError):
     """A catalog override file failed to parse; the message carries the line number."""
 
 
-_ROW_TYPES = (int, int, int, bool)
-
-
 class Catalog(_record("Catalog", "entries")):
     """An immutable set of rank-two classes, as integer rows (r, c1, c2, star)
     on the degree-r hypersurface: a class (r, c1, c2) comes at most once."""
@@ -61,30 +58,25 @@ class Catalog(_record("Catalog", "entries")):
         if not isinstance(entries, tuple):
             raise DomainError(f"catalog entries must be a tuple of rows, "
                               f"got {type(entries).__name__}")
-        try:
-            classes = {(r, c1, c2) for r, c1, c2, _ in entries}
-        except (TypeError, ValueError):
-            for row in entries:  # looked for only on failure
-                try:
-                    r, c1, c2, _ = row
-                    hash((r, c1, c2))
-                except TypeError:
-                    raise DomainError(f"catalog row {row!r} is not a sequence "
-                                      f"of hashable fields") from None
-                except ValueError:
+        classes = set()
+        for row in entries:  # the first faulty row is named
+            try:
+                if len(row) != 4:  # an iterator has no len(), so is never used up
                     raise DomainError(f"catalog row {row} does not have the four "
-                                      f"fields r, c1, c2, star") from None
-        kinds = {(type(r), type(c1), type(c2), type(star)) for r, c1, c2, star in entries}
-        if kinds - {_ROW_TYPES}:  # by type(), so a bool is not an int
-            bad = next(row for row in entries if tuple(map(type, row)) != _ROW_TYPES)
-            raise DomainError(f"catalog row {bad!r} must hold integers r, c1, c2 "
-                              f"and a bool star")
-        if len(classes) < len(entries):
-            seen = set()
-            for key in ((r, c1, c2) for r, c1, c2, _ in entries):
-                if key in seen:
-                    raise DomainError(f"catalog repeats the class {key}")
-                seen.add(key)
+                                      f"fields r, c1, c2, star")
+                hash(row)  # a list row would leave the catalog mutable
+                r, c1, c2, star = row
+            except TypeError:
+                raise DomainError(f"catalog row {row!r} is not a sequence "
+                                  f"of hashable fields") from None
+            # by type(), so a bool is not an int
+            if (type(r), type(c1), type(c2), type(star)) != (int, int, int, bool):
+                raise DomainError(f"catalog row {row!r} must hold integers r, c1, c2 "
+                                  f"and a bool star")
+            key = r, c1, c2
+            if key in classes:
+                raise DomainError(f"catalog repeats the class {key}")
+            classes.add(key)
         return tuple.__new__(cls, (entries,))
 
 
@@ -110,7 +102,7 @@ BUILTIN_CATALOG = Catalog(
 
 
 _STAR = {"0": False, "1": True}
-_GG = dict.fromkeys(("always", "generic", "no"), True)
+_GG = ("always", "generic", "no")
 
 
 def load_catalog(path: str | os.PathLike) -> Catalog:
@@ -121,59 +113,54 @@ def load_catalog(path: str | os.PathLike) -> Catalog:
     ``#`` and blank lines are skipped.  UTF-8 only.  A class (r, c1, c2)
     may appear only once.
 
-    Every field of every line is checked; gg is not kept.  :func:`_parse`
-    parses the file whole, once per text; :func:`_first_fault` words a failure.
+    Every field of every line is checked; gg is not kept.  The error names
+    the path and the first faulty line.
     """
     with open(path, "rb") as file:
         data = file.read()
     try:
         return _parse(data)
-    except UnicodeDecodeError as exc:  # a ValueError, so caught first
-        # number lines as splitlines() does in _parse: the text before the
-        # bad byte is valid, and a sentinel marks whether it ends mid-line
-        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
-        raise CatalogParseError(f"{path}: line {lineno}: not valid UTF-8") from None
-    except (ValueError, KeyError):
-        raise CatalogParseError(_first_fault(path, data.decode("utf-8").splitlines())) from None
+    except CatalogParseError as exc:
+        raise CatalogParseError(f"{path}: {exc}") from None
 
 
 @functools.lru_cache(maxsize=16)
 def _parse(data: bytes) -> Catalog:
-    """The catalog a file of exactly these bytes holds.  The cache is keyed on
-    the bytes, not the path, so an edited file is parsed again; a failure
-    raises its bare exception, and the cache keeps only successes."""
-    # a wrong field count fails the unpacking, a bad field int() or a
-    # lookup (gg's is the filter, true for every known gg), and a repeated
-    # class the Catalog
-    rows = [(int(a), int(b), int(c), _STAR[star])
-            for tokens in map(str.split, data.decode("utf-8").splitlines())
-            if tokens and tokens[0][0] != "#"
-            for a, b, c, star, gg in (tokens,) if _GG[gg]]
-    return Catalog(tuple(rows))
-
-
-def _first_fault(path: str | os.PathLike, lines: list[str]) -> str:
-    """The error of the first faulty line of a file that failed to parse, by
-    field count, then integers, star, gg and an earlier line's class."""
+    """The catalog a file of exactly these bytes holds, read line by line;
+    the first faulty line raises, by field count, then integers, star, gg
+    and an earlier line's class.  The cache is keyed on the bytes, not the
+    path, so an edited file is parsed again, and it keeps only successes."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # number lines as splitlines() does below: the text before the bad
+        # byte is valid, and a sentinel marks whether it ends mid-line
+        lineno = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise CatalogParseError(f"line {lineno}: not valid UTF-8") from None
+    rows = []
     first_lines: dict[tuple[int, int, int], int] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens or tokens[0].startswith("#"):
+    for lineno, tokens in enumerate(map(str.split, text.splitlines()), start=1):
+        if not tokens or tokens[0][0] == "#":
             continue
-        where = f"{path}: line {lineno}:"
         if len(tokens) != 5:
-            return f"{where} expected 5 fields 'r c1 c2 star gg', got {len(tokens)}"
+            raise CatalogParseError(f"line {lineno}: expected 5 fields "
+                                    f"'r c1 c2 star gg', got {len(tokens)}")
+        r, c1, c2, star, gg = tokens
         try:
-            key = int(tokens[0]), int(tokens[1]), int(tokens[2])
+            key = int(r), int(c1), int(c2)
         except ValueError:
-            return f"{where} r, c1, c2 must be integers"
-        if tokens[3] not in _STAR:
-            return f"{where} star must be 0 or 1, got {tokens[3]!r}"
-        if tokens[4] not in _GG:
-            return f"{where} gg must be one of always/generic/no, got {tokens[4]!r}"
+            raise CatalogParseError(f"line {lineno}: r, c1, c2 must be integers") from None
+        if star not in _STAR:
+            raise CatalogParseError(f"line {lineno}: star must be 0 or 1, got {star!r}")
+        if gg not in _GG:
+            raise CatalogParseError(f"line {lineno}: gg must be one of "
+                                    f"always/generic/no, got {gg!r}")
         first = first_lines.setdefault(key, lineno)
         if first != lineno:
-            return f"{where} duplicate class {key}, first on line {first}"
+            raise CatalogParseError(f"line {lineno}: duplicate class {key}, "
+                                    f"first on line {first}")
+        rows.append((*key, _STAR[star]))
+    return Catalog(tuple(rows))
 
 
 def catalog(r: int, source: Catalog | None = None) -> list[tuple[int, int, bool]]:

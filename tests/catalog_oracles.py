@@ -1,12 +1,15 @@
 """The line-by-line catalog loader, kept as a test oracle for
 ``extensions.load_catalog``.
 
-``load_catalog`` parses a valid file whole, in one comprehension over the
-split lines, and walks the lines one by one only to word the error of a file
-that failed.  This loader checks and stores each line in turn and raises at
-the first faulty one, so a slip in the bulk parse (a line it skips or keeps
-wrongly, a field it converts differently, a duplicate it misses) or in the
-wording and order of the errors shows as a different catalog or message.
+``load_catalog`` reads a file line by line too, but behind a parse cache
+keyed on the file's bytes, and it words its errors without the path, which
+it adds when it re-raises; its rows then go through ``Catalog``'s own
+check.  This loader is written apart from it, with none of that: it checks
+and stores each line in turn and raises at the first faulty one with the
+path in the message, so a slip in the library's reader (a line it skips or
+keeps wrongly, a field it converts differently, a duplicate it misses) or
+in the wording and order of its errors shows as a different catalog or
+message.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
-"""``extensions.load_catalog``, which parses a catalog file whole and words an
-error only when that fails, against the line-by-line loader in
-``catalog_oracles``: the same catalog, or a byte-identical message, for
-arbitrary bytes and for files built to sit on the edges of the format, on
-a first load and on a second, which may be a parse-cache hit.
+"""``extensions.load_catalog``, which reads a catalog file line by line behind
+a parse cache and adds the path to the error of the first faulty line,
+against the separately written loader in ``catalog_oracles``: the same
+catalog, or a byte-identical message, for arbitrary bytes and for files
+built to sit on the edges of the format, on a first load and on a second,
+which may be a parse-cache hit.
 
 The built files mix integers that ``int`` takes but a strict digit pattern
 would not, whitespace that ``str.split`` honours, line breaks that

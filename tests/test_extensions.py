@@ -89,10 +89,33 @@ class TestCatalog:
         ((None,), None),
         (((4, 1, 3, True), 5), 5),
         (((4, 1, 3, True), ([4], 1, 3, True)), ([4], 1, 3, True)),
-    ], ids=["int", "none", "int-after-a-row", "unhashable-field"])
+        (((4, 1, 3, True), [4, 2, 8, True]), [4, 2, 8, True]),
+    ], ids=["int", "none", "int-after-a-row", "unhashable-field", "list"])
     def test_row_that_is_not_a_sequence_is_named(self, rows, bad):
+        # a list row would build a catalog that hashes to a TypeError and
+        # that a caller could mutate into a repeat
         with pytest.raises(DomainError, match=re.escape(
                 f"catalog row {bad!r} is not a sequence of hashable fields")):
+            Catalog(rows)
+
+    def test_iterator_row_is_named_before_it_is_used_up(self):
+        # unpacked first, it would pass every check and be stored empty
+        row = iter((4, 1, 3, True))
+        with pytest.raises(DomainError, match=re.escape(
+                f"catalog row {row!r} is not a sequence of hashable fields")):
+            Catalog((row,))
+
+    @pytest.mark.parametrize("rows, message", [
+        (((4, "1", 3, True), (4, 3)),
+         "catalog row (4, '1', 3, True) must hold integers r, c1, c2 and a bool star"),
+        (((4, 1, 3, True), (4, 1, 3, False), (4, 2)), "catalog repeats the class (4, 1, 3)"),
+        (((True, 1, 3, True), None),
+         "catalog row (True, 1, 3, True) must hold integers r, c1, c2 and a bool star"),
+    ], ids=["type-before-shape", "repeat-before-shape", "type-before-sequence"])
+    def test_first_faulty_row_is_named_whatever_its_fault(self, rows, message):
+        # one rule, as a catalog file names its first faulty line: a later
+        # row's fault is not looked for first because it is of another kind
+        with pytest.raises(DomainError, match=re.escape(message)):
             Catalog(rows)
 
     @pytest.mark.parametrize("bad", [
